@@ -35,3 +35,4 @@ kernel, backend_name = _select()
 residue_table = kernel.residue_table
 minimal_residues = kernel.minimal_residues
 UNREACHABLE = _kernel_py.UNREACHABLE
+SENTINEL = _kernel_py.SENTINEL

@@ -10,7 +10,7 @@ from math import gcd
 
 UNREACHABLE = -1
 
-_SENTINEL = 1 << 62
+SENTINEL = 1 << 62
 
 
 def residue_table(modulus: int, gens) -> list[int]:
@@ -28,7 +28,7 @@ def residue_table(modulus: int, gens) -> list[int]:
     m = modulus
     if m < 1:
         raise ValueError("modulus must be positive")
-    w = [_SENTINEL] * m
+    w = [SENTINEL] * m
     w[0] = 0
     for g in sorted(gens):
         step = g % m
@@ -53,12 +53,12 @@ def residue_table(modulus: int, gens) -> list[int]:
                 p += step
                 if p >= m:
                     p -= m
-                if cur < _SENTINEL:
+                if cur < SENTINEL:
                     cand = cur + g
                     if cand < w[p]:
                         w[p] = cand
                 cur = w[p]
-    return [(w[i] - i) // m if w[i] < _SENTINEL else UNREACHABLE for i in range(m)]
+    return [(w[i] - i) // m if w[i] < SENTINEL else UNREACHABLE for i in range(m)]
 
 
 def minimal_residues(modulus: int, coeffs) -> list[int]:

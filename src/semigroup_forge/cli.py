@@ -359,9 +359,15 @@ def _cmd_tree(ns) -> tuple[dict, dict, list[str], int]:
     return result, meta, lines, 0
 
 
+def _semigroup_arg(generators: list[int]) -> NumericalSemigroup:
+    # The smallest generator is the multiplicity and sizes the residue
+    # table, so the guard runs before anything is allocated.
+    _guard_m(min(generators))
+    return make_semigroup(generators)
+
+
 def _cmd_class_min_frob(ns) -> tuple[dict, dict, list[str], int]:
-    S = make_semigroup(ns.generators)
-    _guard_m(S.multiplicity)
+    S = _semigroup_arg(ns.generators)
     meta: dict = {"backend": backend_name, "nodes": None, "verify": None}
     members = list(class_min_frobenius(S))
     if ns.verify:
@@ -384,8 +390,7 @@ def _cmd_class_min_frob(ns) -> tuple[dict, dict, list[str], int]:
 
 
 def _cmd_info(ns) -> tuple[dict, dict, list[str], int]:
-    S = make_semigroup(ns.generators)
-    _guard_m(S.multiplicity)
+    S = _semigroup_arg(ns.generators)
     meta: dict = {"backend": backend_name, "nodes": None, "verify": None}
     if ns.verify:
         status, failed = _verify_members([S])

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from ._backend import minimal_residues, residue_table
+from ._backend import SENTINEL, minimal_residues, residue_table
 from .errors import (
     BadDimension,
     EmptyInput,
@@ -126,8 +126,15 @@ def make_semigroup(generators) -> NumericalSemigroup:
     empty collection, InvalidGenerator on a non-positive entry, and
     NotNumerical when the gcd of the generators exceeds 1 (the monoid
     then misses whole residue classes and is not a numerical semigroup).
+    Apery entries stay below m * max_gen, so inputs with m * max_gen at or
+    above the kernels' 62-bit sentinel raise InvalidGenerator rather than
+    wrap.
     """
     gens = _check_generators(generators)
+    if gens[0] * gens[-1] >= SENTINEL:
+        raise InvalidGenerator(
+            f"generators {gens[0]} and {gens[-1]} exceed the 62-bit kernel range"
+        )
     g = 0
     for x in gens:
         g = gcd(g, x)

@@ -9,10 +9,10 @@ breadth-first therefore enumerates by increasing genus.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator
 
-from ._threads import ordered_map
-from .core import NumericalSemigroup, make_semigroup
+from .core import AperyTable, NumericalSemigroup, make_semigroup
 
 __all__ = ["FrontierLevel", "root", "sons", "level", "bfs_levels"]
 
@@ -36,23 +36,62 @@ def root(m: int) -> NumericalSemigroup:
     return make_semigroup(range(m, 2 * m))
 
 
-def sons(S: NumericalSemigroup) -> tuple[NumericalSemigroup, ...]:
-    """Sons of S in the tree for its own multiplicity.
+def sons(S: NumericalSemigroup, bound: int | None = None) -> tuple[NumericalSemigroup, ...]:
+    """Sons of S in the tree for its own multiplicity, in sorted order.
 
     Deleting a minimal generator x leaves a semigroup exactly when
-    x > F(S) and x is not the multiplicity.  The result is generated by
-    the remaining minimal generators plus x shifted by each of them
-    (x + x included, covering double use of the deleted element).
+    x > F(S) and x is not the multiplicity.  The son is derived from S
+    without a kernel call: its Apery table differs from S's in the one
+    entry x mod m, which moves from x to x+m; its Frobenius number is x
+    and its genus g(S)+1.  Its minimal generators are those of S minus x,
+    plus x+m unless x+m - n lies in the son for some remaining generator
+    n other than m.  (Any other x+n equals (x+n-m) + m with x+n-m > F(S),
+    so it is never minimal.)  Each son costs O(m + e).
+
+    With `bound`, only the sons with Frobenius number <= bound are built.
     """
-    out = []
-    msg = S.min_gens
     m = S.multiplicity
-    for x in msg:
-        if x > S.frobenius and x != m:
-            gens = [g for g in msg if g != x]
-            gens.extend(x + g for g in msg)
-            out.append(make_semigroup(gens))
-    return tuple(sorted(out))
+    msg = S.min_gens
+    entries = S.apery.entries
+    coeffs = S.apery.coefficients
+    floor = S.frobenius
+    genus = S.genus + 1
+    out = []
+    # Removing a larger generator gives a lexicographically smaller son,
+    # so walking the generators downwards yields the sons sorted.
+    for i in range(len(msg) - 1, 0, -1):
+        x = msg[i]
+        if x <= floor:
+            break
+        if bound is not None and x > bound:
+            continue
+        r = x % m
+        top = x + m
+        table = entries[:r] + (top,) + entries[r + 1 :]
+        rest = msg[:i] + msg[i + 1 :]
+        for n in rest[1:]:
+            z = top - n
+            if z >= table[z % m]:
+                gens = rest
+                break
+        else:
+            gens = rest + (top,)
+        out.append(
+            NumericalSemigroup(
+                min_gens=gens,
+                multiplicity=m,
+                embedding_dim=len(gens),
+                max_gen=gens[-1],
+                apery=AperyTable(
+                    modulus=m,
+                    entries=table,
+                    coefficients=coeffs[:r] + (coeffs[r] + 1,) + coeffs[r + 1 :],
+                ),
+                frobenius=x,
+                genus=genus,
+            )
+        )
+    return tuple(out)
 
 
 def bfs_levels(m: int) -> Iterator[FrontierLevel]:
@@ -60,18 +99,16 @@ def bfs_levels(m: int) -> Iterator[FrontierLevel]:
 
     Only the current frontier is retained.  Distinct parents never share
     a son (each node's parent is recovered by re-adjoining its Frobenius
-    number), so concatenating the per-parent son lists loses nothing;
-    a set union guards the invariant anyway.
+    number), so concatenating the per-parent son lists lists every node
+    of the next level exactly once.
     """
     k = 0
     frontier = (root(m),)
     while True:
         yield FrontierLevel(level_index=k, members=frontier)
-        expansions = ordered_map(sons, frontier)
-        merged: set[NumericalSemigroup] = set()
-        for batch in expansions:
-            merged.update(batch)
-        frontier = tuple(sorted(merged))
+        merged = [T for S in frontier for T in sons(S)]
+        merged.sort(key=attrgetter("min_gens"))
+        frontier = tuple(merged)
         k += 1
 
 

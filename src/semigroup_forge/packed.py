@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterator
 
-from ._threads import ordered_map
 from .core import NumericalSemigroup, frobenius_of, make_semigroup, monoid_contains
 from .errors import BadDimension, Degenerate, NotPacked
 
@@ -133,10 +132,9 @@ def class_min_frobenius(S: NumericalSemigroup) -> tuple[NumericalSemigroup, ...]
     accepted = {S}
     frontier = [S]
     while frontier:
-        expansions = ordered_map(class_sons, frontier)
         nxt = []
-        for batch in expansions:
-            for T in batch:
+        for P in frontier:
+            for T in class_sons(P):
                 if T.frobenius == target and T not in accepted:
                     accepted.add(T)
                     nxt.append(T)

@@ -13,16 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from ._threads import ordered_map
 from .core import NumericalSemigroup, interval_frobenius, interval_genus
 from .errors import BadDimension
-from .multiplicity_tree import root, sons
+from .multiplicity_tree import bfs_levels, root, sons
 from .packed import class_min_frobenius, enumerate_packed
 
 __all__ = [
     "Existence",
     "SearchOutcome",
-    "Incumbent",
     "WilfViolation",
     "existence",
     "min_genus",
@@ -56,14 +54,6 @@ class SearchOutcome:
     value: int
     minimizers: tuple[NumericalSemigroup, ...]
     level: int | None = None
-
-
-@dataclass(frozen=True)
-class Incumbent:
-    """A candidate minimizer paired with its Frobenius number."""
-
-    semigroup: NumericalSemigroup
-    frob: int
 
 
 @dataclass(frozen=True)
@@ -111,11 +101,10 @@ def min_genus(m: int, e: int, stats: dict | None = None) -> SearchOutcome:
     """
     _require_dims(m, e)
     last_level = interval_genus(m, e) - (m - 1)
-    frontier: tuple[NumericalSemigroup, ...] = (root(m),)
     visited = 0
-    for k in range(last_level + 1):
-        visited += len(frontier)
-        hits = tuple(S for S in frontier if S.embedding_dim == e)
+    for lv in bfs_levels(m):
+        visited += len(lv)
+        hits = tuple(S for S in lv if S.embedding_dim == e)
         if hits:
             if stats is not None:
                 stats["nodes"] = visited
@@ -123,15 +112,12 @@ def min_genus(m: int, e: int, stats: dict | None = None) -> SearchOutcome:
                 kind="genus",
                 m=m,
                 e=e,
-                value=(m - 1) + k,
+                value=(m - 1) + lv.level_index,
                 minimizers=hits,
-                level=k,
+                level=lv.level_index,
             )
-        expansions = ordered_map(sons, frontier)
-        merged: set[NumericalSemigroup] = set()
-        for batch in expansions:
-            merged.update(batch)
-        frontier = tuple(sorted(merged))
+        if lv.level_index == last_level:
+            break
     raise AssertionError("unreachable: the interval semigroup bounds the walk")
 
 
@@ -159,26 +145,24 @@ def min_frobenius(m: int, e: int, stats: dict | None = None) -> SearchOutcome:
     """Least Frobenius number at (m, e), with every semigroup attaining it.
 
     Pruned walk of the multiplicity-m tree.  The Frobenius number grows
-    strictly along edges, so nodes above the incumbent bound are dead;
-    the dimension never grows along edges, so nodes below dimension e
-    are dead too.  The bound starts at the interval-semigroup value and
-    shrinks as dimension-e nodes appear.  The root itself is admitted as
-    an incumbent when its dimension matches (e = m), which is the one
-    case the son loop cannot see.
+    strictly along edges, so sons above the current bound are never
+    built; the dimension never grows along edges, so nodes below
+    dimension e are dead too.  The bound starts at the interval-semigroup
+    value and shrinks as dimension-e nodes appear.  The root itself is
+    admitted as a minimizer when its dimension matches (e = m), which is
+    the one case the son loop cannot see.
     """
     _require_dims(m, e)
     alpha = interval_frobenius(m, e)
     start = root(m)
-    incumbents: list[Incumbent] = []
+    best: list[NumericalSemigroup] = []
     if start.embedding_dim == e:
         alpha = min(alpha, start.frobenius)
-        incumbents = [Incumbent(start, start.frobenius)]
+        best = [start]
     frontier = [start]
     visited = 1
     while True:
-        expansions = ordered_map(sons, frontier)
-        candidates = [T for batch in expansions for T in batch if T.frobenius <= alpha]
-        keep = [T for T in candidates if T.embedding_dim >= e]
+        keep = [T for S in frontier for T in sons(S, alpha) if T.embedding_dim >= e]
         visited += len(keep)
         if not keep:
             break
@@ -186,13 +170,13 @@ def min_frobenius(m: int, e: int, stats: dict | None = None) -> SearchOutcome:
         hits = [T for T in keep if T.embedding_dim == e]
         if hits:
             alpha = min(alpha, min(T.frobenius for T in hits))
-            incumbents.extend(Incumbent(T, T.frobenius) for T in hits)
-            incumbents = [inc for inc in incumbents if inc.frob == alpha]
+            best = [T for T in (*best, *hits) if T.frobenius == alpha]
     if stats is not None:
         stats["nodes"] = visited
-    assert incumbents, "a minimizer always survives the pruning"
-    minimizers = tuple(sorted(inc.semigroup for inc in incumbents))
-    return SearchOutcome(kind="frobenius", m=m, e=e, value=alpha, minimizers=minimizers)
+    assert best, "a minimizer always survives the pruning"
+    return SearchOutcome(
+        kind="frobenius", m=m, e=e, value=alpha, minimizers=tuple(sorted(best))
+    )
 
 
 def min_frobenius_value_packed(m: int, e: int) -> int:
@@ -212,9 +196,7 @@ def min_frobenius_full_set(m: int, e: int) -> SearchOutcome:
     family = enumerate_packed(m, e)
     best = min(S.frobenius for S in family)
     heads = [S for S in family if S.frobenius == best]
-    collected: set[NumericalSemigroup] = set()
-    for batch in ordered_map(class_min_frobenius, heads):
-        collected.update(batch)
+    collected = {T for S in heads for T in class_min_frobenius(S)}
     return SearchOutcome(
         kind="frobenius",
         m=m,

@@ -206,6 +206,29 @@ class TestExitCodes:
         assert code == 2
         assert "gcd" in err
 
+    def test_generator_past_kernel_range(self):
+        proc = run_proc("info", "5,2305843009213693953")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "kernel range" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["info", "class-min-frob"])
+    def test_multiplicity_guard_runs_before_construction(
+        self, capsys, monkeypatch, command
+    ):
+        # A 3e8-entry residue table must never be allocated.
+        import semigroup_forge.core as core
+
+        def refuse(*args):
+            raise AssertionError("residue table built before the guard")
+
+        monkeypatch.setattr(core, "residue_table", refuse)
+        code, out, err = run_main(capsys, command, "300000000,300000001")
+        assert code == 2
+        assert out == ""
+        assert "guard" in err
+
 
 class TestVerify:
     def test_verify_ok_statuses(self, capsys):
@@ -252,14 +275,6 @@ class TestDeterminism:
             second = run_proc(*args)
             assert first.returncode == second.returncode == 0
             assert first.stdout == second.stdout
-
-    def test_thread_count_does_not_change_output(self):
-        base = run_proc("min-frobenius", "6", "4", "--format", "json")
-        threaded = run_proc(
-            "min-frobenius", "6", "4", "--format", "json",
-            env_extra={"SEMIGROUP_FORGE_THREADS": "4"},
-        )
-        assert base.stdout == threaded.stdout
 
     def test_backend_does_not_change_result(self):
         base = run_proc("min-genus", "6", "3", "--format", "json")

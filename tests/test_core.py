@@ -75,6 +75,19 @@ class TestMakeSemigroup:
         with pytest.raises(InvalidGenerator):
             mk(True, 3)
 
+    def test_kernel_range_overflow_rejected(self):
+        # Used to come back as ⟨-3,-1,5,...⟩ with a negative genus.
+        with pytest.raises(InvalidGenerator, match="kernel range"):
+            mk(5, 2**61 + 1)
+        with pytest.raises(InvalidGenerator):
+            mk(2, 2**61 + 1)
+
+    def test_largest_product_below_kernel_range(self):
+        S = mk(2, 2**61 - 1)
+        assert S.min_gens == (2, 2**61 - 1)
+        assert S.frobenius == 2**61 - 3
+        assert S.genus == 2**60 - 1
+
     def test_reduction_idempotent(self):
         for gens in [(4, 5, 7), (6, 9, 20), (4, 6, 7, 9, 10), (1, 44)]:
             S = make_semigroup(gens)

@@ -65,6 +65,47 @@ class TestSons:
                 assert x != parent.multiplicity
 
 
+    def test_bound_keeps_exactly_the_sons_at_or_below_it(self):
+        for m in range(2, 8):
+            for lv in islice(bfs_levels(m), 5):
+                for S in lv:
+                    every = sons(S)
+                    assert list(every) == sorted(every)
+                    for bound in range(S.frobenius - 1, S.max_gen + 2):
+                        kept = tuple(T for T in every if T.frobenius <= bound)
+                        assert sons(S, bound) == kept, (S, bound)
+
+
+class TestIncrementalSonRule:
+    """The sons are built from the parent's Apery table, without a kernel."""
+
+    FIELDS = ("min_gens", "apery", "frobenius", "genus", "embedding_dim",
+              "max_gen", "multiplicity")
+
+    def test_sons_match_a_fresh_construction(self):
+        checked = 0
+        for m in range(2, 13):
+            for lv in islice(bfs_levels(m), 7):
+                for parent in lv:
+                    for son in sons(parent):
+                        fresh = make_semigroup(son.min_gens)
+                        for field in self.FIELDS:
+                            assert getattr(son, field) == getattr(fresh, field), (
+                                parent, son, field)
+                        checked += 1
+        # Every node on levels 1..7 of the trees m = 2..12 was compared.
+        assert checked == 12157
+
+    def test_counts_by_genus_match_oeis_a007323(self):
+        a007323 = [1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001]
+        top = len(a007323) - 1
+        counts = [0] * (top + 1)
+        for m in range(1, top + 2):
+            for lv in islice(bfs_levels(m), top - (m - 1) + 1):
+                counts[(m - 1) + lv.level_index] += len(lv)
+        assert counts == a007323
+
+
 class TestLevels:
     def test_frozen_levels_multiplicity_four(self):
         for k, expected in enumerate(LEVELS_M4):
