@@ -14,12 +14,14 @@ import argparse
 import json
 import sys
 import time
+from itertools import islice
 from math import comb
+from typing import Callable
 
 from ._backend import backend_name
 from .core import NumericalSemigroup, make_semigroup
 from .errors import NotPacked, SemigroupError, Uncertified
-from .multiplicity_tree import bfs_levels
+from .multiplicity_tree import FrontierLevel, bfs_levels
 from .oracle import sieve
 from .packed import class_min_frobenius, enumerate_packed
 from .search import (
@@ -139,13 +141,32 @@ def _sg_json(S: NumericalSemigroup) -> dict:
     return {"min_gens": list(S.min_gens), "frobenius": S.frobenius, "genus": S.genus}
 
 
-def _sg_text(S: NumericalSemigroup) -> str:
-    return repr(S)
+def _member_lines(semigroups) -> list[str]:
+    return [f"  {S!r}  F={S.frobenius}  g={S.genus}" for S in semigroups]
 
 
-def _member_lines(semigroups, out: list[str]) -> None:
-    for S in semigroups:
-        out.append(f"  {_sg_text(S)}  F={S.frobenius}  g={S.genus}")
+class _Report:
+    """What one subcommand computed; `main` verifies and renders it.
+
+    `members` are the semigroups `--verify` sieves.  `route`, when set,
+    re-runs the packed route and returns its value and whether it agrees
+    with the report; it runs only after the sieve says ok.  `alarm` is
+    printed on stderr after the report and makes the exit code 4.
+    """
+
+    # A plain class: a dataclass or NamedTuple here adds about 0.5 ms to
+    # the import of this module, which every CLI run pays.
+    def __init__(
+        self,
+        result: dict,
+        lines: list[str],
+        members: list[NumericalSemigroup],
+        nodes: int | None = None,
+        route: Callable[[], tuple[int, bool]] | None = None,
+        alarm: str | None = None,
+    ):
+        self.result, self.lines, self.members = result, lines, members
+        self.nodes, self.route, self.alarm = nodes, route, alarm
 
 
 def _verify_members(semigroups) -> tuple[str, bool]:
@@ -155,10 +176,10 @@ def _verify_members(semigroups) -> tuple[str, bool]:
         try:
             r = sieve(S.min_gens)
         except Uncertified:
-            return f"partial: sieve uncertified for {_sg_text(S)}", False
+            return f"partial: sieve uncertified for {S!r}", False
         if r.frobenius != S.frobenius or r.genus != S.genus:
             return (
-                f"failed: oracle disagrees on {_sg_text(S)}: "
+                f"failed: oracle disagrees on {S!r}: "
                 f"F {r.frobenius} vs {S.frobenius}, g {r.genus} vs {S.genus}",
                 True,
             )
@@ -170,18 +191,30 @@ def _verify_members(semigroups) -> tuple[str, bool]:
     return "ok", False
 
 
-def _route_checkable(m: int, e: int) -> bool:
-    return comb(m - 1, e - 1) <= VERIFY_ROUTE_CAP
-
-
 class _Exit(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
 
 
+def _verify(ns, report: _Report) -> str:
+    """The one verify path: sieve the members, then cross-check the route."""
+    status, failed = _verify_members(report.members)
+    if status == "ok" and report.route is not None:
+        if comb(ns.m - 1, ns.e - 1) > VERIFY_ROUTE_CAP:
+            status = "partial: packed family too large to cross-check"
+        else:
+            other, agrees = report.route()
+            if not agrees:
+                status, failed = f"failed: packed route disagrees (value {other})", True
+    if failed:
+        raise _Exit(4, status)
+    return status
+
+
 def _classify(m: int, e: int) -> NumericalSemigroup | None:
     """Gate a (m, e) request; returns the naturals when they are the family."""
+    _guard_m(m)
     cls = existence(m, e)
     if cls is Existence.NON_EMPTY:
         return None
@@ -197,42 +230,33 @@ def _guard_m(m: int) -> None:
         raise _Exit(2, f"multiplicity {m} exceeds the guard {MAX_MULTIPLICITY}")
 
 
-def _guard_levels(k: int) -> None:
-    if k < 0:
-        raise _Exit(2, "level count must be non-negative")
-    if k > MAX_LEVELS:
-        raise _Exit(2, f"level count {k} exceeds the guard {MAX_LEVELS}")
-
-
-def _cmd_min_genus(ns) -> tuple[dict, dict, list[str], int]:
+def _first_levels(ns) -> list[FrontierLevel]:
+    """Levels 0..K of the multiplicity-m tree, behind the m and K guards."""
+    if ns.m < 1:
+        raise _Exit(2, "multiplicity must be positive")
     _guard_m(ns.m)
+    if ns.levels < 0:
+        raise _Exit(2, "level count must be non-negative")
+    if ns.levels > MAX_LEVELS:
+        raise _Exit(2, f"level count {ns.levels} exceeds the guard {MAX_LEVELS}")
+    return list(islice(bfs_levels(ns.m), ns.levels + 1))
+
+
+def _cmd_min_genus(ns) -> _Report:
     naturals = _classify(ns.m, ns.e)
-    meta: dict = {"backend": backend_name, "nodes": None, "verify": None}
+    nodes = None
     if naturals is not None:
         value, level_index, minimizers = 0, 0, [naturals]
     else:
         stats: dict = {}
         outcome = min_genus(ns.m, ns.e, stats=stats)
         value, level_index = outcome.value, outcome.level
-        minimizers = list(outcome.minimizers)
-        meta["nodes"] = stats["nodes"]
-        if ns.verify:
-            status, failed = _verify_members(minimizers)
-            if not failed and status == "ok":
-                if _route_checkable(ns.m, ns.e):
-                    other = min_genus_packed(ns.m, ns.e)
-                    if other.value != value or list(other.minimizers) != minimizers:
-                        status, failed = (
-                            f"failed: packed route disagrees (value {other.value})",
-                            True,
-                        )
-                else:
-                    status = "partial: packed family too large to cross-check"
-            meta["verify"] = status
-            if failed:
-                raise _Exit(4, status)
-    if ns.verify and meta["verify"] is None:
-        meta["verify"] = "ok"
+        minimizers, nodes = list(outcome.minimizers), stats["nodes"]
+
+    def route():
+        other = min_genus_packed(ns.m, ns.e)
+        return other.value, (other.value, list(other.minimizers)) == (value, minimizers)
+
     result = {
         "value": value,
         "level": level_index,
@@ -243,46 +267,34 @@ def _cmd_min_genus(ns) -> tuple[dict, dict, list[str], int]:
         f"value: {value}",
         f"level: {level_index}",
         f"minimizers ({len(minimizers)}):",
+        *_member_lines(minimizers),
     ]
-    _member_lines(minimizers, lines)
-    return result, meta, lines, 0
+    return _Report(result, lines, minimizers, nodes, route if naturals is None else None)
 
 
-def _cmd_min_frobenius(ns) -> tuple[dict, dict, list[str], int]:
-    _guard_m(ns.m)
+def _cmd_min_frobenius(ns) -> _Report:
     naturals = _classify(ns.m, ns.e)
-    meta: dict = {"backend": backend_name, "nodes": None, "verify": None}
-    complete = True
+    nodes, complete = None, True
     if naturals is not None:
         value, minimizers = -1, [naturals]
     elif ns.via == "tree":
         stats: dict = {}
         outcome = min_frobenius(ns.m, ns.e, stats=stats)
         value, minimizers = outcome.value, list(outcome.minimizers)
-        meta["nodes"] = stats["nodes"]
+        nodes = stats["nodes"]
     elif ns.full_set:
         outcome = min_frobenius_full_set(ns.m, ns.e)
         value, minimizers = outcome.value, list(outcome.minimizers)
     else:
-        value = min_frobenius_value_packed(ns.m, ns.e)
         family = enumerate_packed(ns.m, ns.e)
+        value = min(S.frobenius for S in family)
         minimizers = [S for S in family if S.frobenius == value]
         complete = False
-    if ns.verify:
-        status, failed = _verify_members(minimizers)
-        if not failed and status == "ok" and naturals is None:
-            if _route_checkable(ns.m, ns.e):
-                other = min_frobenius_value_packed(ns.m, ns.e)
-                if other != value:
-                    status, failed = (
-                        f"failed: packed route disagrees (value {other})",
-                        True,
-                    )
-            else:
-                status = "partial: packed family too large to cross-check"
-        meta["verify"] = status
-        if failed:
-            raise _Exit(4, status)
+
+    def route():
+        other = min_frobenius_value_packed(ns.m, ns.e)
+        return other, other == value
+
     result = {
         "value": value,
         "complete": complete,
@@ -293,52 +305,26 @@ def _cmd_min_frobenius(ns) -> tuple[dict, dict, list[str], int]:
         f"min-frobenius m={ns.m} e={ns.e} via={ns.via}",
         f"value: {value}",
         f"minimizers ({len(minimizers)}, {label}):",
+        *_member_lines(minimizers),
     ]
-    _member_lines(minimizers, lines)
-    return result, meta, lines, 0
+    return _Report(result, lines, minimizers, nodes, route if naturals is None else None)
 
 
-def _cmd_packed(ns) -> tuple[dict, dict, list[str], int]:
-    _guard_m(ns.m)
+def _cmd_packed(ns) -> _Report:
     naturals = _classify(ns.m, ns.e)
-    meta: dict = {"backend": backend_name, "nodes": None, "verify": None}
     members = [naturals] if naturals is not None else list(enumerate_packed(ns.m, ns.e))
-    if ns.verify:
-        status, failed = _verify_members(members)
-        meta["verify"] = status
-        if failed:
-            raise _Exit(4, status)
     result = {"count": len(members), "members": [_sg_json(S) for S in members]}
-    lines = [f"packed m={ns.m} e={ns.e}", f"count: {len(members)}"]
-    _member_lines(members, lines)
-    if ns.show == "g":
-        values = [S.genus for S in members]
-        result["values"] = {"kind": "genus", "values": values}
-        lines.append("genus values: " + ",".join(str(v) for v in values))
-    elif ns.show == "f":
-        values = [S.frobenius for S in members]
-        result["values"] = {"kind": "frobenius", "values": values}
-        lines.append("frobenius values: " + ",".join(str(v) for v in values))
-    return result, meta, lines, 0
+    lines = [f"packed m={ns.m} e={ns.e}", f"count: {len(members)}", *_member_lines(members)]
+    if ns.show is not None:
+        kind = {"g": "genus", "f": "frobenius"}[ns.show]
+        values = [getattr(S, kind) for S in members]
+        result["values"] = {"kind": kind, "values": values}
+        lines.append(f"{kind} values: " + ",".join(str(v) for v in values))
+    return _Report(result, lines, members)
 
 
-def _cmd_tree(ns) -> tuple[dict, dict, list[str], int]:
-    if ns.m < 1:
-        raise _Exit(2, "multiplicity must be positive")
-    _guard_m(ns.m)
-    _guard_levels(ns.levels)
-    meta: dict = {"backend": backend_name, "nodes": None, "verify": None}
-    levels = []
-    for lv in bfs_levels(ns.m):
-        levels.append(lv)
-        if lv.level_index == ns.levels:
-            break
-    meta["nodes"] = sum(len(lv) for lv in levels)
-    if ns.verify:
-        status, failed = _verify_members([S for lv in levels for S in lv])
-        meta["verify"] = status
-        if failed:
-            raise _Exit(4, status)
+def _cmd_tree(ns) -> _Report:
+    levels = _first_levels(ns)
     result = {
         "levels": [
             {
@@ -354,9 +340,9 @@ def _cmd_tree(ns) -> tuple[dict, dict, list[str], int]:
         n = len(lv)
         word = "member" if n == 1 else "members"
         lines.append(f"level {lv.level_index} (genus {ns.m - 1 + lv.level_index}, {n} {word}):")
-        for S in lv:
-            lines.append(f"  {_sg_text(S)}")
-    return result, meta, lines, 0
+        lines.extend(f"  {S!r}" for S in lv)
+    members = [S for lv in levels for S in lv]
+    return _Report(result, lines, members, nodes=len(members))
 
 
 def _semigroup_arg(generators: list[int]) -> NumericalSemigroup:
@@ -366,37 +352,25 @@ def _semigroup_arg(generators: list[int]) -> NumericalSemigroup:
     return make_semigroup(generators)
 
 
-def _cmd_class_min_frob(ns) -> tuple[dict, dict, list[str], int]:
+def _cmd_class_min_frob(ns) -> _Report:
     S = _semigroup_arg(ns.generators)
-    meta: dict = {"backend": backend_name, "nodes": None, "verify": None}
     members = list(class_min_frobenius(S))
-    if ns.verify:
-        status, failed = _verify_members(members)
-        meta["verify"] = status
-        if failed:
-            raise _Exit(4, status)
     result = {
         "frobenius": S.frobenius,
         "count": len(members),
         "members": [_sg_json(T) for T in members],
     }
     lines = [
-        f"class-min-frob {_sg_text(S)}",
+        f"class-min-frob {S!r}",
         f"frobenius: {S.frobenius}",
         f"members ({len(members)}):",
+        *_member_lines(members),
     ]
-    _member_lines(members, lines)
-    return result, meta, lines, 0
+    return _Report(result, lines, members)
 
 
-def _cmd_info(ns) -> tuple[dict, dict, list[str], int]:
+def _cmd_info(ns) -> _Report:
     S = _semigroup_arg(ns.generators)
-    meta: dict = {"backend": backend_name, "nodes": None, "verify": None}
-    if ns.verify:
-        status, failed = _verify_members([S])
-        meta["verify"] = status
-        if failed:
-            raise _Exit(4, status)
     result = {
         "min_gens": list(S.min_gens),
         "multiplicity": S.multiplicity,
@@ -407,7 +381,7 @@ def _cmd_info(ns) -> tuple[dict, dict, list[str], int]:
         "apery": {"modulus": S.apery.modulus, "entries": list(S.apery.entries)},
     }
     lines = [
-        f"semigroup {_sg_text(S)}",
+        f"semigroup {S!r}",
         "min_gens: " + ",".join(str(g) for g in S.min_gens),
         f"multiplicity: {S.multiplicity}",
         f"embedding_dim: {S.embedding_dim}",
@@ -417,26 +391,14 @@ def _cmd_info(ns) -> tuple[dict, dict, list[str], int]:
         f"apery mod {S.apery.modulus}: "
         + ",".join(str(w) for w in S.apery.entries),
     ]
-    return result, meta, lines, 0
+    return _Report(result, lines, [S])
 
 
-def _cmd_audit_wilf(ns) -> tuple[dict, dict, list[str], int]:
+def _cmd_audit_wilf(ns) -> _Report:
     if ns.m < 1 or ns.e < 1:
         raise _Exit(2, "multiplicity and dimension must be positive")
-    _guard_m(ns.m)
-    _guard_levels(ns.levels)
-    meta: dict = {"backend": backend_name, "nodes": None, "verify": None}
-    audited: list[NumericalSemigroup] = []
-    for lv in bfs_levels(ns.m):
-        audited.extend(S for S in lv if S.embedding_dim == ns.e)
-        if lv.level_index == ns.levels:
-            break
+    audited = [S for lv in _first_levels(ns) for S in lv if S.embedding_dim == ns.e]
     violations = wilf_audit(audited)
-    if ns.verify:
-        status, failed = _verify_members(audited)
-        meta["verify"] = status
-        if failed:
-            raise _Exit(4, status)
     result = {
         "checked": len(audited),
         "violations": [
@@ -449,19 +411,13 @@ def _cmd_audit_wilf(ns) -> tuple[dict, dict, list[str], int]:
         f"checked: {len(audited)}",
         f"violations: {len(violations)}",
     ]
-    for v in violations:
-        lines.append(f"  {_sg_text(v.semigroup)}  lhs={v.lhs}  rhs={v.rhs}")
-    code = 0
+    lines.extend(f"  {v.semigroup!r}  lhs={v.lhs}  rhs={v.rhs}" for v in violations)
+    alarm = None
     if violations:
-        print(
-            "WILF INEQUALITY VIOLATED: "
-            + "; ".join(
-                f"{_sg_text(v.semigroup)} lhs={v.lhs} rhs={v.rhs}" for v in violations
-            ),
-            file=sys.stderr,
+        alarm = "WILF INEQUALITY VIOLATED: " + "; ".join(
+            f"{v.semigroup!r} lhs={v.lhs} rhs={v.rhs}" for v in violations
         )
-        code = 4
-    return result, meta, lines, code
+    return _Report(result, lines, audited, alarm=alarm)
 
 
 _HANDLERS = {
@@ -483,7 +439,12 @@ def main(argv=None) -> int:
         return int(ex.code or 0)
     started = time.perf_counter()
     try:
-        result, meta, lines, code = _HANDLERS[ns.command](ns)
+        report = _HANDLERS[ns.command](ns)
+        meta = {
+            "backend": backend_name,
+            "nodes": report.nodes,
+            "verify": _verify(ns, report) if ns.verify else None,
+        }
     except _Exit as ex:
         print(f"error: {ex}", file=sys.stderr)
         return ex.code
@@ -493,31 +454,27 @@ def main(argv=None) -> int:
     except SemigroupError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
+    # Nothing below reads the semigroups; free them before rendering.
+    report.members = report.route = None
     if ns.format == "json":
+        inputs = {
+            k: v for k, v in vars(ns).items() if k not in ("command", "format", "verify")
+        }
         envelope = {
             "command": ns.command,
-            "inputs": _inputs_echo(ns),
-            "result": result,
+            "inputs": inputs,
+            "result": report.result,
             "meta": meta,
         }
         print(json.dumps(envelope, sort_keys=True, indent=2))
     else:
-        if meta.get("verify"):
-            lines.append(f"verify: {meta['verify']}")
-        print("\n".join(lines))
+        verify_line = [f"verify: {meta['verify']}"] if meta["verify"] else []
+        print("\n".join(report.lines + verify_line))
+    if report.alarm:
+        print(report.alarm, file=sys.stderr)
     elapsed = time.perf_counter() - started
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
-    return code
-
-
-def _inputs_echo(ns) -> dict:
-    echo: dict = {}
-    for key in ("m", "e", "levels", "via", "show", "generators"):
-        if hasattr(ns, key):
-            echo[key] = getattr(ns, key)
-    if hasattr(ns, "full_set"):
-        echo["full_set"] = ns.full_set
-    return echo
+    return 4 if report.alarm else 0
 
 
 if __name__ == "__main__":

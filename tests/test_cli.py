@@ -30,6 +30,71 @@ def run_proc(*args, env_extra=None):
     )
 
 
+# Table stdout of one invocation per subcommand besides min-genus.
+TABLE_GOLDENS = {
+    "min-frobenius 7 4 --verify": (
+        "min-frobenius m=7 e=4 via=tree\n"
+        "value: 13\n"
+        "minimizers (7, complete):\n"
+        "  ⟨7,8,9,10⟩  F=13  g=9\n"
+        "  ⟨7,8,9,11⟩  F=13  g=9\n"
+        "  ⟨7,8,9,12⟩  F=13  g=9\n"
+        "  ⟨7,8,10,11⟩  F=13  g=9\n"
+        "  ⟨7,8,10,12⟩  F=13  g=9\n"
+        "  ⟨7,8,10,19⟩  F=13  g=10\n"
+        "  ⟨7,9,10,15⟩  F=13  g=10\n"
+        "verify: ok\n"
+    ),
+    "packed 6 5 --show f": (
+        "packed m=6 e=5\n"
+        "count: 5\n"
+        "  ⟨6,7,8,9,10⟩  F=11  g=6\n"
+        "  ⟨6,7,8,9,11⟩  F=10  g=6\n"
+        "  ⟨6,7,8,10,11⟩  F=9  g=6\n"
+        "  ⟨6,7,9,10,11⟩  F=8  g=6\n"
+        "  ⟨6,8,9,10,11⟩  F=13  g=7\n"
+        "frobenius values: 11,10,9,8,13\n"
+    ),
+    "tree 4 --levels 2": (
+        "tree m=4 levels=2\n"
+        "level 0 (genus 3, 1 member):\n"
+        "  ⟨4,5,6,7⟩\n"
+        "level 1 (genus 4, 3 members):\n"
+        "  ⟨4,5,6⟩\n"
+        "  ⟨4,5,7⟩\n"
+        "  ⟨4,6,7,9⟩\n"
+        "level 2 (genus 5, 4 members):\n"
+        "  ⟨4,5,11⟩\n"
+        "  ⟨4,6,7⟩\n"
+        "  ⟨4,6,9,11⟩\n"
+        "  ⟨4,7,9,10⟩\n"
+    ),
+    "class-min-frob 6,7,8,9,11": (
+        "class-min-frob ⟨6,7,8,9,11⟩\n"
+        "frobenius: 10\n"
+        "members (3):\n"
+        "  ⟨6,7,8,9,11⟩  F=10  g=6\n"
+        "  ⟨6,8,9,11,13⟩  F=10  g=7\n"
+        "  ⟨6,8,11,13,15⟩  F=10  g=8\n"
+    ),
+    "info 4,5,7": (
+        "semigroup ⟨4,5,7⟩\n"
+        "min_gens: 4,5,7\n"
+        "multiplicity: 4\n"
+        "embedding_dim: 3\n"
+        "max_gen: 7\n"
+        "frobenius: 6\n"
+        "genus: 4\n"
+        "apery mod 4: 0,5,10,7\n"
+    ),
+    "audit-wilf 5 3 --levels 4": (
+        "audit-wilf m=5 e=3 levels=4\n"
+        "checked: 9\n"
+        "violations: 0\n"
+    ),
+}
+
+
 class TestGoldenOutputs:
     def test_min_genus_table(self, capsys):
         code, out, _ = run_main(capsys, "min-genus", "5", "3")
@@ -115,6 +180,12 @@ class TestGoldenOutputs:
         assert code == 0
         assert "violations: 0" in out
 
+    @pytest.mark.parametrize("args", list(TABLE_GOLDENS))
+    def test_table(self, capsys, args):
+        code, out, _ = run_main(capsys, *args.split())
+        assert code == 0
+        assert out == TABLE_GOLDENS[args]
+
 
 class TestMinFrobeniusRoutes:
     def test_via_packed_value_only(self, capsys):
@@ -145,6 +216,24 @@ class TestMinFrobeniusRoutes:
         assert doc["result"]["complete"] is True
         gens = [m["min_gens"] for m in doc["result"]["minimizers"]]
         assert [7, 9, 10, 15] in gens and [7, 8, 10, 19] in gens
+
+    def test_via_packed_enumerates_the_family_once(self, capsys, monkeypatch):
+        import semigroup_forge.cli as cli
+        import semigroup_forge.search as search
+        from semigroup_forge.packed import enumerate_packed
+
+        calls = []
+
+        def counted(m, e):
+            calls.append((m, e))
+            return enumerate_packed(m, e)
+
+        monkeypatch.setattr(cli, "enumerate_packed", counted)
+        monkeypatch.setattr(search, "enumerate_packed", counted)
+        code, out, _ = run_main(capsys, "min-frobenius", "7", "4", "--via", "packed")
+        assert code == 0
+        assert "value: 13" in out
+        assert calls == [(7, 4)]
 
     def test_tree_and_packed_full_set_agree(self, capsys):
         _, out_tree, _ = run_main(capsys, "min-frobenius", "6", "4", "--format", "json")
@@ -254,6 +343,53 @@ class TestVerify:
         assert a["result"] == b["result"]
         assert a["meta"]["verify"] is None
         assert b["meta"]["verify"] == "ok"
+
+    def test_sieve_disagreement_exits_4(self, capsys, monkeypatch):
+        import semigroup_forge.cli as cli
+        from semigroup_forge.oracle import sieve
+
+        def wrong(gens):
+            r = sieve(gens)
+            return dataclasses.replace(r, frobenius=r.frobenius + 1)
+
+        monkeypatch.setattr(cli, "sieve", wrong)
+        code, out, err = run_main(capsys, "min-genus", "5", "3", "--verify")
+        assert code == 4
+        assert out == ""
+        assert "failed: oracle disagrees" in err
+
+    def test_packed_route_disagreement_exits_4(self, capsys, monkeypatch):
+        import semigroup_forge.cli as cli
+        from semigroup_forge.search import min_genus_packed
+
+        def wrong(m, e):
+            outcome = min_genus_packed(m, e)
+            return dataclasses.replace(outcome, value=outcome.value + 1)
+
+        monkeypatch.setattr(cli, "min_genus_packed", wrong)
+        code, out, err = run_main(capsys, "min-genus", "5", "3", "--verify")
+        assert code == 4
+        assert out == ""
+        assert "failed: packed route disagrees (value 7)" in err
+
+    def test_wilf_violation_exits_4(self, capsys, monkeypatch):
+        import semigroup_forge.cli as cli
+        from semigroup_forge.search import WilfViolation
+
+        def alarm(semigroups):
+            S = sorted(semigroups)[0]
+            return (WilfViolation(semigroup=S, lhs=99, rhs=1),)
+
+        monkeypatch.setattr(cli, "wilf_audit", alarm)
+        code, out, err = run_main(capsys, "audit-wilf", "5", "3", "--levels", "4")
+        assert code == 4
+        assert out == (
+            "audit-wilf m=5 e=3 levels=4\n"
+            "checked: 9\n"
+            "violations: 1\n"
+            "  ⟨5,6,7⟩  lhs=99  rhs=1\n"
+        )
+        assert "WILF INEQUALITY VIOLATED: ⟨5,6,7⟩ lhs=99 rhs=1" in err
 
     def test_verify_catches_corrupted_invariants(self):
         # A record whose cached Frobenius number is wrong must be flagged.

@@ -1,13 +1,24 @@
-"""Parity between the pure and compiled residue-table kernels."""
+"""The residue-table kernels, and parity between the pure and compiled ones.
+
+Every kernel test runs on the pure kernel; the compiled side of each is
+skipped when the extension is not built.
+"""
 import random
 
 import pytest
 
 from semigroup_forge import _backend, _kernel_py
 
-compiled = pytest.importorskip(
-    "semigroup_forge._kernel", reason="compiled kernel not built"
-)
+try:
+    from semigroup_forge import _kernel as compiled
+except ImportError:
+    compiled = None
+
+needs_compiled = pytest.mark.skipif(compiled is None, reason="compiled kernel not built")
+KERNELS = [
+    pytest.param(_kernel_py, id="pure"),
+    pytest.param(compiled, id="compiled", marks=needs_compiled),
+]
 
 
 def test_backend_selected_a_kernel():
@@ -15,26 +26,25 @@ def test_backend_selected_a_kernel():
     assert callable(_backend.residue_table)
 
 
-def test_modulus_one():
-    assert _kernel_py.residue_table(1, [1]) == [0]
-    assert compiled.residue_table(1, [1]) == [0]
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_modulus_one(kernel):
+    assert kernel.residue_table(1, [1]) == [0]
 
 
-def test_unreachable_classes():
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_unreachable_classes(kernel):
     # Multiples of 3 only: residues 1, 2, 4, 5 mod 6 hold no element.
-    expected = [0, -1, -1, 1, -1, -1]
-    assert _kernel_py.residue_table(6, [6, 9]) == expected
-    assert compiled.residue_table(6, [6, 9]) == expected
+    assert kernel.residue_table(6, [6, 9]) == [0, -1, -1, 1, -1, -1]
 
 
-def test_known_table():
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_known_table(kernel):
     # Monoid of 4, 5, 7: least elements 0, 5, 10, 7 per residue class.
-    assert _kernel_py.residue_table(4, [4, 5, 7]) == [0, 1, 2, 1]
-    assert compiled.residue_table(4, [4, 5, 7]) == [0, 1, 2, 1]
-    assert _kernel_py.minimal_residues(4, [0, 1, 2, 1]) == [1, 3]
-    assert compiled.minimal_residues(4, [0, 1, 2, 1]) == [1, 3]
+    assert kernel.residue_table(4, [4, 5, 7]) == [0, 1, 2, 1]
+    assert kernel.minimal_residues(4, [0, 1, 2, 1]) == [1, 3]
 
 
+@needs_compiled
 def test_random_parity():
     rng = random.Random(7)
     for _ in range(200):
@@ -47,13 +57,13 @@ def test_random_parity():
             assert compiled.minimal_residues(m, a) == _kernel_py.minimal_residues(m, a)
 
 
+@needs_compiled
 def test_compiled_rejects_oversized_generator():
     with pytest.raises(OverflowError):
         compiled.residue_table(3, [3, 1 << 62])
 
 
-def test_bad_modulus():
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_bad_modulus(kernel):
     with pytest.raises(ValueError):
-        _kernel_py.residue_table(0, [2, 3])
-    with pytest.raises(ValueError):
-        compiled.residue_table(0, [2, 3])
+        kernel.residue_table(0, [2, 3])
