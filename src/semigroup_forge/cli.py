@@ -307,7 +307,9 @@ def _cmd_min_frobenius(ns) -> _Report:
         f"minimizers ({len(minimizers)}, {label}):",
         *_member_lines(minimizers),
     ]
-    return _Report(result, lines, minimizers, nodes, route if naturals is None else None)
+    # Under --via packed the answer already is the packed route.
+    checked = naturals is None and ns.via == "tree"
+    return _Report(result, lines, minimizers, nodes, route if checked else None)
 
 
 def _cmd_packed(ns) -> _Report:

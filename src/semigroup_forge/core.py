@@ -2,9 +2,9 @@
 
 A numerical semigroup is a subset of the non-negative integers that
 contains 0, is closed under addition, and has finite complement.  The
-value type here caches everything the rest of the library keeps asking
-for: the minimal generating set, multiplicity, embedding dimension,
-Apery table, Frobenius number, and genus.  Construction goes through
+value type here stores the minimal generating set, the Apery table,
+the Frobenius number and the genus; multiplicity, embedding dimension
+and the Apery coefficients are read off them.  Construction goes through
 `make_semigroup`; all values are immutable and hashable.
 
 The closed formulas for interval-generated semigroups (generators
@@ -12,7 +12,7 @@ m, m+1, ..., m+e-1) live here too, since they double as search bounds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from ._backend import SENTINEL, minimal_residues, residue_table
@@ -45,56 +45,48 @@ __all__ = [
 class AperyTable:
     """Least semigroup element per residue class.
 
-    `entries[i]` is the least member congruent to i modulo `modulus`,
-    and `coefficients[i]` is the k with entries[i] = k*modulus + i.
+    `entries[i]` is the least member congruent to i modulo `modulus`.
     Entry 0 is always 0.
     """
 
     modulus: int
     entries: tuple[int, ...]
-    coefficients: tuple[int, ...]
 
-    def __len__(self) -> int:
-        return self.modulus
+    @property
+    def coefficients(self) -> tuple[int, ...]:
+        """The k with entries[i] = k*modulus + i, per residue i."""
+        m = self.modulus
+        return tuple((w - i) // m for i, w in enumerate(self.entries))
 
-    def __iter__(self):
-        return iter(self.entries)
 
-
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, order=True, repr=False)
 class NumericalSemigroup:
-    """A numerical semigroup with its standard invariants precomputed.
+    """A numerical semigroup: minimal generators, Apery table, F and g.
 
     Identity, hashing, and ordering all go through `min_gens`, which is
-    canonical (strictly increasing, minimal).  Membership testing is
-    `n in S`; it reads the cached Apery table.
+    canonical (strictly increasing, minimal).  Multiplicity, embedding
+    dimension and largest generator are read off `min_gens`.  F and g
+    are stored although the Apery table determines them: reading them
+    off it costs O(m), and the searches read them on every node.
+    Membership testing is `n in S`; it reads the Apery table.
     """
 
     min_gens: tuple[int, ...]
-    multiplicity: int
-    embedding_dim: int
-    max_gen: int
-    apery: AperyTable
-    frobenius: int
-    genus: int
+    apery: AperyTable = field(compare=False)
+    frobenius: int = field(compare=False)
+    genus: int = field(compare=False)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NumericalSemigroup):
-            return NotImplemented
-        return self.min_gens == other.min_gens
+    @property
+    def multiplicity(self) -> int:
+        return self.min_gens[0]
 
-    def __hash__(self) -> int:
-        return hash(self.min_gens)
+    @property
+    def embedding_dim(self) -> int:
+        return len(self.min_gens)
 
-    def __lt__(self, other) -> bool:
-        if not isinstance(other, NumericalSemigroup):
-            return NotImplemented
-        return self.min_gens < other.min_gens
-
-    def __le__(self, other) -> bool:
-        if not isinstance(other, NumericalSemigroup):
-            return NotImplemented
-        return self.min_gens <= other.min_gens
+    @property
+    def max_gen(self) -> int:
+        return self.min_gens[-1]
 
     def __contains__(self, n: int) -> bool:
         if n < 0:
@@ -150,13 +142,9 @@ def make_semigroup(generators) -> NumericalSemigroup:
     else:
         msg = (m, *(entries[i] for i in minimal_residues(m, coeffs)))
         msg = tuple(sorted(msg))
-    table = AperyTable(modulus=m, entries=entries, coefficients=coeffs)
     return NumericalSemigroup(
         min_gens=msg,
-        multiplicity=m,
-        embedding_dim=len(msg),
-        max_gen=msg[-1],
-        apery=table,
+        apery=AperyTable(modulus=m, entries=entries),
         frobenius=frobenius,
         genus=genus,
     )
@@ -173,7 +161,7 @@ def apery_set(S: NumericalSemigroup, n: int) -> AperyTable:
         raise NotMember(f"{n} is not a nonzero member of {S!r}")
     coeffs = tuple(residue_table(n, (*S.min_gens, n)))
     entries = tuple(k * n + i for i, k in enumerate(coeffs))
-    return AperyTable(modulus=n, entries=entries, coefficients=coeffs)
+    return AperyTable(modulus=n, entries=entries)
 
 
 def frobenius_of(S: NumericalSemigroup) -> int:
@@ -219,8 +207,7 @@ def interval_apery(m: int, e: int) -> AperyTable:
     for j in range(1, r + 1):
         x = base + j
         entries[x % m] = x
-    coeffs = tuple((entries[i] - i) // m for i in range(m))
-    return AperyTable(modulus=m, entries=tuple(entries), coefficients=coeffs)
+    return AperyTable(modulus=m, entries=tuple(entries))
 
 
 def interval_genus(m: int, e: int) -> int:

@@ -53,7 +53,6 @@ def sons(S: NumericalSemigroup, bound: int | None = None) -> tuple[NumericalSemi
     m = S.multiplicity
     msg = S.min_gens
     entries = S.apery.entries
-    coeffs = S.apery.coefficients
     floor = S.frobenius
     genus = S.genus + 1
     out = []
@@ -79,14 +78,7 @@ def sons(S: NumericalSemigroup, bound: int | None = None) -> tuple[NumericalSemi
         out.append(
             NumericalSemigroup(
                 min_gens=gens,
-                multiplicity=m,
-                embedding_dim=len(gens),
-                max_gen=gens[-1],
-                apery=AperyTable(
-                    modulus=m,
-                    entries=table,
-                    coefficients=coeffs[:r] + (coeffs[r] + 1,) + coeffs[r + 1 :],
-                ),
+                apery=AperyTable(modulus=m, entries=table),
                 frobenius=x,
                 genus=genus,
             )

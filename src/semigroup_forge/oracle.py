@@ -114,7 +114,6 @@ def _finish(member: bytearray, m: int, horizon: int, gap_count: int) -> Numerica
         while not full[x]:
             x += m
         entries.append(x)
-    coeffs = tuple((entries[i] - i) // m for i in range(m))
     msg = []
     for x in range(m, top + 1):
         if not full[x]:
@@ -122,13 +121,9 @@ def _finish(member: bytearray, m: int, horizon: int, gap_count: int) -> Numerica
         if any(full[a] and full[x - a] for a in range(m, x - m + 1)):
             continue
         msg.append(x)
-    table = AperyTable(modulus=m, entries=tuple(entries), coefficients=coeffs)
     return NumericalSemigroup(
         min_gens=tuple(msg),
-        multiplicity=m,
-        embedding_dim=len(msg),
-        max_gen=msg[-1],
-        apery=table,
+        apery=AperyTable(modulus=m, entries=tuple(entries)),
         frobenius=frobenius,
         genus=gap_count,
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterator
 
-from .core import NumericalSemigroup, frobenius_of, make_semigroup, monoid_contains
+from .core import NumericalSemigroup, make_semigroup, monoid_contains
 from .errors import BadDimension, Degenerate, NotPacked
 
 __all__ = [
@@ -122,21 +122,18 @@ def class_min_frobenius(S: NumericalSemigroup) -> tuple[NumericalSemigroup, ...]
     S must be packed (it is then the class root, realizing the minimal
     Frobenius number of the class).  BFS over the class tree, keeping
     only sons whose Frobenius number still equals F(S); generator sums
-    grow strictly along class edges, so the walk terminates.
+    grow strictly along class edges, so the walk terminates.  Each member
+    has one parent (lower its largest generator by m), so no member is
+    reached twice.
     """
     if not is_packed(S):
         raise NotPacked(f"{S!r} has a minimal generator >= 2*m")
     if S.embedding_dim < 2:
         return (S,)
-    target = frobenius_of(S)
-    accepted = {S}
+    target = S.frobenius
+    accepted = [S]
     frontier = [S]
     while frontier:
-        nxt = []
-        for P in frontier:
-            for T in class_sons(P):
-                if T.frobenius == target and T not in accepted:
-                    accepted.add(T)
-                    nxt.append(T)
-        frontier = nxt
+        frontier = [T for P in frontier for T in class_sons(P) if T.frobenius == target]
+        accepted += frontier
     return tuple(sorted(accepted))

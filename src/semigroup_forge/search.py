@@ -191,12 +191,13 @@ def min_frobenius_full_set(m: int, e: int) -> SearchOutcome:
     Packing partitions the family into classes, one per packed member,
     and cannot raise the Frobenius number; so the minimizers are found
     inside the classes of the packed members attaining the minimum.
+    The classes are disjoint, so their members are simply concatenated.
     """
     _require_dims(m, e)
     family = enumerate_packed(m, e)
     best = min(S.frobenius for S in family)
     heads = [S for S in family if S.frobenius == best]
-    collected = {T for S in heads for T in class_min_frobenius(S)}
+    collected = [T for S in heads for T in class_min_frobenius(S)]
     return SearchOutcome(
         kind="frobenius",
         m=m,

@@ -187,6 +187,23 @@ class TestGoldenOutputs:
         assert out == TABLE_GOLDENS[args]
 
 
+def count_packed_enumerations(monkeypatch) -> list:
+    """Record every `enumerate_packed` call the CLI and the searches make."""
+    import semigroup_forge.cli as cli
+    import semigroup_forge.search as search
+    from semigroup_forge.packed import enumerate_packed
+
+    calls = []
+
+    def counted(m, e):
+        calls.append((m, e))
+        return enumerate_packed(m, e)
+
+    monkeypatch.setattr(cli, "enumerate_packed", counted)
+    monkeypatch.setattr(search, "enumerate_packed", counted)
+    return calls
+
+
 class TestMinFrobeniusRoutes:
     def test_via_packed_value_only(self, capsys):
         code, out, _ = run_main(
@@ -218,21 +235,21 @@ class TestMinFrobeniusRoutes:
         assert [7, 9, 10, 15] in gens and [7, 8, 10, 19] in gens
 
     def test_via_packed_enumerates_the_family_once(self, capsys, monkeypatch):
-        import semigroup_forge.cli as cli
-        import semigroup_forge.search as search
-        from semigroup_forge.packed import enumerate_packed
-
-        calls = []
-
-        def counted(m, e):
-            calls.append((m, e))
-            return enumerate_packed(m, e)
-
-        monkeypatch.setattr(cli, "enumerate_packed", counted)
-        monkeypatch.setattr(search, "enumerate_packed", counted)
+        calls = count_packed_enumerations(monkeypatch)
         code, out, _ = run_main(capsys, "min-frobenius", "7", "4", "--via", "packed")
         assert code == 0
         assert "value: 13" in out
+        assert calls == [(7, 4)]
+
+    @pytest.mark.parametrize("full_set", [[], ["--full-set"]])
+    def test_via_packed_verify_does_not_recheck_itself(self, capsys, monkeypatch, full_set):
+        calls = count_packed_enumerations(monkeypatch)
+        code, out, _ = run_main(
+            capsys, "min-frobenius", "7", "4", "--via", "packed", "--verify",
+            *full_set, "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["meta"]["verify"] == "ok"
         assert calls == [(7, 4)]
 
     def test_tree_and_packed_full_set_agree(self, capsys):
@@ -371,6 +388,15 @@ class TestVerify:
         assert code == 4
         assert out == ""
         assert "failed: packed route disagrees (value 7)" in err
+
+    def test_tree_frobenius_keeps_its_packed_cross_check(self, capsys, monkeypatch):
+        import semigroup_forge.cli as cli
+
+        monkeypatch.setattr(cli, "min_frobenius_value_packed", lambda m, e: 14)
+        code, out, err = run_main(capsys, "min-frobenius", "7", "4", "--verify")
+        assert code == 4
+        assert out == ""
+        assert "failed: packed route disagrees (value 14)" in err
 
     def test_wilf_violation_exits_4(self, capsys, monkeypatch):
         import semigroup_forge.cli as cli

@@ -1,9 +1,12 @@
 """Construction, membership, Apery tables, and the interval formulas."""
+import dataclasses
 import random
 
 import pytest
 
 from semigroup_forge.core import (
+    AperyTable,
+    NumericalSemigroup,
     apery_set,
     contains,
     frobenius_of,
@@ -23,7 +26,8 @@ from semigroup_forge.errors import (
     NotMember,
     NotNumerical,
 )
-from semigroup_forge.oracle import sieve
+from semigroup_forge.multiplicity_tree import sons
+from semigroup_forge.oracle import enumerate_by_genus, sieve
 
 
 def mk(*gens):
@@ -104,7 +108,29 @@ class TestMakeSemigroup:
         a, b = mk(4, 5, 7), mk(4, 5, 7)
         assert a == b and hash(a) == hash(b)
         assert mk(4, 5, 6) < mk(4, 5, 7) < mk(4, 6, 7, 9)
+        assert a <= b and mk(4, 5, 6) <= a
+        assert mk(4, 6, 7, 9) > a and a >= b and not mk(4, 5, 6) >= a
         assert a != (4, 5, 7)
+        assert (a == (4, 5, 7)) is False
+        with pytest.raises(TypeError):
+            a < (4, 5, 7)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.genus = 0
+        # One value whichever constructor built it: the kernels, the son
+        # rule or the brute-force oracle.
+        by_oracle = {T.min_gens: T for T in enumerate_by_genus(4, 5)}
+        for T in (*sons(mk(4, 5, 6, 7)), *sons(mk(4, 5, 7))):
+            for other in (make_semigroup(T.min_gens), by_oracle[T.min_gens]):
+                assert other == T and hash(other) == hash(T)
+                assert other <= T and not other < T
+
+    def test_stores_only_what_the_generators_and_table_do_not_give(self):
+        names = [f.name for f in dataclasses.fields(NumericalSemigroup)]
+        assert names == ["min_gens", "apery", "frobenius", "genus"]
+        assert [f.name for f in dataclasses.fields(AperyTable)] == ["modulus", "entries"]
+        S = mk(7, 10, 13)
+        assert (S.multiplicity, S.embedding_dim, S.max_gen) == (7, 3, 13)
+        assert S.apery.coefficients == (0, 5, 3, 1, 5, 3, 1)
 
     def test_repr_uses_angle_brackets(self):
         assert repr(mk(4, 5, 7)) == "⟨4,5,7⟩"

@@ -169,6 +169,18 @@ class TestClassMinFrobenius:
             assert pack(T) == S
             assert T.frobenius == S.frobenius
 
+    def test_each_member_is_reached_once_through_its_parent(self):
+        for m in range(3, 9):
+            for e in range(2, min(m, 5) + 1):
+                for S in enumerate_packed(m, e):
+                    got = class_min_frobenius(S)
+                    members = set(got)
+                    assert len(members) == len(got), S
+                    for T in got:
+                        if T != S:
+                            parent = mk(*T.min_gens[:-1], T.max_gen - m)
+                            assert parent in members, (S, T)
+
 
 class TestPartition:
     def test_packing_lands_in_the_enumerated_family(self):
