@@ -12,9 +12,6 @@ from .core import (
     AperyTable,
     NumericalSemigroup,
     apery_set,
-    contains,
-    frobenius_of,
-    genus_of,
     interval_apery,
     interval_frobenius,
     interval_genus,
@@ -42,9 +39,6 @@ __all__ = [
     "NumericalSemigroup",
     "apery_set",
     "backend_name",
-    "contains",
-    "frobenius_of",
-    "genus_of",
     "interval_apery",
     "interval_frobenius",
     "interval_genus",

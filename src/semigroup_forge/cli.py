@@ -21,7 +21,7 @@ from typing import Callable
 from ._backend import backend_name
 from .core import NumericalSemigroup, make_semigroup
 from .errors import NotPacked, SemigroupError, Uncertified
-from .multiplicity_tree import FrontierLevel, bfs_levels
+from .multiplicity_tree import bfs_levels
 from .oracle import sieve
 from .packed import class_min_frobenius, enumerate_packed
 from .search import (
@@ -220,9 +220,9 @@ def _classify(m: int, e: int) -> NumericalSemigroup | None:
         return None
     if cls is Existence.ONLY_NATURALS:
         return make_semigroup([1])
-    if m < 1 or e < 1 or m < e:
-        raise _Exit(2, f"invalid arguments: no semigroup has m={m}, e={e}")
-    raise _Exit(3, f"empty family: dimension 1 with multiplicity {m} > 1")
+    if e == 1 < m:
+        raise _Exit(3, f"empty family: dimension 1 with multiplicity {m} > 1")
+    raise _Exit(2, f"invalid arguments: no semigroup has m={m}, e={e}")
 
 
 def _guard_m(m: int) -> None:
@@ -230,7 +230,7 @@ def _guard_m(m: int) -> None:
         raise _Exit(2, f"multiplicity {m} exceeds the guard {MAX_MULTIPLICITY}")
 
 
-def _first_levels(ns) -> list[FrontierLevel]:
+def _first_levels(ns) -> list[tuple[NumericalSemigroup, ...]]:
     """Levels 0..K of the multiplicity-m tree, behind the m and K guards."""
     if ns.m < 1:
         raise _Exit(2, "multiplicity must be positive")
@@ -330,18 +330,18 @@ def _cmd_tree(ns) -> _Report:
     result = {
         "levels": [
             {
-                "level_index": lv.level_index,
-                "genus": ns.m - 1 + lv.level_index,
-                "members": [_sg_json(S) for S in lv.members],
+                "level_index": k,
+                "genus": ns.m - 1 + k,
+                "members": [_sg_json(S) for S in lv],
             }
-            for lv in levels
+            for k, lv in enumerate(levels)
         ]
     }
     lines = [f"tree m={ns.m} levels={ns.levels}"]
-    for lv in levels:
+    for k, lv in enumerate(levels):
         n = len(lv)
         word = "member" if n == 1 else "members"
-        lines.append(f"level {lv.level_index} (genus {ns.m - 1 + lv.level_index}, {n} {word}):")
+        lines.append(f"level {k} (genus {ns.m - 1 + k}, {n} {word}):")
         lines.extend(f"  {S!r}" for S in lv)
     members = [S for lv in levels for S in lv]
     return _Report(result, lines, members, nodes=len(members))

@@ -8,11 +8,13 @@ and the Apery coefficients are read off them.  Construction goes through
 `make_semigroup`; all values are immutable and hashable.
 
 The closed formulas for interval-generated semigroups (generators
-m, m+1, ..., m+e-1) live here too, since they double as search bounds.
+m, m+1, ..., m+e-1) live here too, since they double as search bounds,
+and so does the one gate on (m, e) that every family-level routine uses.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import Enum
 from math import gcd
 
 from ._backend import SENTINEL, minimal_residues, residue_table
@@ -27,12 +29,12 @@ from .errors import (
 
 __all__ = [
     "AperyTable",
+    "Existence",
     "NumericalSemigroup",
     "make_semigroup",
-    "contains",
     "apery_set",
-    "frobenius_of",
-    "genus_of",
+    "existence",
+    "require_family",
     "sylvester_frobenius",
     "interval_apery",
     "interval_genus",
@@ -150,11 +152,6 @@ def make_semigroup(generators) -> NumericalSemigroup:
     )
 
 
-def contains(S: NumericalSemigroup, n: int) -> bool:
-    """Membership test: n is in S iff n >= 0 and n reaches its class minimum."""
-    return n in S
-
-
 def apery_set(S: NumericalSemigroup, n: int) -> AperyTable:
     """Apery table of S with respect to any nonzero member n."""
     if n == 0 or n not in S:
@@ -162,16 +159,6 @@ def apery_set(S: NumericalSemigroup, n: int) -> AperyTable:
     coeffs = tuple(residue_table(n, (*S.min_gens, n)))
     entries = tuple(k * n + i for i, k in enumerate(coeffs))
     return AperyTable(modulus=n, entries=entries)
-
-
-def frobenius_of(S: NumericalSemigroup) -> int:
-    """Largest integer outside S; -1 when S is all of the naturals."""
-    return S.frobenius
-
-
-def genus_of(S: NumericalSemigroup) -> int:
-    """Number of positive integers outside S."""
-    return S.genus
 
 
 def sylvester_frobenius(n1: int, n2: int) -> int:
@@ -183,9 +170,39 @@ def sylvester_frobenius(n1: int, n2: int) -> int:
     return n1 * n2 - n1 - n2
 
 
-def _check_interval(m: int, e: int) -> None:
-    if e < 2 or m < e:
-        raise BadDimension(f"interval formulas need m >= e >= 2, got m={m}, e={e}")
+class Existence(Enum):
+    """Classification of the family with multiplicity m and dimension e."""
+
+    EMPTY = "Empty"
+    ONLY_NATURALS = "OnlyNaturals"
+    NON_EMPTY = "NonEmpty"
+
+
+def existence(m: int, e: int) -> Existence:
+    """Whether any numerical semigroup has multiplicity m and dimension e.
+
+    Empty when m < e (the dimension never exceeds the multiplicity) and
+    when e = 1 < m (dimension one forces the naturals).  The pair (1, 1)
+    is realized by the naturals alone; everything else with m >= e >= 2
+    is realized, for instance by the interval semigroup.
+    """
+    if m < 1 or e < 1:
+        return Existence.EMPTY
+    if m == 1 and e == 1:
+        return Existence.ONLY_NATURALS
+    if e >= 2 and m >= e:
+        return Existence.NON_EMPTY
+    return Existence.EMPTY
+
+
+def require_family(m: int, e: int) -> None:
+    """Refuse any (m, e) outside m >= e >= 2, naming the family's class."""
+    if not (m >= e >= 2):
+        cls = existence(m, e)
+        raise BadDimension(
+            f"need m >= e >= 2, got m={m}, e={e} (family is {cls.value})",
+            classification=cls,
+        )
 
 
 def interval_apery(m: int, e: int) -> AperyTable:
@@ -195,7 +212,7 @@ def interval_apery(m: int, e: int) -> AperyTable:
     entries are q full blocks of e-1 consecutive values plus a partial
     block of r values, block t sitting just above t*m.
     """
-    _check_interval(m, e)
+    require_family(m, e)
     q, r = divmod(m - 1, e - 1)
     entries = [0] * m
     for t in range(1, q + 1):
@@ -212,14 +229,14 @@ def interval_apery(m: int, e: int) -> AperyTable:
 
 def interval_genus(m: int, e: int) -> int:
     """Genus of the interval semigroup with generators m..m+e-1."""
-    _check_interval(m, e)
+    require_family(m, e)
     q, r = divmod(m - 1, e - 1)
     return (q + 1) * q * (e - 1) // 2 + (q + 1) * r
 
 
 def interval_frobenius(m: int, e: int) -> int:
     """Frobenius number of the interval semigroup: ceil((m-1)/(e-1))*m - 1."""
-    _check_interval(m, e)
+    require_family(m, e)
     return -((-(m - 1)) // (e - 1)) * m - 1
 
 

@@ -28,8 +28,9 @@ class NotCoprime(SemigroupError):
 class BadDimension(SemigroupError):
     """A multiplicity/embedding-dimension pair outside m >= e >= 2.
 
-    `classification` carries the three-way family classification when the
-    caller attached one (see `search.existence`).
+    `classification` carries the three-way family classification
+    (`core.existence`).  Every refusal sets it: the interval formulas, the
+    packed enumeration and the searches all go through `core.require_family`.
     """
 
     def __init__(self, message, classification=None):

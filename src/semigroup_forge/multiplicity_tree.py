@@ -8,27 +8,12 @@ breadth-first therefore enumerates by increasing genus.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterator
 
 from .core import AperyTable, NumericalSemigroup, make_semigroup
 
-__all__ = ["FrontierLevel", "root", "sons", "level", "bfs_levels"]
-
-
-@dataclass(frozen=True)
-class FrontierLevel:
-    """One BFS level: all multiplicity-m semigroups of genus (m-1)+k."""
-
-    level_index: int
-    members: tuple[NumericalSemigroup, ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[NumericalSemigroup]:
-        return iter(self.members)
+__all__ = ["root", "sons", "bfs_levels"]
 
 
 def root(m: int) -> NumericalSemigroup:
@@ -86,29 +71,18 @@ def sons(S: NumericalSemigroup, bound: int | None = None) -> tuple[NumericalSemi
     return tuple(out)
 
 
-def bfs_levels(m: int) -> Iterator[FrontierLevel]:
+def bfs_levels(m: int) -> Iterator[tuple[NumericalSemigroup, ...]]:
     """Yield levels 0, 1, 2, ... of the multiplicity-m tree on demand.
 
-    Only the current frontier is retained.  Distinct parents never share
-    a son (each node's parent is recovered by re-adjoining its Frobenius
-    number), so concatenating the per-parent son lists lists every node
-    of the next level exactly once.
+    Level k is the sorted tuple of all multiplicity-m semigroups of genus
+    (m-1)+k.  Only the current frontier is retained.  Distinct parents
+    never share a son (each node's parent is recovered by re-adjoining its
+    Frobenius number), so concatenating the per-parent son lists lists
+    every node of the next level exactly once.
     """
-    k = 0
     frontier = (root(m),)
     while True:
-        yield FrontierLevel(level_index=k, members=frontier)
+        yield frontier
         merged = [T for S in frontier for T in sons(S)]
         merged.sort(key=attrgetter("min_gens"))
         frontier = tuple(merged)
-        k += 1
-
-
-def level(m: int, k: int) -> FrontierLevel:
-    """Level k of the multiplicity-m tree, computed by k expansions."""
-    if k < 0:
-        raise ValueError("level index must be non-negative")
-    for lv in bfs_levels(m):
-        if lv.level_index == k:
-            return lv
-    raise AssertionError("unreachable: bfs_levels is infinite")

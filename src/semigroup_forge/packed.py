@@ -12,11 +12,12 @@ for the full minimizing set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 from typing import Iterator
 
-from .core import NumericalSemigroup, make_semigroup, monoid_contains
-from .errors import BadDimension, Degenerate, NotPacked
+from .core import NumericalSemigroup, make_semigroup, monoid_contains, require_family
+from .errors import Degenerate, NotPacked
 
 __all__ = [
     "PackedFamily",
@@ -52,25 +53,13 @@ def enumerate_packed(m: int, e: int) -> PackedFamily:
     The subset {a1 < a2 < ...} yields generators {m, m+a1, m+a2, ...};
     distinct residues below 2m are automatically a minimal system.
     """
-    if e < 2 or m < e:
-        raise BadDimension(f"packed enumeration needs m >= e >= 2, got m={m}, e={e}")
-    members: list[NumericalSemigroup] = []
-    picked: list[int] = []
-
-    def extend(start: int, g: int) -> None:
-        if len(picked) == e - 1:
-            if g == 1:
-                members.append(make_semigroup([m, *(m + a for a in picked)]))
-            return
-        # Need e-1-len(picked) more residues from [start, m-1].
-        last_start = m - (e - 1 - len(picked))
-        for a in range(start, last_start + 1):
-            picked.append(a)
-            extend(a + 1, gcd(g, a))
-            picked.pop()
-
-    extend(1, m)
-    return PackedFamily(m=m, e=e, members=tuple(members))
+    require_family(m, e)
+    members = tuple(
+        make_semigroup([m, *(m + a for a in residues)])
+        for residues in combinations(range(1, m), e - 1)
+        if gcd(m, *residues) == 1
+    )
+    return PackedFamily(m=m, e=e, members=members)
 
 
 def is_packed(S: NumericalSemigroup) -> bool:

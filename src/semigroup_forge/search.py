@@ -6,15 +6,21 @@ containing dimension-e members (minimal genus), or pruned by a shrinking
 Frobenius bound (minimal Frobenius).  The packed route reads the same
 minima off the finite packed family, and recovers the full Frobenius
 minimizer set by searching each minimizing packing class.  The routes
-cross-check each other in the test suite.
+cross-check each other in the test suite.  Each route refuses (m, e)
+outside m >= e >= 2 through its first call, an interval formula or the
+packed enumeration, both gated by `core.require_family`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
-from .core import NumericalSemigroup, interval_frobenius, interval_genus
-from .errors import BadDimension
+from .core import (
+    Existence,
+    NumericalSemigroup,
+    existence,
+    interval_frobenius,
+    interval_genus,
+)
 from .multiplicity_tree import bfs_levels, root, sons
 from .packed import class_min_frobenius, enumerate_packed
 
@@ -30,14 +36,6 @@ __all__ = [
     "min_frobenius_full_set",
     "wilf_audit",
 ]
-
-
-class Existence(Enum):
-    """Classification of the family with multiplicity m and dimension e."""
-
-    EMPTY = "Empty"
-    ONLY_NATURALS = "OnlyNaturals"
-    NON_EMPTY = "NonEmpty"
 
 
 @dataclass(frozen=True)
@@ -65,32 +63,6 @@ class WilfViolation:
     rhs: int
 
 
-def existence(m: int, e: int) -> Existence:
-    """Whether any numerical semigroup has multiplicity m and dimension e.
-
-    Empty when m < e (the dimension never exceeds the multiplicity) and
-    when e = 1 < m (dimension one forces the naturals).  The pair (1, 1)
-    is realized by the naturals alone; everything else with m >= e >= 2
-    is realized, for instance by the interval semigroup.
-    """
-    if m < 1 or e < 1:
-        return Existence.EMPTY
-    if m == 1 and e == 1:
-        return Existence.ONLY_NATURALS
-    if e >= 2 and m >= e:
-        return Existence.NON_EMPTY
-    return Existence.EMPTY
-
-
-def _require_dims(m: int, e: int) -> None:
-    if not (m >= e >= 2):
-        cls = existence(m, e)
-        raise BadDimension(
-            f"search needs m >= e >= 2, got m={m}, e={e} (family is {cls.value})",
-            classification=cls,
-        )
-
-
 def min_genus(m: int, e: int, stats: dict | None = None) -> SearchOutcome:
     """Least genus among semigroups with multiplicity m and dimension e.
 
@@ -99,10 +71,9 @@ def min_genus(m: int, e: int, stats: dict | None = None) -> SearchOutcome:
     members consists exactly of the minimizers.  The interval semigroup
     sits at a known level and has dimension e, which bounds the walk.
     """
-    _require_dims(m, e)
     last_level = interval_genus(m, e) - (m - 1)
     visited = 0
-    for lv in bfs_levels(m):
+    for k, lv in enumerate(bfs_levels(m)):
         visited += len(lv)
         hits = tuple(S for S in lv if S.embedding_dim == e)
         if hits:
@@ -112,11 +83,11 @@ def min_genus(m: int, e: int, stats: dict | None = None) -> SearchOutcome:
                 kind="genus",
                 m=m,
                 e=e,
-                value=(m - 1) + lv.level_index,
+                value=(m - 1) + k,
                 minimizers=hits,
-                level=lv.level_index,
+                level=k,
             )
-        if lv.level_index == last_level:
+        if k == last_level:
             break
     raise AssertionError("unreachable: the interval semigroup bounds the walk")
 
@@ -127,7 +98,6 @@ def min_genus_packed(m: int, e: int) -> SearchOutcome:
     Packing never raises genus and is strict on unpacked input, so the
     packed members attaining the family minimum are all the minimizers.
     """
-    _require_dims(m, e)
     family = enumerate_packed(m, e)
     best = min(S.genus for S in family)
     hits = tuple(S for S in family if S.genus == best)
@@ -152,7 +122,6 @@ def min_frobenius(m: int, e: int, stats: dict | None = None) -> SearchOutcome:
     admitted as a minimizer when its dimension matches (e = m), which is
     the one case the son loop cannot see.
     """
-    _require_dims(m, e)
     alpha = interval_frobenius(m, e)
     start = root(m)
     best: list[NumericalSemigroup] = []
@@ -181,7 +150,6 @@ def min_frobenius(m: int, e: int, stats: dict | None = None) -> SearchOutcome:
 
 def min_frobenius_value_packed(m: int, e: int) -> int:
     """Least Frobenius number at (m, e), read off the packed family."""
-    _require_dims(m, e)
     return min(S.frobenius for S in enumerate_packed(m, e))
 
 
@@ -193,7 +161,6 @@ def min_frobenius_full_set(m: int, e: int) -> SearchOutcome:
     inside the classes of the packed members attaining the minimum.
     The classes are disjoint, so their members are simply concatenated.
     """
-    _require_dims(m, e)
     family = enumerate_packed(m, e)
     best = min(S.frobenius for S in family)
     heads = [S for S in family if S.frobenius == best]

@@ -82,7 +82,7 @@ def test_criterion_1_golden_examples():
         },
     ]
     for lv, expected in zip(islice(bfs_levels(4), 4), expected_levels):
-        assert set(lv.members) == expected
+        assert set(lv) == expected
 
     print("criterion 1 (golden examples): PASS")
 
@@ -115,9 +115,9 @@ def test_criterion_3_oracle_equivalence():
 
     for m in range(2, 7):
         population = enumerate_by_genus(m, (m - 1) + 5)
-        for lv in islice(bfs_levels(m), 6):
-            expected = {S for S in population if S.genus == (m - 1) + lv.level_index}
-            assert set(lv.members) == expected, (m, lv.level_index)
+        for k, lv in enumerate(islice(bfs_levels(m), 6)):
+            expected = {S for S in population if S.genus == (m - 1) + k}
+            assert set(lv) == expected, (m, k)
     print("criterion 3 (oracle equivalence): PASS")
 
 

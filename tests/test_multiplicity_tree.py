@@ -1,10 +1,8 @@
 """Root, son rule, and level walks of the fixed-multiplicity tree."""
 from itertools import islice
 
-import pytest
-
 from semigroup_forge.core import make_semigroup
-from semigroup_forge.multiplicity_tree import bfs_levels, level, root, sons
+from semigroup_forge.multiplicity_tree import bfs_levels, root, sons
 from semigroup_forge.oracle import enumerate_by_genus
 
 
@@ -101,38 +99,34 @@ class TestIncrementalSonRule:
         top = len(a007323) - 1
         counts = [0] * (top + 1)
         for m in range(1, top + 2):
-            for lv in islice(bfs_levels(m), top - (m - 1) + 1):
-                counts[(m - 1) + lv.level_index] += len(lv)
+            for k, lv in enumerate(islice(bfs_levels(m), top - (m - 1) + 1)):
+                counts[(m - 1) + k] += len(lv)
         assert counts == a007323
 
 
 class TestLevels:
     def test_frozen_levels_multiplicity_four(self):
-        for k, expected in enumerate(LEVELS_M4):
-            lv = level(4, k)
-            assert set(lv.members) == expected
-            assert lv.level_index == k
-            assert list(lv.members) == sorted(expected)
+        levels = islice(bfs_levels(4), len(LEVELS_M4))
+        for k, (lv, expected) in enumerate(zip(levels, LEVELS_M4)):
+            assert set(lv) == expected
+            assert all(S.genus == (4 - 1) + k for S in lv)
+            assert lv == tuple(sorted(expected))
 
     def test_stream_matches_level(self):
         stream = list(islice(bfs_levels(4), 4))
-        assert [set(lv.members) for lv in stream] == LEVELS_M4
+        assert [set(lv) for lv in stream] == LEVELS_M4
 
     def test_multiplicity_one_dries_up(self):
         first, second = islice(bfs_levels(1), 2)
-        assert list(first.members) == [mk(1)]
-        assert list(second.members) == []
-
-    def test_negative_level_rejected(self):
-        with pytest.raises(ValueError):
-            level(4, -1)
+        assert list(first) == [mk(1)]
+        assert list(second) == []
 
     def test_genus_constant_on_level(self):
         for m in (3, 5):
-            for lv in islice(bfs_levels(m), 5):
+            for k, lv in enumerate(islice(bfs_levels(m), 5)):
                 for S in lv:
                     assert S.multiplicity == m
-                    assert S.genus == (m - 1) + lv.level_index
+                    assert S.genus == (m - 1) + k
 
 
 class TestEdgeInvariants:
@@ -148,8 +142,8 @@ class TestEdgeInvariants:
     def test_no_duplicates_across_levels(self):
         seen = set()
         for lv in islice(bfs_levels(5), 6):
-            members = set(lv.members)
-            assert len(members) == len(lv.members)
+            members = set(lv)
+            assert len(members) == len(lv)
             assert not (members & seen)
             seen |= members
 
@@ -160,12 +154,12 @@ class TestExhaustiveness:
             by_genus = enumerate_by_genus(m, (m - 1) + 5)
             for k, lv in enumerate(islice(bfs_levels(m), 6)):
                 expected = {S for S in by_genus if S.genus == (m - 1) + k}
-                assert set(lv.members) == expected, (m, k)
+                assert set(lv) == expected, (m, k)
 
     def test_union_of_levels_is_complete(self):
         for m in range(2, 7):
             bound = m + 5
             collected = set()
             for lv in islice(bfs_levels(m), bound - (m - 1) + 1):
-                collected |= set(lv.members)
+                collected |= set(lv)
             assert collected == enumerate_by_genus(m, bound)

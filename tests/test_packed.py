@@ -85,6 +85,13 @@ class TestEnumeratePacked:
             assert S.multiplicity == 7
             assert S.embedding_dim == 4
 
+    def test_members_come_in_sorted_order(self):
+        # The CLI prints the family in enumeration order.
+        for m in range(2, 11):
+            for e in range(2, m + 1):
+                members = list(enumerate_packed(m, e))
+                assert members == sorted(members), (m, e)
+
     def test_bad_dimension(self):
         with pytest.raises(BadDimension):
             enumerate_packed(3, 4)
@@ -186,8 +193,8 @@ class TestPartition:
     def test_packing_lands_in_the_enumerated_family(self):
         for m in range(2, 7):
             families = {e: set(enumerate_packed(m, e)) for e in range(2, m + 1)}
-            for lv in bfs_levels(m):
-                if lv.level_index > 6:
+            for k, lv in enumerate(bfs_levels(m)):
+                if k > 6:
                     break
                 for S in lv:
                     if S.embedding_dim >= 2:

@@ -4,6 +4,7 @@ from itertools import islice
 import pytest
 
 from semigroup_forge.core import (
+    interval_apery,
     interval_frobenius,
     interval_genus,
     make_semigroup,
@@ -37,13 +38,30 @@ class TestExistence:
         assert existence(5, 1) is Existence.EMPTY
         assert existence(0, 1) is Existence.EMPTY
 
+    GATED = (
+        interval_apery,
+        interval_genus,
+        interval_frobenius,
+        enumerate_packed,
+        min_genus,
+        min_genus_packed,
+        min_frobenius,
+        min_frobenius_value_packed,
+        min_frobenius_full_set,
+    )
+
     def test_rejections_carry_classification(self):
-        with pytest.raises(BadDimension) as info:
-            min_genus(1, 1)
-        assert info.value.classification is Existence.ONLY_NATURALS
-        with pytest.raises(BadDimension) as info:
-            min_frobenius(3, 5)
-        assert info.value.classification is Existence.EMPTY
+        cases = [
+            (3, 5, Existence.EMPTY),
+            (5, 1, Existence.EMPTY),
+            (0, 0, Existence.EMPTY),
+            (1, 1, Existence.ONLY_NATURALS),
+        ]
+        for fn in self.GATED:
+            for m, e, cls in cases:
+                with pytest.raises(BadDimension) as info:
+                    fn(m, e)
+                assert info.value.classification is cls, (fn.__name__, m, e)
 
 
 class TestMinGenus:
