@@ -1,38 +1,95 @@
-"""Kernel backend selection.
+"""Residue-table kernels.
 
-Binds either the compiled extension or the pure-Python twin at import time.
-Set SEMIGROUP_FORGE_BACKEND=pure (or py/python) to force the fallback, or
-=c (compiled/ext) to insist on the extension and fail loudly if absent.
+The least-element (Apery) table of a monoid modulo one of its members,
+built one generator at a time, and the minimal-generator test that reads
+it.  `backend_name` names the kernel in the CLI's `meta.backend`.
 """
 from __future__ import annotations
 
-import os
+from math import gcd
 
-from . import _kernel_py
+backend_name = "pure"
 
-_FORCE_PURE = {"pure", "py", "python"}
-_FORCE_EXT = {"c", "compiled", "ext"}
+UNREACHABLE = -1
 
-
-def _select():
-    choice = os.environ.get("SEMIGROUP_FORGE_BACKEND", "").strip().lower()
-    if choice in _FORCE_PURE:
-        return _kernel_py, "pure"
-    try:
-        from . import _kernel
-    except ImportError:
-        if choice in _FORCE_EXT:
-            raise ImportError(
-                "SEMIGROUP_FORGE_BACKEND requested the compiled kernel "
-                "but the extension is not built"
-            )
-        return _kernel_py, "pure"
-    return _kernel, "compiled"
+SENTINEL = 1 << 62
 
 
-kernel, backend_name = _select()
+def relax(w: list[int], modulus: int, g: int) -> None:
+    """Adjoin generator g to the least-element table `w`, in place.
 
-residue_table = kernel.residue_table
-minimal_residues = kernel.minimal_residues
-UNREACHABLE = _kernel_py.UNREACHABLE
-SENTINEL = _kernel_py.SENTINEL
+    `w[i]` is the least element congruent to i found so far, or SENTINEL;
+    `w[0]` is 0.  This is the round-robin update of Böcker and Lipták
+    (Algorithmica, 2007).  Generator g splits the residues into
+    gcd(g, modulus) cycles; one sweep around a cycle starting at its
+    minimum is exact, because a chain of g-steps that passes the minimum
+    is dominated by the chain that starts there.  The cycle through 0 has
+    its minimum, 0, at 0.  Cost O(modulus).
+    """
+    m = modulus
+    step = g % m
+    if step == 0:
+        return
+    d = gcd(step, m)
+    cycle_len = m // d
+    for lead in range(d):
+        p = lead
+        if lead:
+            best = w[lead]
+            q = lead
+            for _ in range(cycle_len - 1):
+                q += step
+                if q >= m:
+                    q -= m
+                if w[q] < best:
+                    best = w[q]
+                    p = q
+        cur = w[p]
+        for _ in range(cycle_len - 1):
+            p += step
+            if p >= m:
+                p -= m
+            cur += g
+            if w[p] < cur:
+                cur = w[p]
+            else:
+                w[p] = cur
+
+
+def residue_table(modulus: int, gens) -> list[int]:
+    """Least-element table of the monoid spanned by `gens`, modulo `modulus`.
+
+    Entry i is the coefficient k with k*modulus + i the least monoid element
+    congruent to i, or -1 when the class holds no element.  `modulus` must
+    itself belong to the monoid (pass it among the generators when in doubt).
+    Total cost O(modulus * len(gens)).
+    """
+    m = modulus
+    if m < 1:
+        raise ValueError("modulus must be positive")
+    w = [SENTINEL] * m
+    w[0] = 0
+    for g in sorted(gens):
+        relax(w, m, g)
+    return [(w[i] - i) // m if w[i] < SENTINEL else UNREACHABLE for i in range(m)]
+
+
+def minimal_residues(modulus: int, coeffs, gens) -> list[int]:
+    """Residues of the minimal generators among `gens`, other than `modulus`.
+
+    `modulus` is the least of `gens` and `coeffs` their fully reachable
+    table (gcd 1).  Every minimal generator is one of the inputs.  An input
+    x outside the class of 0 is one exactly when x - n is no member for
+    each smaller minimal generator n other than `modulus`: any sum of two
+    nonzero members that equals x uses such an n.  Members are read off
+    the table (q*modulus + r is one iff q >= coeffs[r]), so the test costs
+    O(len(gens)^2).  Residues come in the order of their generators.
+    """
+    m = modulus
+    minimal = []
+    for x in sorted(gens):
+        if x % m == 0:
+            continue
+        if all((x - n) // m < coeffs[(x - n) % m] for n in minimal):
+            minimal.append(x)
+    return [x % m for x in minimal]

