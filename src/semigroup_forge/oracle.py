@@ -3,9 +3,11 @@
 Everything here works straight from the definition (closure under
 addition), on purpose: no Apery tables, no residue kernels, no son
 rules.  The sieve recomputes Frobenius number and genus by plain
-reachability, and the enumerator rebuilds the population of semigroups
-with given multiplicity and bounded genus by gap-set backtracking.
-Deliberately naive; desk scale only.
+reachability, closing a big-integer bit table under each generator by
+shift-ORs, and the enumerator rebuilds the population of semigroups with
+given multiplicity and bounded genus by gap-set backtracking.  Neither
+shares code with the fast paths it checks.  The enumerator is exhaustive
+and stays at desk scale; the sieve stops at `BOUND_CAP` entries.
 """
 from __future__ import annotations
 
@@ -38,16 +40,24 @@ class SieveResult:
     certified: bool
 
 
+# The bytes 0 and 1 for the ASCII digits of a binary string.
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def _sieve_once(gens: list[int], bound: int) -> bytes:
-    table = bytearray(bound + 1)
-    table[0] = 1
+    """Membership of 0..bound by plain reachability; bit i of `t` is i.
+
+    One shift-OR per s = g, 2g, 4g, ... <= bound closes `t` under g: the
+    steps up to s add every k*g with k < 2s/g, and the last s has
+    2s > bound, so every multiple of g up to bound is added.
+    """
+    t, mask = 1, (1 << (bound + 1)) - 1
     for g in gens:
-        if g > bound:
-            continue
-        for i in range(g, bound + 1):
-            if table[i - g]:
-                table[i] = 1
-    return bytes(table)
+        s = g
+        while s <= bound:
+            t = (t | (t << s)) & mask
+            s <<= 1
+    return format(t, "b").zfill(bound + 1)[::-1].encode().translate(_BITS)
 
 
 def sieve(generators, bound: int | None = None) -> SieveResult:
@@ -79,13 +89,9 @@ def sieve(generators, bound: int | None = None) -> SieveResult:
                 f"no certifying run of {m} members below the {BOUND_CAP}-entry cap"
             )
         table = _sieve_once(gens, bound)
-        frobenius = -1
-        for i in range(bound, 0, -1):
-            if not table[i]:
-                frobenius = i
-                break
+        frobenius = table.rfind(0)
         if frobenius + m <= bound:
-            genus = sum(1 for i in range(1, bound + 1) if not table[i])
+            genus = table.count(0)
             return SieveResult(
                 generators=tuple(gens),
                 bound=bound,

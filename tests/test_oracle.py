@@ -1,9 +1,22 @@
 """The brute-force sieve and the gap-set enumerator."""
+from math import gcd
+
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from semigroup_forge.core import make_semigroup
 from semigroup_forge.errors import EmptyInput, InvalidGenerator, NotNumerical, Uncertified
-from semigroup_forge.oracle import BOUND_CAP, enumerate_by_genus, sieve
+from semigroup_forge.oracle import (
+    BOUND_CAP,
+    SieveResult,
+    _sieve_once,
+    enumerate_by_genus,
+    sieve,
+)
+
+# Derandomized and bounded, so the suite stays deterministic and quick.
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
 
 
 def mk(*gens):
@@ -47,6 +60,66 @@ class TestSieve:
             sieve(set())
         with pytest.raises(InvalidGenerator):
             sieve({0, 3})
+
+
+def reference_sieve_once(gens, bound):
+    """The sieve's table one cell at a time, as a bytearray loop."""
+    table = bytearray(bound + 1)
+    table[0] = 1
+    for g in gens:
+        if g > bound:
+            continue
+        for i in range(g, bound + 1):
+            if table[i - g]:
+                table[i] = 1
+    return bytes(table)
+
+
+def reference_sieve(generators, bound=None):
+    """`sieve` with the reference table and plain scans for F and g."""
+    gens = sorted(set(generators))
+    m = gens[0]
+    if bound is None:
+        second = gens[1] if len(gens) > 1 else gens[0]
+        bound = gens[0] * second + gens[-1]
+    bound = max(bound, m)
+    while bound + 1 <= BOUND_CAP:
+        table = reference_sieve_once(gens, bound)
+        frobenius = max((i for i in range(1, bound + 1) if not table[i]), default=-1)
+        if frobenius + m <= bound:
+            genus = sum(1 for i in range(1, bound + 1) if not table[i])
+            return SieveResult(tuple(gens), bound, table, frobenius, genus, True)
+        bound *= 2
+    raise Uncertified("reference")
+
+
+generator_sets = st.lists(
+    st.one_of(st.integers(1, 40), st.integers(41, 400)), min_size=1, max_size=6
+)
+
+
+class TestSieveMatchesReference:
+    @PROPERTY
+    @given(generator_sets, st.integers(0, 300))
+    def test_table(self, gens, bound):
+        # Any positive generators and any bound, numerical or not.
+        gens = sorted(set(gens))
+        assert _sieve_once(gens, bound) == reference_sieve_once(gens, bound)
+
+    @PROPERTY
+    @given(generator_sets, st.one_of(st.none(), st.integers(0, 300)))
+    @example([1], None)
+    @example([1], 0)
+    @example([6, 9, 20], 10)
+    @example([3, 500], 20)
+    def test_every_field(self, gens, bound):
+        # Small explicit bounds force doubling, and generators above 40
+        # often lie above the bound.
+        assume(gcd(*gens) == 1)
+        got, want = sieve(gens, bound), reference_sieve(gens, bound)
+        assert got == want
+        assert type(got.reachable) is bytes
+        assert len(got.reachable) == got.bound + 1
 
 
 class TestEnumerateByGenus:
