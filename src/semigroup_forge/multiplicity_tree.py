@@ -10,7 +10,8 @@ The walks run on bare nodes, plain triples (min_gens, Apery entries, F)
 of one tree; the multiplicity is the tree's and the genus is (m-1) plus
 the level.  `root`, `sons` and `bfs_levels` wrap bare nodes into
 `NumericalSemigroup` values, and the searches wrap only what they return.
-No walk calls `make_semigroup` or a kernel.
+No walk calls `make_semigroup`, the class walk of `packed` included, and
+no tree walk calls a kernel.
 """
 from __future__ import annotations
 
@@ -91,7 +92,7 @@ def _levels(m: int) -> Iterator[list[tuple]]:
     Distinct parents never share a son (each node's parent is recovered
     by re-adjoining its Frobenius number), so concatenating the
     per-parent son lists lists every node of the next level exactly once.
-    Only the current frontier is retained.
+    While the next level is built, it and the current one are both alive.
     """
     frontier = [_root_node(m)]
     while True:
@@ -121,7 +122,7 @@ def bfs_levels(m: int) -> Iterator[tuple[NumericalSemigroup, ...]]:
     """Yield levels 0, 1, 2, ... of the multiplicity-m tree on demand.
 
     Level k is the sorted tuple of all multiplicity-m semigroups of genus
-    (m-1)+k.  Only the current frontier is retained.
+    (m-1)+k.  Two levels are alive while the next one is built.
     """
     for k, level in enumerate(_levels(m)):
         # Bare nodes order by their distinct min_gens, as values do.

@@ -16,14 +16,8 @@ from math import gcd
 from typing import Iterator
 
 from ._backend import SENTINEL, relax
-from .core import (
-    AperyTable,
-    NumericalSemigroup,
-    make_semigroup,
-    monoid_contains,
-    require_family,
-)
-from .errors import Degenerate, NotPacked
+from .core import AperyTable, NumericalSemigroup, make_semigroup, require_family
+from .errors import Degenerate, InvalidGenerator, NotPacked
 
 __all__ = [
     "PackedFamily",
@@ -50,6 +44,20 @@ class PackedFamily:
         return iter(self.members)
 
 
+def _member(m: int, gens: tuple, w: list[int]) -> NumericalSemigroup:
+    """Value with minimal generators `gens`, F and g read off their table `w`.
+
+    Entry i is i plus m per gap in its class, so g = (sum(w) - m(m-1)/2) / m.
+    """
+    entries = tuple(w)
+    return NumericalSemigroup(
+        min_gens=gens,
+        apery=AperyTable(modulus=m, entries=entries),
+        frobenius=max(entries) - m,
+        genus=(sum(entries) - m * (m - 1) // 2) // m,
+    )
+
+
 def enumerate_packed(m: int, e: int) -> PackedFamily:
     """Every packed semigroup with multiplicity m and embedding dimension e.
 
@@ -64,7 +72,6 @@ def enumerate_packed(m: int, e: int) -> PackedFamily:
     """
     require_family(m, e)
     top = m - e + 1  # the largest first residue; position j goes up to top + j
-    shift = m * (m - 1) // 2
     w = [SENTINEL] * m
     w[0] = 0
     gens = [m]  # m and one generator per residue chosen so far
@@ -79,13 +86,7 @@ def enumerate_packed(m: int, e: int) -> PackedFamily:
                 if gcd(gcds[j], r) == 1:
                     w = tables[j].copy()
                     relax(w, m, m + r)
-                    entries = tuple(w)
-                    members.append(NumericalSemigroup(
-                        min_gens=(*gens, m + r),
-                        apery=AperyTable(modulus=m, entries=entries),
-                        frobenius=max(entries) - m,
-                        genus=(sum(entries) - shift) // m,
-                    ))
+                    members.append(_member(m, (*gens, m + r), w))
         elif a <= top + j:
             # The last value at a position leaves no sibling to need the
             # prefix's table again, so it is relaxed in place.
@@ -121,29 +122,37 @@ def pack(S: NumericalSemigroup) -> NumericalSemigroup:
 
 
 def class_sons(P: NumericalSemigroup) -> tuple[NumericalSemigroup, ...]:
-    """Sons of P in the tree of its packing class.
+    """Sons of P in the tree of its packing class, in sorted order.
 
     Replacing a non-multiplicity generator n_k by n_k + m stays in the
     class; it is a son exactly when the new value exceeds the current
     largest generator and is not already representable by the remaining
-    generators.  Those generators may have gcd > 1, hence the bounded
-    monoid check instead of semigroup membership.
+    generators, which their table modulo m decides (a residue they miss,
+    when their gcd exceeds 1, stays at SENTINEL).  They stay minimal, as
+    the son lies inside P.  A son past the kernel range raises
+    InvalidGenerator, as in `make_semigroup`.
     """
     m = P.multiplicity
+    gens = P.min_gens
     out = []
-    for k in range(1, P.embedding_dim):
-        lifted = P.min_gens[k] + m
-        if lifted <= P.max_gen:
+    # Lifting a larger generator gives a lexicographically smaller son,
+    # so walking the generators downwards yields the sons sorted.
+    for k in range(len(gens) - 1, 0, -1):
+        lifted = gens[k] + m
+        if lifted <= gens[-1]:
+            break
+        rest = gens[:k] + gens[k + 1 :]
+        w = [SENTINEL] * m
+        w[0] = 0
+        for g in rest[1:]:
+            relax(w, m, g)
+        if w[lifted % m] <= lifted:
             continue
-        rest = P.min_gens[:k] + P.min_gens[k + 1 :]
-        if monoid_contains(rest, lifted):
-            continue
-        son = make_semigroup((*rest, lifted))
-        # The replacement set is provably minimal; a shrunken msg here
-        # would mean a membership bug upstream, not a bad input.
-        assert son.min_gens == (*rest, lifted), son
-        out.append(son)
-    return tuple(sorted(out))
+        if m * lifted >= SENTINEL:
+            raise InvalidGenerator(f"generator {lifted} exceeds the 62-bit kernel range")
+        relax(w, m, lifted)
+        out.append(_member(m, (*rest, lifted), w))
+    return tuple(out)
 
 
 def class_min_frobenius(S: NumericalSemigroup) -> tuple[NumericalSemigroup, ...]:
@@ -158,8 +167,6 @@ def class_min_frobenius(S: NumericalSemigroup) -> tuple[NumericalSemigroup, ...]
     """
     if not is_packed(S):
         raise NotPacked(f"{S!r} has a minimal generator >= 2*m")
-    if S.embedding_dim < 2:
-        return (S,)
     target = S.frobenius
     accepted = [S]
     frontier = [S]

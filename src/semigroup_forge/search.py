@@ -121,32 +121,23 @@ def min_frobenius(m: int, e: int, stats: dict | None = None) -> SearchOutcome:
     strictly along edges, so sons above the current bound are never
     built; the dimension never grows along edges, so nodes below
     dimension e are dead too.  The bound starts at the interval-semigroup
-    value and shrinks as dimension-e nodes appear.  The root itself is
-    admitted as a minimizer when its dimension matches (e = m), which is
-    the one case the son loop cannot see.
+    value and shrinks as dimension-e nodes appear.
     """
     alpha = interval_frobenius(m, e)
-    start = _root_node(m)
     genus = m - 1
     # (node, genus) pairs; only these are wrapped into values at the end.
     best: list = []
-    if len(start[0]) == e:
-        alpha = min(alpha, start[2])
-        best = [(start, genus)]
-    frontier = [start]
-    visited = 1
-    while True:
-        keep = [T for S in frontier for T in _sons(m, S, alpha) if len(T[0]) >= e]
-        visited += len(keep)
-        if not keep:
-            break
-        frontier = keep
-        genus += 1
-        hits = [T for T in keep if len(T[0]) == e]
+    level = [_root_node(m)]
+    visited = 0
+    while level:
+        visited += len(level)
+        hits = [T for T in level if len(T[0]) == e]
         if hits:
             alpha = min(alpha, min(T[2] for T in hits))
             best = [b for b in best if b[0][2] == alpha]
             best += [(T, genus) for T in hits if T[2] == alpha]
+        level = [T for S in level for T in _sons(m, S, alpha) if len(T[0]) >= e]
+        genus += 1
     if stats is not None:
         stats["nodes"] = visited
     assert best, "a minimizer always survives the pruning"

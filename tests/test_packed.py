@@ -4,8 +4,14 @@ from math import comb, gcd
 
 import pytest
 
-from semigroup_forge.core import make_semigroup
-from semigroup_forge.errors import BadDimension, Degenerate, NotNumerical, NotPacked
+from semigroup_forge.core import make_semigroup, monoid_contains
+from semigroup_forge.errors import (
+    BadDimension,
+    Degenerate,
+    InvalidGenerator,
+    NotNumerical,
+    NotPacked,
+)
 from semigroup_forge.multiplicity_tree import bfs_levels, root
 from semigroup_forge.packed import (
     class_min_frobenius,
@@ -147,7 +153,56 @@ class TestPack:
                 assert P.genus < S.genus
 
 
+def reference_class_sons(P):
+    """The class son rule decided by a bounded monoid check, then built anew."""
+    m = P.multiplicity
+    out = []
+    for k in range(1, P.embedding_dim):
+        lifted = P.min_gens[k] + m
+        if lifted <= P.max_gen:
+            continue
+        rest = P.min_gens[:k] + P.min_gens[k + 1 :]
+        if monoid_contains(rest, lifted):
+            continue
+        son = make_semigroup((*rest, lifted))
+        assert son.min_gens == (*rest, lifted), son
+        out.append(son)
+    return tuple(sorted(out))
+
+
+def fields(S):
+    return S.min_gens, S.apery.entries, S.frobenius, S.genus
+
+
 class TestClassSons:
+    def test_matches_reference_three_levels_down(self):
+        for m in range(2, 13):
+            for e in range(2, m + 1):
+                level = list(enumerate_packed(m, e))
+                for _ in range(3):
+                    sons = []
+                    for P in level:
+                        got = class_sons(P)
+                        assert [fields(T) for T in got] == [
+                            fields(T) for T in reference_class_sons(P)
+                        ], P
+                        sons += got
+                    level = sons
+
+    @pytest.mark.parametrize("gens", [(6, 8, 9, 10), (1,), (7, 8)], ids=repr)
+    def test_named_cases_match_reference(self, gens):
+        P = mk(*gens)
+        got = class_sons(P)
+        assert [fields(T) for T in got] == [fields(T) for T in reference_class_sons(P)]
+
+    def test_rest_with_common_factor(self):
+        # 6, 8 and 10 miss every odd residue, so 15 is a son's generator.
+        assert mk(6, 8, 10, 15) in class_sons(mk(6, 8, 9, 10))
+
+    def test_son_past_kernel_range_is_refused(self):
+        with pytest.raises(InvalidGenerator):
+            class_sons(mk(2, 2**61 - 1))
+
     def test_single_son(self):
         assert class_sons(mk(6, 7, 8, 9, 11)) == (mk(6, 8, 9, 11, 13),)
 

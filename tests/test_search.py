@@ -183,10 +183,13 @@ class TestMinFrobenius:
             assert min_frobenius_value_packed(m, 2) == m * m - m - 1
 
     def test_full_dimension(self):
-        for m in range(2, 9):
-            out = min_frobenius(m, m)
+        # The root is the only node visited: no son keeps dimension m.
+        for m in range(2, 65):
+            stats = {}
+            out = min_frobenius(m, m, stats=stats)
             assert out.value == m - 1
             assert out.minimizers == (root(m),)
+            assert stats["nodes"] == 1
 
     @pytest.mark.parametrize("cell", sorted(FROBENIUS_NODES), ids=_cell_id)
     def test_node_stats(self, cell):
