@@ -23,7 +23,7 @@ from .core import NumericalSemigroup, make_semigroup
 from .errors import NotPacked, SemigroupError, Uncertified
 from .multiplicity_tree import bfs_levels
 from .oracle import sieve
-from .packed import class_min_frobenius, enumerate_packed
+from .packed import _minimizers, class_min_frobenius, enumerate_packed
 from .search import (
     Existence,
     existence,
@@ -286,10 +286,8 @@ def _cmd_min_frobenius(ns) -> _Report:
         outcome = min_frobenius_full_set(ns.m, ns.e)
         value, minimizers = outcome.value, list(outcome.minimizers)
     else:
-        family = enumerate_packed(ns.m, ns.e)
-        value = min(S.frobenius for S in family)
-        minimizers = [S for S in family if S.frobenius == value]
-        complete = False
+        minimizers = list(_minimizers(ns.m, ns.e, max))
+        value, complete = minimizers[0].frobenius, False
 
     def route():
         other = min_frobenius_value_packed(ns.m, ns.e)

@@ -150,21 +150,22 @@ def enumerate_by_genus(m: int, genus_bound: int) -> frozenset[NumericalSemigroup
     horizon = max(2 * genus_bound, m)
     member = bytearray(horizon + 1)
     member[0] = 1
-    member[m] = 1
     found: list[NumericalSemigroup] = []
-
-    def walk(n: int, gap_count: int) -> None:
+    # Backtracking on an explicit stack, so the depth of the window costs
+    # no recursion.  A frame (n, gap_count, bit) sets member[n] to bit;
+    # the positions below n then hold the choices on the path to it, and
+    # the positions above n are scratch that later frames overwrite
+    # before anything reads them.
+    stack = [(m, m - 1, 1)]
+    while stack:
+        n, gap_count, bit = stack.pop()
+        member[n] = bit
+        n += 1
         if n > horizon:
             found.append(_finish(member, m, horizon, gap_count))
-            return
-        # Positions above n are scratch: every frame overwrites member[n]
-        # before anything reads it, so no undo step is needed here.
+            continue
         forced = any(member[a] and member[n - a] for a in range(m, n - m + 1))
-        member[n] = 1
-        walk(n + 1, gap_count)
         if not forced and gap_count < genus_bound:
-            member[n] = 0
-            walk(n + 1, gap_count + 1)
-
-    walk(m + 1, m - 1)
+            stack.append((n, gap_count + 1, 0))
+        stack.append((n, gap_count, 1))
     return frozenset(found)

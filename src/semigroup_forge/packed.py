@@ -8,6 +8,11 @@ them without ever raising genus or Frobenius number.  That makes the
 packed family a complete set of class representatives on which both
 minima can be read off, and each class can then be searched separately
 for the full minimizing set.
+
+The family is walked once, by `_leaves`, as bare (min_gens, table)
+pairs.  Only `enumerate_packed` and the class walk wrap every node they
+reach into a value; the searches rank the bare leaves through
+`_minimizers` and wrap only the members they return.
 """
 from __future__ import annotations
 
@@ -58,8 +63,8 @@ def _member(m: int, gens: tuple, w: list[int]) -> NumericalSemigroup:
     )
 
 
-def enumerate_packed(m: int, e: int) -> PackedFamily:
-    """Every packed semigroup with multiplicity m and embedding dimension e.
+def _leaves(m: int, e: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """Each packed member at (m, e) as (min_gens, table), in family order.
 
     Each one is determined by the e-1 nonzero residues of its larger
     generators: the subset {a1 < a2 < ...} of {1, ..., m-1} yields the
@@ -68,7 +73,7 @@ def enumerate_packed(m: int, e: int) -> PackedFamily:
     The subsets are walked in lexicographic order as a prefix tree, with
     an explicit stack: each step copies the prefix's least-element table
     and adjoins one generator by `relax`, and the gcd filter runs before
-    the last step.  F and g are read off each leaf's table.
+    the last step.  Every yielded table is a fresh list the caller owns.
     """
     require_family(m, e)
     top = m - e + 1  # the largest first residue; position j goes up to top + j
@@ -77,7 +82,6 @@ def enumerate_packed(m: int, e: int) -> PackedFamily:
     gens = [m]  # m and one generator per residue chosen so far
     tables = [w]  # tables[j]: table of gens[:j + 1]
     gcds = [m]
-    members = []
     a = 1
     while True:
         j = len(gens) - 1
@@ -86,7 +90,7 @@ def enumerate_packed(m: int, e: int) -> PackedFamily:
                 if gcd(gcds[j], r) == 1:
                     w = tables[j].copy()
                     relax(w, m, m + r)
-                    members.append(_member(m, (*gens, m + r), w))
+                    yield (*gens, m + r), w
         elif a <= top + j:
             # The last value at a position leaves no sibling to need the
             # prefix's table again, so it is relaxed in place.
@@ -98,10 +102,38 @@ def enumerate_packed(m: int, e: int) -> PackedFamily:
             a += 1
             continue
         if j == 0:
-            return PackedFamily(m=m, e=e, members=tuple(members))
+            return
         a = gens.pop() - m + 1
         tables.pop()
         gcds.pop()
+
+
+def enumerate_packed(m: int, e: int) -> PackedFamily:
+    """Every packed semigroup with multiplicity m and embedding dimension e.
+
+    The members of `_leaves`, sorted by minimal generators, each wrapped
+    into a value with F and g read off its table.  Searches that keep
+    only a few members go through `_minimizers` instead.
+    """
+    members = tuple(_member(m, gens, w) for gens, w in _leaves(m, e))
+    return PackedFamily(m=m, e=e, members=members)
+
+
+def _minimizers(m: int, e: int, key) -> tuple[NumericalSemigroup, ...]:
+    """Packed members at (m, e) with the least `key` of their table, in order.
+
+    `sum` ranks by genus and `max` by Frobenius number, since g and F are
+    increasing functions of them.  The family is scanned as bare leaves;
+    only the members attaining the minimum are wrapped into values.
+    """
+    best, hits = None, []
+    for gens, w in _leaves(m, e):
+        k = key(w)
+        if best is None or k < best:
+            best, hits = k, [(gens, w)]
+        elif k == best:
+            hits.append((gens, w))
+    return tuple(_member(m, gens, w) for gens, w in hits)
 
 
 def is_packed(S: NumericalSemigroup) -> bool:

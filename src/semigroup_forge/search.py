@@ -4,11 +4,12 @@ Two independent routes exist for each minimum.  The tree route walks
 the multiplicity-m tree: breadth-first by genus until the first level
 containing dimension-e members (minimal genus), or pruned by a shrinking
 Frobenius bound (minimal Frobenius).  The packed route reads the same
-minima off the finite packed family, and recovers the full Frobenius
+minima off the tables of the finite packed family, builds values only
+for the members attaining them, and recovers the full Frobenius
 minimizer set by searching each minimizing packing class.  The routes
 cross-check each other in the test suite.  Each route refuses (m, e)
 outside m >= e >= 2 through its first call, an interval formula or the
-packed enumeration, both gated by `core.require_family`.
+packed leaf walk, both gated by `core.require_family`.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from .core import (
 from .multiplicity_tree import _levels, _root_node, _sons, _value
 # `sons` is bound only because the benchmark's tracer self-test checks it.
 from .multiplicity_tree import sons  # noqa: F401
-from .packed import class_min_frobenius, enumerate_packed
+from .packed import _minimizers, class_min_frobenius
 
 __all__ = [
     "Existence",
@@ -100,10 +101,11 @@ def min_genus_packed(m: int, e: int) -> SearchOutcome:
 
     Packing never raises genus and is strict on unpacked input, so the
     packed members attaining the family minimum are all the minimizers.
+    Genus is ranked on the bare leaves' tables; only those members are
+    built as values, in family order.
     """
-    family = enumerate_packed(m, e)
-    best = min(S.genus for S in family)
-    hits = tuple(S for S in family if S.genus == best)
+    hits = _minimizers(m, e, sum)
+    best = hits[0].genus
     return SearchOutcome(
         kind="genus",
         m=m,
@@ -151,8 +153,8 @@ def min_frobenius(m: int, e: int, stats: dict | None = None) -> SearchOutcome:
 
 
 def min_frobenius_value_packed(m: int, e: int) -> int:
-    """Least Frobenius number at (m, e), read off the packed family."""
-    return min(S.frobenius for S in enumerate_packed(m, e))
+    """Least Frobenius number at (m, e), read off the packed family's tables."""
+    return _minimizers(m, e, max)[0].frobenius
 
 
 def min_frobenius_full_set(m: int, e: int) -> SearchOutcome:
@@ -162,10 +164,11 @@ def min_frobenius_full_set(m: int, e: int) -> SearchOutcome:
     and cannot raise the Frobenius number; so the minimizers are found
     inside the classes of the packed members attaining the minimum.
     The classes are disjoint, so their members are simply concatenated.
+    Only the minimizing packed members are built as values; the rest of
+    the family is ranked on its bare tables.
     """
-    family = enumerate_packed(m, e)
-    best = min(S.frobenius for S in family)
-    heads = [S for S in family if S.frobenius == best]
+    heads = _minimizers(m, e, max)
+    best = heads[0].frobenius
     collected = [T for S in heads for T in class_min_frobenius(S)]
     return SearchOutcome(
         kind="frobenius",

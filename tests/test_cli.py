@@ -188,19 +188,17 @@ class TestGoldenOutputs:
 
 
 def count_packed_enumerations(monkeypatch) -> list:
-    """Record every `enumerate_packed` call the CLI and the searches make."""
-    import semigroup_forge.cli as cli
-    import semigroup_forge.search as search
-    from semigroup_forge.packed import enumerate_packed
+    """Record every walk of the packed family's leaves, whoever starts it."""
+    import semigroup_forge.packed as packed
 
+    leaves = packed._leaves
     calls = []
 
     def counted(m, e):
         calls.append((m, e))
-        return enumerate_packed(m, e)
+        return leaves(m, e)
 
-    monkeypatch.setattr(cli, "enumerate_packed", counted)
-    monkeypatch.setattr(search, "enumerate_packed", counted)
+    monkeypatch.setattr(packed, "_leaves", counted)
     return calls
 
 

@@ -163,3 +163,11 @@ class TestEnumerateByGenus:
     def test_rejects_bad_multiplicity(self):
         with pytest.raises(InvalidGenerator):
             enumerate_by_genus(0, 3)
+
+    def test_deep_window_does_not_recurse(self):
+        # The window reaches position 1040, past Python's default
+        # recursion limit; m = 2 has one semigroup per genus 1..520.
+        got = enumerate_by_genus(2, 520)
+        assert len(got) == 520
+        assert {S.genus for S in got} == set(range(1, 521))
+        assert mk(2, 1041) in got

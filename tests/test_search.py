@@ -1,5 +1,7 @@
 """Minimization procedures, route agreement, and the Wilf audit."""
+import json
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +14,7 @@ from semigroup_forge.core import (
 from semigroup_forge.errors import BadDimension
 from semigroup_forge.multiplicity_tree import bfs_levels, root
 from semigroup_forge.oracle import enumerate_by_genus, sieve
-from semigroup_forge.packed import enumerate_packed
+from semigroup_forge.packed import class_min_frobenius, enumerate_packed
 from semigroup_forge.search import (
     Existence,
     SearchOutcome,
@@ -234,6 +236,62 @@ class TestPackedRoutes:
         minimizers = tuple(sorted(S for S in dim_four if S.frobenius == best))
         out = min_frobenius(7, 4)
         assert (out.value, out.minimizers) == (best, minimizers)
+
+
+PACKED_CELLS = [(m, e) for m in range(3, 13) for e in range(2, m + 1)]
+PACKED_GOLDENS = (
+    Path(__file__).resolve().parent.parent / "perfbench" / "goldens" / "packed_classes.json"
+)
+
+
+def family_minimizers(m, e, attr):
+    """Members of enumerate_packed(m, e) with the least `attr`, in family order."""
+    family = enumerate_packed(m, e).members
+    best = min(getattr(S, attr) for S in family)
+    return best, tuple(S for S in family if getattr(S, attr) == best)
+
+
+class TestPackedLeafRoutes:
+    """The packed searches scan bare leaves; they must match the wrapped family."""
+
+    @pytest.mark.parametrize("cell", PACKED_CELLS, ids=_cell_id)
+    def test_match_the_wrapped_family(self, cell):
+        m, e = cell
+        best_g, genus_hits = family_minimizers(m, e, "genus")
+        out = min_genus_packed(m, e)
+        # Values compare by min_gens, so tuple equality pins the order too.
+        assert (out.value, out.level, out.minimizers) == (best_g, best_g - (m - 1), genus_hits)
+        assert_constructed(out.minimizers)
+
+        best_f, heads = family_minimizers(m, e, "frobenius")
+        assert min_frobenius_value_packed(m, e) == best_f
+        full = min_frobenius_full_set(m, e)
+        expected = tuple(sorted(T for S in heads for T in class_min_frobenius(S)))
+        assert (full.value, full.minimizers) == (best_f, expected)
+        assert_constructed(full.minimizers)
+
+    def test_goldens_of_the_packed_benchmark(self):
+        # Every pinned packed_classes query, answered through the package.
+        with open(PACKED_GOLDENS, encoding="utf-8") as fh:
+            pool = json.load(fh)["pool"]
+        ops = {"min_genus_packed": min_genus_packed, "min_frobenius_full_set": min_frobenius_full_set}
+        assert len(pool) == 270
+        for q in pool:
+            if q["op"] == "min_frobenius_value_packed":
+                assert {"value": min_frobenius_value_packed(*q["args"])} == q["expect"], q["id"]
+                continue
+            if q["op"] == "class_min_frobenius":
+                members = class_min_frobenius(make_semigroup(q["args"][0]))
+                value = members[0].frobenius
+            else:
+                out = ops[q["op"]](*q["args"])
+                members, value = out.minimizers, out.value
+            got = {
+                "value": value,
+                "count": len(members),
+                "min_gens": [list(S.min_gens) for S in members],
+            }
+            assert got == q["expect"], q["id"]
 
 
 class TestUpperBounds:
