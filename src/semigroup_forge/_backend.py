@@ -2,15 +2,14 @@
 
 The least-element (Apery) table of a monoid modulo one of its members,
 built one generator at a time, and the minimal-generator test that reads
-it.  `backend_name` names the kernel in the CLI's `meta.backend`.
+it.  Entry i is the least element congruent to i, or SENTINEL when the
+class holds none.  `backend_name` names the kernel in `meta.backend`.
 """
 from __future__ import annotations
 
 from math import gcd
 
 backend_name = "pure"
-
-UNREACHABLE = -1
 
 SENTINEL = 1 << 62
 
@@ -57,12 +56,11 @@ def relax(w: list[int], modulus: int, g: int) -> None:
 
 
 def residue_table(modulus: int, gens) -> list[int]:
-    """Least-element table of the monoid spanned by `gens`, modulo `modulus`.
+    """Least-element table of the monoid spanned by `gens` and `modulus`.
 
-    Entry i is the coefficient k with k*modulus + i the least monoid element
-    congruent to i, or -1 when the class holds no element.  `modulus` must
-    itself belong to the monoid (pass it among the generators when in doubt).
-    Total cost O(modulus * len(gens)).
+    Entry i is the least monoid element congruent to i, or SENTINEL when
+    the class holds none; `modulus` among `gens` relaxes nothing.  Total
+    cost O(modulus * len(gens)).
     """
     m = modulus
     if m < 1:
@@ -71,25 +69,23 @@ def residue_table(modulus: int, gens) -> list[int]:
     w[0] = 0
     for g in sorted(gens):
         relax(w, m, g)
-    return [(w[i] - i) // m if w[i] < SENTINEL else UNREACHABLE for i in range(m)]
+    return w
 
 
-def minimal_residues(modulus: int, coeffs, gens) -> list[int]:
+def minimal_residues(modulus: int, w, gens) -> list[int]:
     """Residues of the minimal generators among `gens`, other than `modulus`.
 
-    `modulus` is the least of `gens` and `coeffs` their fully reachable
-    table (gcd 1).  Every minimal generator is one of the inputs.  An input
-    x outside the class of 0 is one exactly when x - n is no member for
-    each smaller minimal generator n other than `modulus`: any sum of two
-    nonzero members that equals x uses such an n.  Members are read off
-    the table (q*modulus + r is one iff q >= coeffs[r]), so the test costs
-    O(len(gens)^2).  Residues come in the order of their generators.
+    `modulus` is the least of `gens` and `w` their least-element table.
+    Every minimal generator is one of the inputs.  An input x outside the
+    class of 0 is one exactly when x - n is no member for each smaller
+    minimal generator n other than `modulus`: any sum of two nonzero
+    members that equals x uses such an n.  Members are read off the table
+    (y is one iff y >= w[y % modulus]), so the test costs O(len(gens)^2).
+    Residues come in the order of their generators.
     """
     m = modulus
     minimal = []
     for x in sorted(gens):
-        if x % m == 0:
-            continue
-        if all((x - n) // m < coeffs[(x - n) % m] for n in minimal):
+        if x % m and all(x - n < w[(x - n) % m] for n in minimal):
             minimal.append(x)
     return [x % m for x in minimal]

@@ -6,12 +6,14 @@ notation, and a single JSON document with sorted keys.  Identical
 invocations produce byte-identical stdout; timing goes to stderr.
 
 Exit codes: 0 success, 2 invalid arguments, 3 empty family,
-4 verification failure (including a Wilf violation).
+4 verification failure (including a Wilf violation).  Output cut short
+by its reader (`| head -1`) keeps that code and prints no traceback.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from itertools import islice
@@ -466,10 +468,15 @@ def main(argv=None) -> int:
             "result": report.result,
             "meta": meta,
         }
-        print(json.dumps(envelope, sort_keys=True, indent=2))
+        out = json.dumps(envelope, sort_keys=True, indent=2)
     else:
         verify_line = [f"verify: {meta['verify']}"] if meta["verify"] else []
-        print("\n".join(report.lines + verify_line))
+        out = "\n".join(report.lines + verify_line)
+    try:
+        print(out, flush=True)
+    except BrokenPipeError:
+        # Point stdout at devnull, so the interpreter's flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if report.alarm:
         print(report.alarm, file=sys.stderr)
     elapsed = time.perf_counter() - started

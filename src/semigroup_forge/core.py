@@ -122,32 +122,33 @@ def make_semigroup(generators) -> NumericalSemigroup:
     then misses whole residue classes and is not a numerical semigroup).
     Apery entries stay below m * max_gen, so inputs with m * max_gen at or
     above the kernel's 62-bit sentinel raise InvalidGenerator rather than
-    have entries read as unreachable.
+    have entries read as empty classes.
     """
     gens = _check_generators(generators)
     if gens[0] * gens[-1] >= SENTINEL:
         raise InvalidGenerator(
             f"generators {gens[0]} and {gens[-1]} exceed the 62-bit kernel range"
         )
-    g = 0
-    for x in gens:
-        g = gcd(g, x)
+    g = gcd(*gens)
     if g != 1:
         raise NotNumerical(f"gcd of generators is {g}, not 1")
     m = gens[0]
-    coeffs = tuple(residue_table(m, gens))
-    entries = tuple(k * m + i for i, k in enumerate(coeffs))
-    frobenius = max(entries) - m
-    genus = sum(coeffs)
-    if m == 1:
-        msg = (1,)
-    else:
-        msg = (m, *(entries[i] for i in minimal_residues(m, coeffs, gens)))
+    w = residue_table(m, gens)
+    return _from_table(m, (m, *(w[i] for i in minimal_residues(m, w, gens))), w)
+
+
+def _from_table(m: int, gens: tuple, entries) -> NumericalSemigroup:
+    """Value with minimal generators `gens` and least-element table `entries`.
+
+    Entry i is i plus m per gap in its class, so F = max - m and
+    g = (sum - m(m-1)/2) / m.
+    """
+    entries = tuple(entries)
     return NumericalSemigroup(
-        min_gens=msg,
+        min_gens=gens,
         apery=AperyTable(modulus=m, entries=entries),
-        frobenius=frobenius,
-        genus=genus,
+        frobenius=max(entries) - m,
+        genus=(sum(entries) - m * (m - 1) // 2) // m,
     )
 
 
@@ -155,9 +156,7 @@ def apery_set(S: NumericalSemigroup, n: int) -> AperyTable:
     """Apery table of S with respect to any nonzero member n."""
     if n == 0 or n not in S:
         raise NotMember(f"{n} is not a nonzero member of {S!r}")
-    coeffs = tuple(residue_table(n, (*S.min_gens, n)))
-    entries = tuple(k * n + i for i, k in enumerate(coeffs))
-    return AperyTable(modulus=n, entries=entries)
+    return AperyTable(modulus=n, entries=tuple(residue_table(n, S.min_gens)))
 
 
 def sylvester_frobenius(n1: int, n2: int) -> int:

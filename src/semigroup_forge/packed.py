@@ -12,7 +12,8 @@ for the full minimizing set.
 The family is walked once, by `_leaves`, as bare (min_gens, table)
 pairs.  Only `enumerate_packed` and the class walk wrap every node they
 reach into a value; the searches rank the bare leaves through
-`_minimizers` and wrap only the members they return.
+`_minimizers` and wrap only the members they return.  Every value is
+made by `core._from_table`, which reads F and g off the node's table.
 """
 from __future__ import annotations
 
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterator
 
-from ._backend import SENTINEL, relax
-from .core import AperyTable, NumericalSemigroup, make_semigroup, require_family
+from ._backend import SENTINEL, relax, residue_table
+from .core import NumericalSemigroup, _from_table, make_semigroup, require_family
 from .errors import Degenerate, InvalidGenerator, NotPacked
 
 __all__ = [
@@ -49,20 +50,6 @@ class PackedFamily:
         return iter(self.members)
 
 
-def _member(m: int, gens: tuple, w: list[int]) -> NumericalSemigroup:
-    """Value with minimal generators `gens`, F and g read off their table `w`.
-
-    Entry i is i plus m per gap in its class, so g = (sum(w) - m(m-1)/2) / m.
-    """
-    entries = tuple(w)
-    return NumericalSemigroup(
-        min_gens=gens,
-        apery=AperyTable(modulus=m, entries=entries),
-        frobenius=max(entries) - m,
-        genus=(sum(entries) - m * (m - 1) // 2) // m,
-    )
-
-
 def _leaves(m: int, e: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     """Each packed member at (m, e) as (min_gens, table), in family order.
 
@@ -77,8 +64,7 @@ def _leaves(m: int, e: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     """
     require_family(m, e)
     top = m - e + 1  # the largest first residue; position j goes up to top + j
-    w = [SENTINEL] * m
-    w[0] = 0
+    w = residue_table(m, ())
     gens = [m]  # m and one generator per residue chosen so far
     tables = [w]  # tables[j]: table of gens[:j + 1]
     gcds = [m]
@@ -115,7 +101,7 @@ def enumerate_packed(m: int, e: int) -> PackedFamily:
     into a value with F and g read off its table.  Searches that keep
     only a few members go through `_minimizers` instead.
     """
-    members = tuple(_member(m, gens, w) for gens, w in _leaves(m, e))
+    members = tuple(_from_table(m, gens, w) for gens, w in _leaves(m, e))
     return PackedFamily(m=m, e=e, members=members)
 
 
@@ -133,7 +119,7 @@ def _minimizers(m: int, e: int, key) -> tuple[NumericalSemigroup, ...]:
             best, hits = k, [(gens, w)]
         elif k == best:
             hits.append((gens, w))
-    return tuple(_member(m, gens, w) for gens, w in hits)
+    return tuple(_from_table(m, gens, w) for gens, w in hits)
 
 
 def is_packed(S: NumericalSemigroup) -> bool:
@@ -174,16 +160,13 @@ def class_sons(P: NumericalSemigroup) -> tuple[NumericalSemigroup, ...]:
         if lifted <= gens[-1]:
             break
         rest = gens[:k] + gens[k + 1 :]
-        w = [SENTINEL] * m
-        w[0] = 0
-        for g in rest[1:]:
-            relax(w, m, g)
+        w = residue_table(m, rest)
         if w[lifted % m] <= lifted:
             continue
         if m * lifted >= SENTINEL:
             raise InvalidGenerator(f"generator {lifted} exceeds the 62-bit kernel range")
         relax(w, m, lifted)
-        out.append(_member(m, (*rest, lifted), w))
+        out.append(_from_table(m, (*rest, lifted), w))
     return tuple(out)
 
 

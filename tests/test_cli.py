@@ -324,6 +324,23 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert "kernel range" in proc.stderr
 
+    def test_reader_closing_stdout_early(self):
+        # As in `| head -1`: the reader takes one line of a large document
+        # and closes the pipe while the CLI is still writing.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "semigroup_forge.cli", "packed", "18", "9",
+             "--format", "json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        assert proc.stdout.readline() == "{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
+        assert "Traceback" not in err
+        assert "elapsed" in err
+
     @pytest.mark.parametrize("command", ["info", "class-min-frob"])
     def test_multiplicity_guard_runs_before_construction(
         self, capsys, monkeypatch, command

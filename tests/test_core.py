@@ -1,8 +1,11 @@
 """Construction, membership, Apery tables, and the interval formulas."""
 import dataclasses
 import random
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from semigroup_forge.core import (
     AperyTable,
@@ -183,13 +186,23 @@ class TestAperySet:
     def test_three_generators(self):
         assert apery_set(mk(5, 6, 7), 5).entries == (0, 6, 7, 13, 14)
 
-    def test_non_multiplicity_modulus(self):
-        S = mk(4, 5, 7)
-        table = apery_set(S, 5)
-        # Independent check against the definition: least member per class.
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(st.data())
+    def test_non_multiplicity_modulus(self, data):
+        # A random semigroup and a random nonzero member n, mostly no
+        # generator, checked against the definition by monoid_contains:
+        # the least member per class mod n.
+        m = data.draw(st.integers(2, 9))
+        others = data.draw(st.sets(st.integers(m + 1, 3 * m + 1), min_size=1, max_size=4))
+        gens = {m, *others}
+        assume(gcd(*gens) == 1)
+        n = data.draw(st.integers(1, 4 * m))
+        assume(monoid_contains(gens, n))
+        table = apery_set(make_semigroup(gens), n)
+        assert table.modulus == n
         for i, w in enumerate(table.entries):
-            assert w % 5 == i and w in S
-            assert all(x not in S for x in range(i, w, 5))
+            assert w % n == i and monoid_contains(gens, w)
+            assert not any(monoid_contains(gens, x) for x in range(i, w, n))
 
     def test_rejects_non_member(self):
         with pytest.raises(NotMember):
