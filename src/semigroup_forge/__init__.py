@@ -12,6 +12,7 @@ from .core import (
     AperyTable,
     NumericalSemigroup,
     apery_set,
+    genus_lower_bound,
     interval_apery,
     interval_frobenius,
     interval_genus,
@@ -39,6 +40,7 @@ __all__ = [
     "NumericalSemigroup",
     "apery_set",
     "backend_name",
+    "genus_lower_bound",
     "interval_apery",
     "interval_frobenius",
     "interval_genus",

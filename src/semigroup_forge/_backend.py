@@ -14,7 +14,7 @@ backend_name = "pure"
 SENTINEL = 1 << 62
 
 
-def relax(w: list[int], modulus: int, g: int) -> None:
+def relax(w: list[int], modulus: int, g: int, cap: int = SENTINEL) -> bool:
     """Adjoin generator g to the least-element table `w`, in place.
 
     `w[i]` is the least element congruent to i found so far, or SENTINEL;
@@ -24,11 +24,17 @@ def relax(w: list[int], modulus: int, g: int) -> None:
     minimum is exact, because a chain of g-steps that passes the minimum
     is dominated by the chain that starts there.  The cycle through 0 has
     its minimum, 0, at 0.  Cost O(modulus).
+
+    Each entry the sweep passes is final, so the sweep can stop at the
+    first one above `cap`: it then returns False and leaves `w` half
+    updated, and the finished table would have an entry above `cap`.
+    Otherwise it returns True with `w` complete.  The default cap never
+    stops a sweep.
     """
     m = modulus
     step = g % m
     if step == 0:
-        return
+        return True
     d = gcd(step, m)
     cycle_len = m // d
     for lead in range(d):
@@ -53,6 +59,9 @@ def relax(w: list[int], modulus: int, g: int) -> None:
                 cur = w[p]
             else:
                 w[p] = cur
+            if cur > cap:
+                return False
+    return True
 
 
 def residue_table(modulus: int, gens) -> list[int]:

@@ -9,13 +9,14 @@ and the Apery coefficients are read off them.  Construction goes through
 
 The closed formulas for interval-generated semigroups (generators
 m, m+1, ..., m+e-1) live here too, since they double as search bounds,
-and so does the one gate on (m, e) that every family-level routine uses.
+as does the level-count lower bound on the genus, and so does the one
+gate on (m, e) that every family-level routine uses.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from math import gcd
+from math import comb, gcd
 
 from ._backend import SENTINEL, minimal_residues, residue_table
 from .errors import (
@@ -39,6 +40,7 @@ __all__ = [
     "interval_apery",
     "interval_genus",
     "interval_frobenius",
+    "genus_lower_bound",
     "monoid_contains",
 ]
 
@@ -236,6 +238,37 @@ def interval_frobenius(m: int, e: int) -> int:
     """Frobenius number of the interval semigroup: ceil((m-1)/(e-1))*m - 1."""
     require_family(m, e)
     return -((-(m - 1)) // (e - 1)) * m - 1
+
+
+def _least_levels(m: int, e: int) -> list[int]:
+    """Lower bounds on the sorted Apery coefficients of any member of L(m, e).
+
+    Entry t bounds the t-th smallest coefficient of the m-1 nonzero
+    residues; see `genus_lower_bound` for the argument.
+    """
+    require_family(m, e)
+    levels: list[int] = []
+    k = 0
+    while len(levels) < m - 1:
+        k += 1
+        levels += [k] * min(comb(e - 2 + k, k), m - 1 - len(levels))
+    return levels
+
+
+def genus_lower_bound(m: int, e: int) -> int:
+    """A lower bound on the genus of every semigroup in L(m, e), no search.
+
+    The least element of a nonzero residue is a sum of some j >= 1 of the
+    e-1 generators other than m, each above m, so it lies above j*m: its
+    Apery coefficient (its level) is at least j.  Only C(e-2+j, j)
+    residues (the multisets of size j) can need exactly j summands, so at
+    most C(e-1+k, k) - 1 residues sit at level k or below.  The genus is
+    the sum of the m-1 levels, hence at least the sum of filling the
+    levels greedily, C(e-2+k, k) residues at level k.  The bound is exact
+    on the edge rows (e = m gives m-1 and e = 2 gives m(m-1)/2) and on
+    most small cells, and 1-3 below the minimal genus on the others.
+    """
+    return sum(_least_levels(m, e))
 
 
 def monoid_contains(generators, n: int) -> bool:

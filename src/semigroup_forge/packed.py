@@ -9,20 +9,30 @@ packed family a complete set of class representatives on which both
 minima can be read off, and each class can then be searched separately
 for the full minimizing set.
 
-The family is walked once, by `_leaves`, as bare (min_gens, table)
-pairs.  Only `enumerate_packed` and the class walk wrap every node they
-reach into a value; the searches rank the bare leaves through
-`_minimizers` and wrap only the members they return.  Every value is
-made by `core._from_table`, which reads F and g off the node's table.
+The family is walked by one walk, `_leaves`, as bare (min_gens, table)
+pairs.  `enumerate_packed` takes every leaf and wraps it into a value.
+The searches go through `_minimizers`, which runs the same walk as a
+branch-and-bound on the sum (genus) or the maximum (Frobenius number)
+of the tables: a prefix whose bound exceeds the best key so far is cut,
+and a leaf's `relax` stops as soon as the leaf loses.  They wrap only
+the members they return.  The class walk wraps every son.  Every value
+is made by `core._from_table`, which reads F and g off the node's table.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import comb, gcd
 from typing import Iterator
 
 from ._backend import SENTINEL, relax, residue_table
-from .core import NumericalSemigroup, _from_table, make_semigroup, require_family
+from .core import (
+    NumericalSemigroup,
+    _from_table,
+    _least_levels,
+    interval_apery,
+    make_semigroup,
+    require_family,
+)
 from .errors import Degenerate, InvalidGenerator, NotPacked
 
 __all__ = [
@@ -50,7 +60,14 @@ class PackedFamily:
         return iter(self.members)
 
 
-def _leaves(m: int, e: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+# A prefix runs its suffix sweep, one relax per residue above it, only when
+# it has at least this many times as many leaves below it.  Without the rule
+# the sweeps cost up to 16 times a full scan at large e, where most prefixes
+# lead to one or two leaves; 4, 8 and 16 measured alike.
+_SWEEP_PAYS = 8
+
+
+def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     """Each packed member at (m, e) as (min_gens, table), in family order.
 
     Each one is determined by the e-1 nonzero residues of its larger
@@ -61,6 +78,22 @@ def _leaves(m: int, e: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     an explicit stack: each step copies the prefix's least-element table
     and adjoins one generator by `relax`, and the gcd filter runs before
     the last step.  Every yielded table is a fresh list the caller owns.
+
+    With a `key` (`sum` or `max`) the walk is a branch-and-bound for the
+    least key, and yields only the leaves whose key is at most the least
+    one met so far, starting from the interval semigroup's, so every
+    member attaining the minimum comes out, in family order, after any
+    worse ones that were yielded.
+    - Each interior prefix bounds its children by one suffix sweep: U_a,
+      its table relaxed with m+r for every r >= a, lies pointwise below
+      every leaf under child a.  Built from r = m-1 downwards, one
+      `relax` per r, it bounds the key below child a, and the bound does
+      not decrease as a grows; the first child whose bound exceeds the
+      incumbent ends the sibling loop.  Only the bounds are kept, and
+      only prefixes with enough leaves below them sweep (`_SWEEP_PAYS`).
+    - At a leaf, `relax` stops at the first entry above a cap past which
+      the key exceeds the incumbent (`_bound_and_slack`).
+    Pruning is strict, so ties survive.
     """
     require_family(m, e)
     top = m - e + 1  # the largest first residue; position j goes up to top + j
@@ -68,16 +101,40 @@ def _leaves(m: int, e: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     gens = [m]  # m and one generator per residue chosen so far
     tables = [w]  # tables[j]: table of gens[:j + 1]
     gcds = [m]
+    best = cap = SENTINEL
+    if key is not None:
+        bound, slack = _bound_and_slack(m, e, key)
+        best = key(interval_apery(m, e).entries)
+        cap = best - slack
+
+        def bounds_of(w: list[int], first: int, j: int, lb: int) -> list[int]:
+            # A prefix with too few leaves, C(m-first, e-1-j), gives each
+            # child `lb`, the bound on the prefix itself.
+            n = m - first
+            if comb(n, e - 1 - j) < _SWEEP_PAYS * n:
+                return [lb] * (top + j - first + 1)
+            return _child_bounds(w, m, first, top + j, bound)
+
+        # bounds[j]: the bounds of the unvisited children of prefix j,
+        # the next child's last; only prefixes with interior children.
+        bounds = [bounds_of(w, 1, 0, 0)] if e > 2 else []
     a = 1
     while True:
         j = len(gens) - 1
         if j == e - 2:
+            t, g = tables[j], gcds[j]
             for r in range(a, m):
-                if gcd(gcds[j], r) == 1:
-                    w = tables[j].copy()
-                    relax(w, m, m + r)
+                if gcd(g, r) == 1:
+                    w = t.copy()
+                    if not relax(w, m, m + r, cap):
+                        continue
+                    if key is not None:
+                        k = key(w)
+                        if k > best:
+                            continue
+                        best, cap = k, k - slack
                     yield (*gens, m + r), w
-        elif a <= top + j:
+        elif a <= top + j and (key is None or (lb := bounds[j].pop()) <= best):
             # The last value at a position leaves no sibling to need the
             # prefix's table again, so it is relaxed in place.
             w = tables[j] if a == top + j else tables[j].copy()
@@ -86,12 +143,50 @@ def _leaves(m: int, e: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
             gcds.append(gcd(gcds[j], a))
             gens.append(m + a)
             a += 1
+            if key is not None and j + 1 < e - 2:
+                bounds.append(bounds_of(w, a, j + 1, lb))
             continue
         if j == 0:
             return
+        if key is not None and j < e - 2:
+            bounds.pop()
         a = gens.pop() - m + 1
         tables.pop()
         gcds.pop()
+
+
+def _child_bounds(w: list[int], m: int, first: int, last: int, bound) -> list[int]:
+    """bound(U_a) for a = last down to first, U_a being `w` relaxed with m+r, r >= a."""
+    u = w.copy()
+    out = []
+    for r in range(m - 1, first - 1, -1):
+        relax(u, m, m + r)
+        if r <= last:
+            out.append(bound(u))
+    return out
+
+
+def _bound_and_slack(m: int, e: int, key):
+    """How `_leaves` bounds a search by `key`: a bound on U_a, and the slack.
+
+    A leaf entry above the incumbent less the slack makes the leaf's key
+    exceed the incumbent.  For `max` the bound is the key itself and the
+    slack 0.  For `sum` both use the level count of
+    `core.genus_lower_bound`.  Entry i of a table is i plus m times its
+    level, and the t-th least level of a leaf is at least that of U_a and
+    at least the t-th of `_least_levels`, which lifts the bound.  The
+    slack is the least sum of m-2 nonzero entries.
+    """
+    if key is not sum:
+        return key, 0
+    levels = [0, *_least_levels(m, e)]  # entry 0 sits at level 0
+    half = m * (m - 1) // 2
+    level_of = m.__rfloordiv__
+
+    def bound(u: list[int]) -> int:
+        return m * sum(map(max, levels, map(level_of, sorted(u)))) + half
+
+    return bound, m * sum(levels[:-1]) + (m - 2) * (m - 1) // 2
 
 
 def enumerate_packed(m: int, e: int) -> PackedFamily:
@@ -109,15 +204,17 @@ def _minimizers(m: int, e: int, key) -> tuple[NumericalSemigroup, ...]:
     """Packed members at (m, e) with the least `key` of their table, in order.
 
     `sum` ranks by genus and `max` by Frobenius number, since g and F are
-    increasing functions of them.  The family is scanned as bare leaves;
-    only the members attaining the minimum are wrapped into values.
+    increasing functions of them.  The family is searched by the
+    branch-and-bound of `_leaves`, whose leaves come no worse than the
+    best before them; only the members attaining the minimum are wrapped
+    into values.
     """
     best, hits = None, []
-    for gens, w in _leaves(m, e):
+    for gens, w in _leaves(m, e, key):
         k = key(w)
         if best is None or k < best:
             best, hits = k, [(gens, w)]
-        elif k == best:
+        else:
             hits.append((gens, w))
     return tuple(_from_table(m, gens, w) for gens, w in hits)
 

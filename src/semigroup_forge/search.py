@@ -101,8 +101,9 @@ def min_genus_packed(m: int, e: int) -> SearchOutcome:
 
     Packing never raises genus and is strict on unpacked input, so the
     packed members attaining the family minimum are all the minimizers.
-    Genus is ranked on the bare leaves' tables; only those members are
-    built as values, in family order.
+    Genus is ranked on the bare leaves' tables by the branch-and-bound of
+    `packed._minimizers`; only those members are built as values, in
+    family order.
     """
     hits = _minimizers(m, e, sum)
     best = hits[0].genus
@@ -165,7 +166,7 @@ def min_frobenius_full_set(m: int, e: int) -> SearchOutcome:
     inside the classes of the packed members attaining the minimum.
     The classes are disjoint, so their members are simply concatenated.
     Only the minimizing packed members are built as values; the rest of
-    the family is ranked on its bare tables.
+    the family is pruned or ranked on its bare tables.
     """
     heads = _minimizers(m, e, max)
     best = heads[0].frobenius

@@ -188,15 +188,19 @@ class TestGoldenOutputs:
 
 
 def count_packed_enumerations(monkeypatch) -> list:
-    """Record every walk of the packed family's leaves, whoever starts it."""
+    """Record every walk of the packed family's leaves, whoever starts it.
+
+    `enumerate_packed` walks the whole family and the searches the
+    branch-and-bound, both through `packed._leaves`; a bound is no new walk.
+    """
     import semigroup_forge.packed as packed
 
     leaves = packed._leaves
     calls = []
 
-    def counted(m, e):
+    def counted(m, e, key=None):
         calls.append((m, e))
-        return leaves(m, e)
+        return leaves(m, e, key)
 
     monkeypatch.setattr(packed, "_leaves", counted)
     return calls

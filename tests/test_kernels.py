@@ -72,3 +72,21 @@ def test_minimal_residues_match_monoid_reference(monoid):
     w = _backend.residue_table(m, gens)
     want = [x % m for x in sorted(gens) if x != m and not monoid_contains(gens - {x}, x)]
     assert _backend.minimal_residues(m, w, gens) == want
+
+
+@PROPERTY
+@given(monoids, st.integers(1, 40), st.integers(0, 400))
+@example((7, {7, 9}), 10, 30)
+@example((6, {6, 9}), 8, 20)
+@example((5, {5}), 10, 0)
+def test_capped_relax_stops_only_past_the_cap(monoid, g, cap):
+    # A stopped sweep means the finished table has an entry above the
+    # cap; a finished one leaves the uncapped table.
+    m, gens = monoid
+    full = _backend.residue_table(m, gens)
+    capped = full.copy()
+    assert _backend.relax(full, m, g) is True
+    if _backend.relax(capped, m, g, cap):
+        assert capped == full
+    else:
+        assert max(full) > cap

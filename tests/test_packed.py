@@ -1,9 +1,14 @@
 """Packed families, the packing map, and class-tree search."""
 import random
+from itertools import combinations
 from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from semigroup_forge import packed
+from semigroup_forge._backend import residue_table
 from semigroup_forge.core import make_semigroup, monoid_contains
 from semigroup_forge.errors import (
     BadDimension,
@@ -14,6 +19,9 @@ from semigroup_forge.errors import (
 )
 from semigroup_forge.multiplicity_tree import bfs_levels, root
 from semigroup_forge.packed import (
+    _bound_and_slack,
+    _child_bounds,
+    _minimizers,
     class_min_frobenius,
     class_sons,
     enumerate_packed,
@@ -118,6 +126,65 @@ class TestEnumeratePacked:
             enumerate_packed(3, 4)
         with pytest.raises(BadDimension):
             enumerate_packed(5, 1)
+
+
+class TestBranchAndBound:
+    """`_minimizers` prunes the family walk; it must keep the full scan's answer."""
+
+    @pytest.mark.parametrize("key", [sum, max], ids=["genus", "frobenius"])
+    def test_matches_the_full_family(self, key):
+        attr = "genus" if key is sum else "frobenius"
+        for m in range(2, 15):
+            for e in range(2, m + 1):
+                family = enumerate_packed(m, e).members
+                best = min(getattr(S, attr) for S in family)
+                want = [fields(S) for S in family if getattr(S, attr) == best]
+                assert [fields(S) for S in _minimizers(m, e, key)] == want, (m, e)
+
+    @pytest.mark.parametrize("key", [sum, max], ids=["genus", "frobenius"])
+    def test_prunes_most_of_the_family(self, key, monkeypatch):
+        # A full scan relaxes at least once per leaf, of C(23, 7) = 245,157,
+        # and finishes every sweep; most leaves reached lose early.
+        relax = packed.relax
+        finished = []
+
+        def counted(*args):
+            done = relax(*args)
+            finished.append(done)
+            return done
+
+        monkeypatch.setattr(packed, "relax", counted)
+        assert len(_minimizers(24, 8, key)) == 52
+        assert len(finished) < comb(23, 7) // 20
+        assert finished.count(False) > len(finished) // 2
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.data())
+    def test_prefix_bounds_stay_below_their_leaves(self, data):
+        m = data.draw(st.integers(3, 11), label="m")
+        e = data.draw(st.integers(2, m), label="e")
+        j = data.draw(st.integers(0, e - 2), label="prefix length")
+        prefix = sorted(data.draw(st.sets(st.integers(1, m - 1), min_size=j, max_size=j)))
+        first = prefix[-1] + 1 if prefix else 1
+        table = residue_table(m, [m + r for r in prefix])
+        for key in (sum, max):
+            bound, slack = _bound_and_slack(m, e, key)
+            # Listed for a = m-1 down to first, so reversed they run upwards.
+            bounds = _child_bounds(table, m, first, m - 1, bound)[::-1]
+            assert bounds == sorted(bounds)
+            for a, b in zip(range(first, m), bounds):
+                for rest in combinations(range(a + 1, m), e - 2 - j):
+                    residues = (*prefix, a, *rest)
+                    if gcd(m, *residues) != 1:
+                        continue
+                    leaf = residue_table(m, [m + r for r in residues])
+                    assert b <= key(leaf), (residues, key)
+                    if key is sum:
+                        # The other nonzero entries add at least the slack,
+                        # so a leaf entry above best - slack loses.
+                        assert sum(leaf) - max(leaf) >= slack, residues
+                    else:
+                        assert slack == 0
 
 
 class TestIsPacked:

@@ -1,11 +1,13 @@
 """Minimization procedures, route agreement, and the Wilf audit."""
 import json
 from itertools import islice
+from math import comb
 from pathlib import Path
 
 import pytest
 
 from semigroup_forge.core import (
+    genus_lower_bound,
     interval_apery,
     interval_frobenius,
     interval_genus,
@@ -309,14 +311,46 @@ class TestUpperBounds:
     def test_exact_minima_stay_below_bounds(self):
         # Exact minima wherever the packed family is small enough to
         # enumerate outright.
-        from math import comb
-
         for m in range(2, 31):
             for e in range(2, m + 1):
                 if comb(m - 1, e - 1) > 3000:
                     continue
                 assert min_genus_packed(m, e).value <= interval_genus(m, e)
                 assert min_frobenius_value_packed(m, e) <= interval_frobenius(m, e)
+
+
+class TestGenusLowerBound:
+    def test_below_every_packed_minimum(self):
+        for m in range(2, 19):
+            for e in range(2, m + 1):
+                if comb(m - 1, e - 1) <= 50_000:
+                    assert genus_lower_bound(m, e) <= min_genus_packed(m, e).value, (m, e)
+
+    # Equal on most cells; 1-3 below on the others, such as (6,3) and (16,3).
+    PINNED = {
+        (6, 3): (8, 9),
+        (16, 3): (45, 48),
+        (8, 3): (14, 14),
+        (12, 5): (18, 18),
+        (18, 9): (26, 26),
+    }
+
+    @pytest.mark.parametrize("cell", sorted(PINNED), ids=_cell_id)
+    def test_pinned_cells(self, cell):
+        assert (genus_lower_bound(*cell), min_genus_packed(*cell).value) == self.PINNED[cell]
+
+    @pytest.mark.parametrize("m", [3, 7, 12])
+    def test_edge_rows(self, m):
+        # e = m: the root alone, every member of [m, 2m-1] a generator.
+        top = min_genus_packed(m, m)
+        assert genus_lower_bound(m, m) == top.value == m - 1
+        assert min_frobenius_value_packed(m, m) == m - 1
+        assert top.minimizers == min_frobenius_full_set(m, m).minimizers == (root(m),)
+        # e = 2: <m, m+1> is the one minimizer of both.
+        genus, frobenius = min_genus_packed(m, 2), min_frobenius_full_set(m, 2)
+        assert genus_lower_bound(m, 2) == genus.value == m * (m - 1) // 2
+        assert frobenius.value == m * m - m - 1
+        assert genus.minimizers == frobenius.minimizers == (mk(m, m + 1),)
 
 
 class TestWilfAudit:
