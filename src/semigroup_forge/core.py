@@ -2,9 +2,9 @@
 
 A numerical semigroup is a subset of the non-negative integers that
 contains 0, is closed under addition, and has finite complement.  The
-value type here stores the minimal generating set, the Apery table,
-the Frobenius number and the genus; multiplicity, embedding dimension
-and the Apery coefficients are read off them.  Construction goes through
+value type here stores the minimal generating set and the Apery table;
+multiplicity, embedding dimension, Frobenius number, genus and the Apery
+coefficients are read off them.  Construction goes through
 `make_semigroup`; all values are immutable and hashable.
 
 The closed formulas for interval-generated semigroups (generators
@@ -65,24 +65,32 @@ class AperyTable:
 
 @dataclass(frozen=True, order=True, repr=False)
 class NumericalSemigroup:
-    """A numerical semigroup: minimal generators, Apery table, F and g.
+    """A numerical semigroup: minimal generators and Apery table.
 
     Identity, hashing, and ordering all go through `min_gens`, which is
     canonical (strictly increasing, minimal).  Multiplicity, embedding
-    dimension and largest generator are read off `min_gens`.  F and g
-    are stored although the Apery table determines them: reading them
-    off it costs O(m), and callers read them on every member they list.
-    Membership testing is `n in S`; it reads the Apery table.
+    dimension and largest generator are read off `min_gens`; F and g
+    off the Apery table by Selmer's formulas, each in O(m).  Membership
+    testing is `n in S`; it reads the Apery table.
     """
 
     min_gens: tuple[int, ...]
     apery: AperyTable = field(compare=False)
-    frobenius: int = field(compare=False)
-    genus: int = field(compare=False)
 
     @property
     def multiplicity(self) -> int:
         return self.min_gens[0]
+
+    @property
+    def frobenius(self) -> int:
+        """max(Ap) - m: entry i is i plus m per gap in its class."""
+        return max(self.apery.entries) - self.multiplicity
+
+    @property
+    def genus(self) -> int:
+        """(sum(Ap) - m(m-1)/2) / m, the gap count over all classes."""
+        m = self.multiplicity
+        return (sum(self.apery.entries) - m * (m - 1) // 2) // m
 
     @property
     def embedding_dim(self) -> int:
@@ -140,18 +148,8 @@ def make_semigroup(generators) -> NumericalSemigroup:
 
 
 def _from_table(m: int, gens: tuple, entries) -> NumericalSemigroup:
-    """Value with minimal generators `gens` and least-element table `entries`.
-
-    Entry i is i plus m per gap in its class, so F = max - m and
-    g = (sum - m(m-1)/2) / m.
-    """
-    entries = tuple(entries)
-    return NumericalSemigroup(
-        min_gens=gens,
-        apery=AperyTable(modulus=m, entries=entries),
-        frobenius=max(entries) - m,
-        genus=(sum(entries) - m * (m - 1) // 2) // m,
-    )
+    """Value with minimal generators `gens` and least-element table `entries`."""
+    return NumericalSemigroup(gens, AperyTable(m, tuple(entries)))
 
 
 def apery_set(S: NumericalSemigroup, n: int) -> AperyTable:
@@ -208,23 +206,11 @@ def require_family(m: int, e: int) -> None:
 def interval_apery(m: int, e: int) -> AperyTable:
     """Apery table of the interval semigroup with generators m..m+e-1.
 
-    Built blockwise, no search: writing m-1 = q(e-1)+r, the nonzero
-    entries are q full blocks of e-1 consecutive values plus a partial
-    block of r values, block t sitting just above t*m.
+    Closed form, no search: the nonzero residues fall in blocks of e-1,
+    and residue i of block t = ceil(i/(e-1)) first appears at t*m + i.
     """
     require_family(m, e)
-    q, r = divmod(m - 1, e - 1)
-    entries = [0] * m
-    for t in range(1, q + 1):
-        base = t * m + (t - 1) * (e - 1)
-        for j in range(1, e):
-            x = base + j
-            entries[x % m] = x
-    base = (q + 1) * m + q * (e - 1)
-    for j in range(1, r + 1):
-        x = base + j
-        entries[x % m] = x
-    return AperyTable(modulus=m, entries=tuple(entries))
+    return AperyTable(modulus=m, entries=tuple(m * -(-i // (e - 1)) + i for i in range(m)))
 
 
 def interval_genus(m: int, e: int) -> int:

@@ -8,8 +8,10 @@ breadth-first therefore enumerates by increasing genus.
 
 The walks run on bare nodes, plain triples (min_gens, Apery entries, F)
 of one tree; the multiplicity is the tree's and the genus is (m-1) plus
-the level.  `root`, `sons` and `bfs_levels` wrap bare nodes into
-`NumericalSemigroup` values, and the searches wrap only what they return.
+the level, so no walk counts it.  `root`, `sons` and `bfs_levels` wrap
+bare nodes into `NumericalSemigroup` values by `core._from_table`; a value
+keeps only its generators and table, reads F and g off the table, and the
+oracle checks those reads.  The searches wrap only what they return.
 No walk calls `make_semigroup`, the class walk of `packed` included, and
 no tree walk calls a kernel.
 """
@@ -19,7 +21,7 @@ from typing import Iterator
 
 # `make_semigroup` is bound only because the benchmark's tracer self-test
 # checks it.
-from .core import AperyTable, NumericalSemigroup, make_semigroup  # noqa: F401
+from .core import NumericalSemigroup, _from_table, make_semigroup  # noqa: F401
 from .errors import EmptyInput
 
 __all__ = ["root", "sons", "bfs_levels"]
@@ -36,16 +38,6 @@ def _root_node(m: int) -> tuple:
         raise EmptyInput("at least one generator is required")
     entries = (0, *range(m + 1, 2 * m))
     return tuple(range(m, 2 * m)), entries, max(entries) - m
-
-
-def _value(m: int, node: tuple, genus: int) -> NumericalSemigroup:
-    gens, entries, frobenius = node
-    return NumericalSemigroup(
-        min_gens=gens,
-        apery=AperyTable(modulus=m, entries=entries),
-        frobenius=frobenius,
-        genus=genus,
-    )
 
 
 def _sons(m: int, node: tuple, bound: int | None = None) -> list[tuple]:
@@ -102,7 +94,8 @@ def _levels(m: int) -> Iterator[list[tuple]]:
 
 def root(m: int) -> NumericalSemigroup:
     """Largest multiplicity-m semigroup: 0 plus everything from m up."""
-    return _value(m, _root_node(m), m - 1)
+    gens, entries, _ = _root_node(m)
+    return _from_table(m, gens, entries)
 
 
 def sons(S: NumericalSemigroup, bound: int | None = None) -> tuple[NumericalSemigroup, ...]:
@@ -113,9 +106,8 @@ def sons(S: NumericalSemigroup, bound: int | None = None) -> tuple[NumericalSemi
     <= bound are built.
     """
     m = S.multiplicity
-    genus = S.genus + 1
     node = (S.min_gens, S.apery.entries, S.frobenius)
-    return tuple(_value(m, T, genus) for T in _sons(m, node, bound))
+    return tuple(_from_table(m, gens, w) for gens, w, _ in _sons(m, node, bound))
 
 
 def bfs_levels(m: int) -> Iterator[tuple[NumericalSemigroup, ...]]:
@@ -124,6 +116,6 @@ def bfs_levels(m: int) -> Iterator[tuple[NumericalSemigroup, ...]]:
     Level k is the sorted tuple of all multiplicity-m semigroups of genus
     (m-1)+k.  Two levels are alive while the next one is built.
     """
-    for k, level in enumerate(_levels(m)):
+    for level in _levels(m):
         # Bare nodes order by their distinct min_gens, as values do.
-        yield tuple(_value(m, T, (m - 1) + k) for T in sorted(level))
+        yield tuple(_from_table(m, gens, w) for gens, w, _ in sorted(level))

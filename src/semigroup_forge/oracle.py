@@ -6,8 +6,11 @@ rules.  The sieve recomputes Frobenius number and genus by plain
 reachability, closing a big-integer bit table under each generator by
 shift-ORs, and the enumerator rebuilds the population of semigroups with
 given multiplicity and bounded genus by gap-set backtracking.  Neither
-shares code with the fast paths it checks.  The enumerator is exhaustive
-and stays at desk scale; the sieve stops at `BOUND_CAP` entries.
+shares code with the fast paths it checks.  A value reads F and g off its
+Apery table, so the enumerator checks each value it builds: the reads
+must equal the last gap and the gap count of its window, or it raises.
+The enumerator is exhaustive and stays at desk scale; the sieve stops at
+`BOUND_CAP` entries.
 """
 from __future__ import annotations
 
@@ -127,12 +130,13 @@ def _finish(member: bytearray, m: int, horizon: int, gap_count: int) -> Numerica
         if any(full[a] and full[x - a] for a in range(m, x - m + 1)):
             continue
         msg.append(x)
-    return NumericalSemigroup(
-        min_gens=tuple(msg),
-        apery=AperyTable(modulus=m, entries=tuple(entries)),
-        frobenius=frobenius,
-        genus=gap_count,
-    )
+    S = NumericalSemigroup(tuple(msg), AperyTable(m, tuple(entries)))
+    if (S.frobenius, S.genus) != (frobenius, gap_count):
+        raise AssertionError(
+            f"{S!r} reads F={S.frobenius}, g={S.genus} off its table; "
+            f"its window has F={frobenius}, g={gap_count}"
+        )
+    return S
 
 
 def enumerate_by_genus(m: int, genus_bound: int) -> frozenset[NumericalSemigroup]:

@@ -16,7 +16,9 @@ branch-and-bound on the sum (genus) or the maximum (Frobenius number)
 of the tables: a prefix whose bound exceeds the best key so far is cut,
 and a leaf's `relax` stops as soon as the leaf loses.  They wrap only
 the members they return.  The class walk wraps every son.  Every value
-is made by `core._from_table`, which reads F and g off the node's table.
+is made by `core._from_table` and keeps only its generators and table; F
+and g are read off the table on demand, and the oracle's enumerator
+checks those reads against brute-force gap counts.
 """
 from __future__ import annotations
 
@@ -193,7 +195,7 @@ def enumerate_packed(m: int, e: int) -> PackedFamily:
     """Every packed semigroup with multiplicity m and embedding dimension e.
 
     The members of `_leaves`, sorted by minimal generators, each wrapped
-    into a value with F and g read off its table.  Searches that keep
+    into a value by `core._from_table`.  Searches that keep
     only a few members go through `_minimizers` instead.
     """
     members = tuple(_from_table(m, gens, w) for gens, w in _leaves(m, e))

@@ -18,11 +18,12 @@ from dataclasses import dataclass
 from .core import (
     Existence,
     NumericalSemigroup,
+    _from_table,
     existence,
     interval_frobenius,
     interval_genus,
 )
-from .multiplicity_tree import _levels, _root_node, _sons, _value
+from .multiplicity_tree import _levels, _root_node, _sons
 # `sons` is bound only because the benchmark's tracer self-test checks it.
 from .multiplicity_tree import sons  # noqa: F401
 from .packed import _minimizers, class_min_frobenius
@@ -82,13 +83,12 @@ def min_genus(m: int, e: int, stats: dict | None = None) -> SearchOutcome:
         if hits:
             if stats is not None:
                 stats["nodes"] = visited
-            genus = (m - 1) + k
             return SearchOutcome(
                 kind="genus",
                 m=m,
                 e=e,
-                value=genus,
-                minimizers=tuple(_value(m, T, genus) for T in hits),
+                value=(m - 1) + k,
+                minimizers=tuple(_from_table(m, gens, w) for gens, w, _ in hits),
                 level=k,
             )
         if k == last_level:
@@ -127,8 +127,7 @@ def min_frobenius(m: int, e: int, stats: dict | None = None) -> SearchOutcome:
     value and shrinks as dimension-e nodes appear.
     """
     alpha = interval_frobenius(m, e)
-    genus = m - 1
-    # (node, genus) pairs; only these are wrapped into values at the end.
+    # Bare nodes; only these are wrapped into values at the end.
     best: list = []
     level = [_root_node(m)]
     visited = 0
@@ -137,10 +136,8 @@ def min_frobenius(m: int, e: int, stats: dict | None = None) -> SearchOutcome:
         hits = [T for T in level if len(T[0]) == e]
         if hits:
             alpha = min(alpha, min(T[2] for T in hits))
-            best = [b for b in best if b[0][2] == alpha]
-            best += [(T, genus) for T in hits if T[2] == alpha]
+            best = [T for T in best + hits if T[2] == alpha]
         level = [T for S in level for T in _sons(m, S, alpha) if len(T[0]) >= e]
-        genus += 1
     if stats is not None:
         stats["nodes"] = visited
     assert best, "a minimizer always survives the pruning"
@@ -149,7 +146,7 @@ def min_frobenius(m: int, e: int, stats: dict | None = None) -> SearchOutcome:
         m=m,
         e=e,
         value=alpha,
-        minimizers=tuple(_value(m, T, g) for T, g in sorted(best)),
+        minimizers=tuple(_from_table(m, gens, w) for gens, w, _ in sorted(best)),
     )
 
 
