@@ -252,7 +252,7 @@ def _cmd_min_genus(ns) -> _Report:
     else:
         stats: dict = {}
         outcome = min_genus(ns.m, ns.e, stats=stats)
-        value, level_index = outcome.value, outcome.level
+        value, level_index = outcome.value, outcome.value - (ns.m - 1)
         minimizers, nodes = list(outcome.minimizers), stats["nodes"]
 
     def route():
@@ -380,7 +380,7 @@ def _cmd_info(ns) -> _Report:
         "max_gen": S.max_gen,
         "frobenius": S.frobenius,
         "genus": S.genus,
-        "apery": {"modulus": S.apery.modulus, "entries": list(S.apery.entries)},
+        "apery": {"modulus": S.multiplicity, "entries": list(S.entries)},
     }
     lines = [
         f"semigroup {S!r}",
@@ -390,8 +390,7 @@ def _cmd_info(ns) -> _Report:
         f"max_gen: {S.max_gen}",
         f"frobenius: {S.frobenius}",
         f"genus: {S.genus}",
-        f"apery mod {S.apery.modulus}: "
-        + ",".join(str(w) for w in S.apery.entries),
+        f"apery mod {S.multiplicity}: " + ",".join(str(w) for w in S.entries),
     ]
     return _Report(result, lines, [S])
 

@@ -2,10 +2,12 @@
 
 A numerical semigroup is a subset of the non-negative integers that
 contains 0, is closed under addition, and has finite complement.  The
-value type here stores the minimal generating set and the Apery table;
-multiplicity, embedding dimension, Frobenius number, genus and the Apery
-coefficients are read off them.  Construction goes through
-`make_semigroup`; all values are immutable and hashable.
+value type here stores the minimal generating set and the least-element
+(Apery) table of its multiplicity, nothing else; multiplicity, embedding
+dimension, Frobenius number, genus and the `AperyTable` view are read off
+them.  Construction from generators goes through `make_semigroup`; the
+walks, which already hold each node's table, call the class directly.
+All values are immutable and hashable.
 
 The closed formulas for interval-generated semigroups (generators
 m, m+1, ..., m+e-1) live here too, since they double as search bounds,
@@ -65,17 +67,24 @@ class AperyTable:
 
 @dataclass(frozen=True, order=True, repr=False)
 class NumericalSemigroup:
-    """A numerical semigroup: minimal generators and Apery table.
+    """A numerical semigroup: minimal generators and least-element table.
 
+    `entries[i]` is the least member congruent to i modulo the
+    multiplicity `min_gens[0]`; the caller passes both, as a tuple each.
     Identity, hashing, and ordering all go through `min_gens`, which is
     canonical (strictly increasing, minimal).  Multiplicity, embedding
     dimension and largest generator are read off `min_gens`; F and g
-    off the Apery table by Selmer's formulas, each in O(m).  Membership
-    testing is `n in S`; it reads the Apery table.
+    off `entries` by Selmer's formulas, each in O(m).  Membership
+    testing is `n in S`; it reads `entries`.  `apery` wraps the table
+    with its modulus as an `AperyTable`, built on each read.
     """
 
     min_gens: tuple[int, ...]
-    apery: AperyTable = field(compare=False)
+    entries: tuple[int, ...] = field(compare=False)
+
+    @property
+    def apery(self) -> AperyTable:
+        return AperyTable(self.min_gens[0], self.entries)
 
     @property
     def multiplicity(self) -> int:
@@ -84,13 +93,13 @@ class NumericalSemigroup:
     @property
     def frobenius(self) -> int:
         """max(Ap) - m: entry i is i plus m per gap in its class."""
-        return max(self.apery.entries) - self.multiplicity
+        return max(self.entries) - self.min_gens[0]
 
     @property
     def genus(self) -> int:
         """(sum(Ap) - m(m-1)/2) / m, the gap count over all classes."""
-        m = self.multiplicity
-        return (sum(self.apery.entries) - m * (m - 1) // 2) // m
+        m = self.min_gens[0]
+        return (sum(self.entries) - m * (m - 1) // 2) // m
 
     @property
     def embedding_dim(self) -> int:
@@ -103,7 +112,7 @@ class NumericalSemigroup:
     def __contains__(self, n: int) -> bool:
         if n < 0:
             return False
-        return n >= self.apery.entries[n % self.multiplicity]
+        return n >= self.entries[n % self.min_gens[0]]
 
     def __repr__(self) -> str:
         return "⟨" + ",".join(str(g) for g in self.min_gens) + "⟩"
@@ -144,12 +153,7 @@ def make_semigroup(generators) -> NumericalSemigroup:
         raise NotNumerical(f"gcd of generators is {g}, not 1")
     m = gens[0]
     w = residue_table(m, gens)
-    return _from_table(m, (m, *(w[i] for i in minimal_residues(m, w, gens))), w)
-
-
-def _from_table(m: int, gens: tuple, entries) -> NumericalSemigroup:
-    """Value with minimal generators `gens` and least-element table `entries`."""
-    return NumericalSemigroup(gens, AperyTable(m, tuple(entries)))
+    return NumericalSemigroup((m, *(w[i] for i in minimal_residues(m, w, gens))), tuple(w))
 
 
 def apery_set(S: NumericalSemigroup, n: int) -> AperyTable:

@@ -9,9 +9,10 @@ breadth-first therefore enumerates by increasing genus.
 The walks run on bare nodes, plain triples (min_gens, Apery entries, F)
 of one tree; the multiplicity is the tree's and the genus is (m-1) plus
 the level, so no walk counts it.  `root`, `sons` and `bfs_levels` wrap
-bare nodes into `NumericalSemigroup` values by `core._from_table`; a value
-keeps only its generators and table, reads F and g off the table, and the
-oracle checks those reads.  The searches wrap only what they return.
+bare nodes into values by `NumericalSemigroup(min_gens, entries)`, passing
+the node's own tuples; a value keeps only those two, reads F and g off the
+table, and the oracle checks those reads.  The searches wrap only what
+they return.
 No walk calls `make_semigroup`, the class walk of `packed` included, and
 no tree walk calls a kernel.
 """
@@ -21,7 +22,7 @@ from typing import Iterator
 
 # `make_semigroup` is bound only because the benchmark's tracer self-test
 # checks it.
-from .core import NumericalSemigroup, _from_table, make_semigroup  # noqa: F401
+from .core import NumericalSemigroup, make_semigroup  # noqa: F401
 from .errors import EmptyInput
 
 __all__ = ["root", "sons", "bfs_levels"]
@@ -95,7 +96,7 @@ def _levels(m: int) -> Iterator[list[tuple]]:
 def root(m: int) -> NumericalSemigroup:
     """Largest multiplicity-m semigroup: 0 plus everything from m up."""
     gens, entries, _ = _root_node(m)
-    return _from_table(m, gens, entries)
+    return NumericalSemigroup(gens, entries)
 
 
 def sons(S: NumericalSemigroup, bound: int | None = None) -> tuple[NumericalSemigroup, ...]:
@@ -106,8 +107,8 @@ def sons(S: NumericalSemigroup, bound: int | None = None) -> tuple[NumericalSemi
     <= bound are built.
     """
     m = S.multiplicity
-    node = (S.min_gens, S.apery.entries, S.frobenius)
-    return tuple(_from_table(m, gens, w) for gens, w, _ in _sons(m, node, bound))
+    node = (S.min_gens, S.entries, S.frobenius)
+    return tuple(NumericalSemigroup(gens, w) for gens, w, _ in _sons(m, node, bound))
 
 
 def bfs_levels(m: int) -> Iterator[tuple[NumericalSemigroup, ...]]:
@@ -118,4 +119,4 @@ def bfs_levels(m: int) -> Iterator[tuple[NumericalSemigroup, ...]]:
     """
     for level in _levels(m):
         # Bare nodes order by their distinct min_gens, as values do.
-        yield tuple(_from_table(m, gens, w) for gens, w, _ in sorted(level))
+        yield tuple(NumericalSemigroup(gens, w) for gens, w, _ in sorted(level))

@@ -6,9 +6,10 @@ rules.  The sieve recomputes Frobenius number and genus by plain
 reachability, closing a big-integer bit table under each generator by
 shift-ORs, and the enumerator rebuilds the population of semigroups with
 given multiplicity and bounded genus by gap-set backtracking.  Neither
-shares code with the fast paths it checks.  A value reads F and g off its
-Apery table, so the enumerator checks each value it builds: the reads
-must equal the last gap and the gap count of its window, or it raises.
+shares code with the fast paths it checks.  A value is its minimal
+generators and least-element table and reads F and g off the table, so
+the enumerator checks each value it builds: the reads must equal the
+last gap and the gap count of its window, or it raises.
 The enumerator is exhaustive and stays at desk scale; the sieve stops at
 `BOUND_CAP` entries.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .core import AperyTable, NumericalSemigroup
+from .core import NumericalSemigroup
 from .errors import EmptyInput, InvalidGenerator, NotNumerical, Uncertified
 
 __all__ = ["SieveResult", "sieve", "enumerate_by_genus", "BOUND_CAP"]
@@ -130,7 +131,7 @@ def _finish(member: bytearray, m: int, horizon: int, gap_count: int) -> Numerica
         if any(full[a] and full[x - a] for a in range(m, x - m + 1)):
             continue
         msg.append(x)
-    S = NumericalSemigroup(tuple(msg), AperyTable(m, tuple(entries)))
+    S = NumericalSemigroup(tuple(msg), tuple(entries))
     if (S.frobenius, S.genus) != (frobenius, gap_count):
         raise AssertionError(
             f"{S!r} reads F={S.frobenius}, g={S.genus} off its table; "

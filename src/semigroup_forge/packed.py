@@ -16,9 +16,10 @@ branch-and-bound on the sum (genus) or the maximum (Frobenius number)
 of the tables: a prefix whose bound exceeds the best key so far is cut,
 and a leaf's `relax` stops as soon as the leaf loses.  They wrap only
 the members they return.  The class walk wraps every son.  Every value
-is made by `core._from_table` and keeps only its generators and table; F
-and g are read off the table on demand, and the oracle's enumerator
-checks those reads against brute-force gap counts.
+is made by `NumericalSemigroup(min_gens, tuple(table))`, since each walk
+owns its tables as lists, and keeps only its generators and table; F and
+g are read off the table on demand, and the oracle's enumerator checks
+those reads against brute-force gap counts.
 """
 from __future__ import annotations
 
@@ -29,7 +30,6 @@ from typing import Iterator
 from ._backend import SENTINEL, relax, residue_table
 from .core import (
     NumericalSemigroup,
-    _from_table,
     _least_levels,
     interval_apery,
     make_semigroup,
@@ -195,10 +195,10 @@ def enumerate_packed(m: int, e: int) -> PackedFamily:
     """Every packed semigroup with multiplicity m and embedding dimension e.
 
     The members of `_leaves`, sorted by minimal generators, each wrapped
-    into a value by `core._from_table`.  Searches that keep
-    only a few members go through `_minimizers` instead.
+    into a value.  Searches that keep only a few members go through
+    `_minimizers` instead.
     """
-    members = tuple(_from_table(m, gens, w) for gens, w in _leaves(m, e))
+    members = tuple(NumericalSemigroup(gens, tuple(w)) for gens, w in _leaves(m, e))
     return PackedFamily(m=m, e=e, members=members)
 
 
@@ -218,7 +218,7 @@ def _minimizers(m: int, e: int, key) -> tuple[NumericalSemigroup, ...]:
             best, hits = k, [(gens, w)]
         else:
             hits.append((gens, w))
-    return tuple(_from_table(m, gens, w) for gens, w in hits)
+    return tuple(NumericalSemigroup(gens, tuple(w)) for gens, w in hits)
 
 
 def is_packed(S: NumericalSemigroup) -> bool:
@@ -265,7 +265,7 @@ def class_sons(P: NumericalSemigroup) -> tuple[NumericalSemigroup, ...]:
         if m * lifted >= SENTINEL:
             raise InvalidGenerator(f"generator {lifted} exceeds the 62-bit kernel range")
         relax(w, m, lifted)
-        out.append(_from_table(m, (*rest, lifted), w))
+        out.append(NumericalSemigroup((*rest, lifted), tuple(w)))
     return tuple(out)
 
 

@@ -6,7 +6,8 @@ containing dimension-e members (minimal genus), or pruned by a shrinking
 Frobenius bound (minimal Frobenius).  The packed route reads the same
 minima off the tables of the finite packed family, builds values only
 for the members attaining them, and recovers the full Frobenius
-minimizer set by searching each minimizing packing class.  The routes
+minimizer set by searching each minimizing packing class.  Every route
+returns a `SearchOutcome`, the minimum and its minimizers.  The routes
 cross-check each other in the test suite.  Each route refuses (m, e)
 outside m >= e >= 2 through its first call, an interval formula or the
 packed leaf walk, both gated by `core.require_family`.
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from .core import (
     Existence,
     NumericalSemigroup,
-    _from_table,
     existence,
     interval_frobenius,
     interval_genus,
@@ -46,16 +46,12 @@ __all__ = [
 class SearchOutcome:
     """Result of one minimization: the value and everything attaining it.
 
-    `level` is set by genus searches only; it is the tree level where
-    the minimizers live, so value = (m-1) + level.
+    The caller knows what it asked for (genus or Frobenius number, at
+    which m and e); a genus minimum sits at tree level value - (m-1).
     """
 
-    kind: str
-    m: int
-    e: int
     value: int
     minimizers: tuple[NumericalSemigroup, ...]
-    level: int | None = None
 
 
 @dataclass(frozen=True)
@@ -84,12 +80,7 @@ def min_genus(m: int, e: int, stats: dict | None = None) -> SearchOutcome:
             if stats is not None:
                 stats["nodes"] = visited
             return SearchOutcome(
-                kind="genus",
-                m=m,
-                e=e,
-                value=(m - 1) + k,
-                minimizers=tuple(_from_table(m, gens, w) for gens, w, _ in hits),
-                level=k,
+                (m - 1) + k, tuple(NumericalSemigroup(gens, w) for gens, w, _ in hits)
             )
         if k == last_level:
             break
@@ -106,15 +97,7 @@ def min_genus_packed(m: int, e: int) -> SearchOutcome:
     family order.
     """
     hits = _minimizers(m, e, sum)
-    best = hits[0].genus
-    return SearchOutcome(
-        kind="genus",
-        m=m,
-        e=e,
-        value=best,
-        minimizers=hits,
-        level=best - (m - 1),
-    )
+    return SearchOutcome(hits[0].genus, hits)
 
 
 def min_frobenius(m: int, e: int, stats: dict | None = None) -> SearchOutcome:
@@ -142,11 +125,7 @@ def min_frobenius(m: int, e: int, stats: dict | None = None) -> SearchOutcome:
         stats["nodes"] = visited
     assert best, "a minimizer always survives the pruning"
     return SearchOutcome(
-        kind="frobenius",
-        m=m,
-        e=e,
-        value=alpha,
-        minimizers=tuple(_from_table(m, gens, w) for gens, w, _ in sorted(best)),
+        alpha, tuple(NumericalSemigroup(gens, w) for gens, w, _ in sorted(best))
     )
 
 
@@ -166,15 +145,8 @@ def min_frobenius_full_set(m: int, e: int) -> SearchOutcome:
     the family is pruned or ranked on its bare tables.
     """
     heads = _minimizers(m, e, max)
-    best = heads[0].frobenius
     collected = [T for S in heads for T in class_min_frobenius(S)]
-    return SearchOutcome(
-        kind="frobenius",
-        m=m,
-        e=e,
-        value=best,
-        minimizers=tuple(sorted(collected)),
-    )
+    return SearchOutcome(heads[0].frobenius, tuple(sorted(collected)))
 
 
 def wilf_audit(semigroups) -> tuple[WilfViolation, ...]:

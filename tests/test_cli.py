@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from semigroup_forge.cli import _verify_members, main
-from semigroup_forge.core import AperyTable, make_semigroup
+from semigroup_forge.core import make_semigroup
 
 
 def run_main(capsys, *args):
@@ -447,9 +447,7 @@ class TestVerify:
         # A record whose table is wrong must be flagged: the table of
         # <4,5,7> is (0, 5, 10, 7), and moving residue 3 to 11 makes the
         # derived Frobenius number 7 where the sieve finds 6.
-        broken = dataclasses.replace(
-            make_semigroup([4, 5, 7]), apery=AperyTable(4, (0, 5, 10, 11))
-        )
+        broken = dataclasses.replace(make_semigroup([4, 5, 7]), entries=(0, 5, 10, 11))
         status, failed = _verify_members([broken])
         assert failed
         assert status.startswith("failed")

@@ -145,10 +145,11 @@ class TestMakeSemigroup:
 
     def test_stores_only_what_the_generators_and_table_do_not_give(self):
         names = [f.name for f in dataclasses.fields(NumericalSemigroup)]
-        assert names == ["min_gens", "apery"]
+        assert names == ["min_gens", "entries"]
         assert [f.name for f in dataclasses.fields(AperyTable)] == ["modulus", "entries"]
         S = mk(7, 10, 13)
         assert (S.multiplicity, S.embedding_dim, S.max_gen) == (7, 3, 13)
+        assert S.apery == AperyTable(7, S.entries)
         assert S.apery.coefficients == (0, 5, 3, 1, 5, 3, 1)
 
     def test_repr_uses_angle_brackets(self):
