@@ -7,7 +7,8 @@ invocations produce byte-identical stdout; timing goes to stderr.
 
 Exit codes: 0 success, 2 invalid arguments, 3 empty family,
 4 verification failure (including a Wilf violation).  Output cut short
-by its reader (`| head -1`) keeps that code and prints no traceback.
+by its reader (`| head -1`, also with `2>&1`) keeps that code and prints
+no traceback.
 """
 from __future__ import annotations
 
@@ -17,8 +18,6 @@ import os
 import sys
 import time
 from itertools import islice
-from math import comb
-from typing import Callable
 
 from ._backend import backend_name
 from .core import NumericalSemigroup, make_semigroup
@@ -31,7 +30,6 @@ from .search import (
     existence,
     min_frobenius,
     min_frobenius_full_set,
-    min_frobenius_value_packed,
     min_genus,
     min_genus_packed,
     wilf_audit,
@@ -41,10 +39,8 @@ __all__ = ["main"]
 
 MAX_MULTIPLICITY = 5000
 MAX_LEVELS = 12
-# Verification cost ceilings: members sieved per command, and the largest
-# packed family worth enumerating for a cross-route check.
+# Verification cost ceiling: members sieved per command.
 VERIFY_MEMBER_CAP = 200
-VERIFY_ROUTE_CAP = 20000
 
 
 def _gen_list(text: str) -> list[int]:
@@ -151,9 +147,10 @@ class _Report:
     """What one subcommand computed; `main` verifies and renders it.
 
     `members` are the semigroups `--verify` sieves.  `route`, when set,
-    re-runs the packed route and returns its value and whether it agrees
-    with the report; it runs only after the sieve says ok.  `alarm` is
-    printed on stderr after the report and makes the exit code 4.
+    is the packed search for the same minimum: `--verify` calls it as
+    `route(m, e)` and requires its value and full minimizer set to equal
+    `result["value"]` and `members`.  `alarm` is printed on stderr after
+    the report and makes the exit code 4.
     """
 
     # A plain class: a dataclass or NamedTuple here adds about 0.5 ms to
@@ -164,7 +161,7 @@ class _Report:
         lines: list[str],
         members: list[NumericalSemigroup],
         nodes: int | None = None,
-        route: Callable[[], tuple[int, bool]] | None = None,
+        route=None,
         alarm: str | None = None,
     ):
         self.result, self.lines, self.members = result, lines, members
@@ -202,13 +199,10 @@ class _Exit(Exception):
 def _verify(ns, report: _Report) -> str:
     """The one verify path: sieve the members, then cross-check the route."""
     status, failed = _verify_members(report.members)
-    if status == "ok" and report.route is not None:
-        if comb(ns.m - 1, ns.e - 1) > VERIFY_ROUTE_CAP:
-            status = "partial: packed family too large to cross-check"
-        else:
-            other, agrees = report.route()
-            if not agrees:
-                status, failed = f"failed: packed route disagrees (value {other})", True
+    if not failed and report.route is not None:
+        other = report.route(ns.m, ns.e)
+        if (other.value, list(other.minimizers)) != (report.result["value"], report.members):
+            status, failed = f"failed: packed route disagrees (value {other.value})", True
     if failed:
         raise _Exit(4, status)
     return status
@@ -254,11 +248,6 @@ def _cmd_min_genus(ns) -> _Report:
         outcome = min_genus(ns.m, ns.e, stats=stats)
         value, level_index = outcome.value, outcome.value - (ns.m - 1)
         minimizers, nodes = list(outcome.minimizers), stats["nodes"]
-
-    def route():
-        other = min_genus_packed(ns.m, ns.e)
-        return other.value, (other.value, list(other.minimizers)) == (value, minimizers)
-
     result = {
         "value": value,
         "level": level_index,
@@ -271,7 +260,8 @@ def _cmd_min_genus(ns) -> _Report:
         f"minimizers ({len(minimizers)}):",
         *_member_lines(minimizers),
     ]
-    return _Report(result, lines, minimizers, nodes, route if naturals is None else None)
+    route = min_genus_packed if naturals is None else None
+    return _Report(result, lines, minimizers, nodes, route)
 
 
 def _cmd_min_frobenius(ns) -> _Report:
@@ -290,11 +280,6 @@ def _cmd_min_frobenius(ns) -> _Report:
     else:
         minimizers = list(_minimizers(ns.m, ns.e, max))
         value, complete = minimizers[0].frobenius, False
-
-    def route():
-        other = min_frobenius_value_packed(ns.m, ns.e)
-        return other, other == value
-
     result = {
         "value": value,
         "complete": complete,
@@ -308,8 +293,8 @@ def _cmd_min_frobenius(ns) -> _Report:
         *_member_lines(minimizers),
     ]
     # Under --via packed the answer already is the packed route.
-    checked = naturals is None and ns.via == "tree"
-    return _Report(result, lines, minimizers, nodes, route if checked else None)
+    route = min_frobenius_full_set if naturals is None and ns.via == "tree" else None
+    return _Report(result, lines, minimizers, nodes, route)
 
 
 def _cmd_packed(ns) -> _Report:
@@ -432,6 +417,16 @@ _HANDLERS = {
 }
 
 
+def _emit(text: str, stream) -> None:
+    """Print `text` on `stream`; a reader that closed it gets no more."""
+    try:
+        print(text, file=stream, flush=True)
+    except BrokenPipeError:
+        # Point the stream at devnull, so the interpreter's flush at exit
+        # stays quiet.  stderr may share the pipe stdout had (`2>&1`).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -471,16 +466,12 @@ def main(argv=None) -> int:
     else:
         verify_line = [f"verify: {meta['verify']}"] if meta["verify"] else []
         out = "\n".join(report.lines + verify_line)
-    try:
-        print(out, flush=True)
-    except BrokenPipeError:
-        # Point stdout at devnull, so the interpreter's flush at exit stays quiet.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    _emit(out, sys.stdout)
     if report.alarm:
-        print(report.alarm, file=sys.stderr)
-    elapsed = time.perf_counter() - started
-    print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
+        _emit(report.alarm, sys.stderr)
+    _emit(f"elapsed: {time.perf_counter() - started:.3f}s", sys.stderr)
     return 4 if report.alarm else 0
+
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Command-line surface: outputs, exit codes, determinism, round-trips."""
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 
@@ -17,8 +18,6 @@ def run_main(capsys, *args):
 
 
 def run_proc(*args, env_extra=None):
-    import os
-
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -345,6 +344,44 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert "elapsed" in err
 
+    def test_reader_closing_merged_stream_early(self):
+        # As in `2>&1 | head -1`: the elapsed line goes to the pipe the
+        # reader has closed, and the exit code is still the full run's.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "semigroup_forge.cli", "packed", "14", "7"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+        )
+        assert proc.stdout.readline() == "packed m=14 e=7\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 0
+
+    def test_wilf_alarm_survives_a_closed_stdout(self):
+        # stdout is closed before the report is written; the alarm still
+        # reaches a separate stderr, and the exit code is 4.
+        script = (
+            "import sys, semigroup_forge.cli as cli\n"
+            "from semigroup_forge.search import WilfViolation\n"
+            "cli.wilf_audit = lambda sgs: (WilfViolation(min(sgs), 99, 1),)\n"
+            "sys.exit(cli.main(['audit-wilf', '5', '3', '--levels', '4']))\n"
+        )
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 4
+        assert "Traceback" not in proc.stderr
+        assert "WILF INEQUALITY VIOLATED: ⟨5,6,7⟩ lhs=99 rhs=1" in proc.stderr
+
     @pytest.mark.parametrize("command", ["info", "class-min-frob"])
     def test_multiplicity_guard_runs_before_construction(
         self, capsys, monkeypatch, command
@@ -417,12 +454,79 @@ class TestVerify:
 
     def test_tree_frobenius_keeps_its_packed_cross_check(self, capsys, monkeypatch):
         import semigroup_forge.cli as cli
+        from semigroup_forge.search import min_frobenius_full_set
 
-        monkeypatch.setattr(cli, "min_frobenius_value_packed", lambda m, e: 14)
+        def wrong(m, e):
+            return dataclasses.replace(min_frobenius_full_set(m, e), value=14)
+
+        monkeypatch.setattr(cli, "min_frobenius_full_set", wrong)
         code, out, err = run_main(capsys, "min-frobenius", "7", "4", "--verify")
         assert code == 4
         assert out == ""
         assert "failed: packed route disagrees (value 14)" in err
+
+    def test_tree_frobenius_cross_check_compares_members(self, capsys, monkeypatch):
+        # Right value, one minimizer short: the whole answer must agree.
+        import semigroup_forge.cli as cli
+        from semigroup_forge.search import min_frobenius_full_set
+
+        def short(m, e):
+            outcome = min_frobenius_full_set(m, e)
+            return dataclasses.replace(outcome, minimizers=outcome.minimizers[1:])
+
+        monkeypatch.setattr(cli, "min_frobenius_full_set", short)
+        code, out, err = run_main(capsys, "min-frobenius", "7", "4", "--verify")
+        assert code == 4
+        assert out == ""
+        assert "failed: packed route disagrees (value 13)" in err
+
+    def test_cross_check_runs_past_the_member_cap(self, capsys, monkeypatch):
+        # (14, 11) has 208 genus minimizers: the sieve takes 200 and says
+        # partial, and the packed route still covers all of them.
+        import semigroup_forge.cli as cli
+        from semigroup_forge.search import min_genus_packed
+
+        def short(m, e):
+            outcome = min_genus_packed(m, e)
+            return dataclasses.replace(outcome, minimizers=outcome.minimizers[:-1])
+
+        monkeypatch.setattr(cli, "min_genus_packed", short)
+        code, out, err = run_main(capsys, "min-genus", "14", "11", "--verify")
+        assert code == 4
+        assert out == ""
+        assert "failed: packed route disagrees (value 16)" in err
+
+    def test_cross_check_has_no_family_size_cap(self, capsys, monkeypatch):
+        # C(17, 9) = 24310 candidate subsets, past any guessed route cap:
+        # the packed route still runs, and agrees.
+        import semigroup_forge.cli as cli
+        from semigroup_forge.search import min_frobenius_full_set
+
+        calls = []
+
+        def counted(m, e):
+            calls.append((m, e))
+            return min_frobenius_full_set(m, e)
+
+        monkeypatch.setattr(cli, "min_frobenius_full_set", counted)
+        code, out, _ = run_main(
+            capsys, "min-frobenius", "18", "10", "--verify", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["meta"]["verify"] == "ok"
+        assert calls == [(18, 10)]
+
+    @pytest.mark.parametrize(
+        "args, status",
+        [
+            (("packed", "11", "5"), "partial: sieved 200 of 210 members"),
+            (("info", "5000,5001"), "partial: sieve uncertified for ⟨5000,5001⟩"),
+        ],
+    )
+    def test_verify_partial_statuses(self, capsys, args, status):
+        code, out, _ = run_main(capsys, *args, "--format", "json", "--verify")
+        assert code == 0
+        assert json.loads(out)["meta"]["verify"] == status
 
     def test_wilf_violation_exits_4(self, capsys, monkeypatch):
         import semigroup_forge.cli as cli
