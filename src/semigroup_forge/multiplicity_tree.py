@@ -50,7 +50,14 @@ def _sons(m: int, node: tuple, bound: int | None = None) -> list[tuple]:
     its Frobenius number is x.  Its minimal generators are those of S
     minus x, plus x+m unless x+m - n lies in the son for some remaining
     generator n other than m.  (Any other x+n equals (x+n-m) + m with
-    x+n-m > F(S), so it is never minimal.)  Each son costs O(m + e).
+    x+n-m > F(S), so it is never minimal.)  The test may run over n = m
+    too: x+m - m = x sits below the son's entry x+m, so m never claims
+    x+m.  Each son costs O(m + e): one copy of the table, one of the
+    generators.
+
+    A node therefore has one son per minimal generator above F other than
+    m, `len(gens) - bisect_right(gens, F, 1)` in all, and a son's
+    dimension is its parent's or one less.
 
     With `bound`, only the sons with Frobenius number <= bound are built.
     """
@@ -64,11 +71,12 @@ def _sons(m: int, node: tuple, bound: int | None = None) -> list[tuple]:
             break
         if bound is not None and x > bound:
             continue
-        r = x % m
         top = x + m
-        table = entries[:r] + (top,) + entries[r + 1 :]
+        table = list(entries)
+        table[x % m] = top
+        table = tuple(table)
         rest = msg[:i] + msg[i + 1 :]
-        for n in rest[1:]:
+        for n in rest:
             z = top - n
             if z >= table[z % m]:
                 gens = rest
@@ -77,20 +85,6 @@ def _sons(m: int, node: tuple, bound: int | None = None) -> list[tuple]:
             gens = rest + (top,)
         out.append((gens, table, x))
     return out
-
-
-def _levels(m: int) -> Iterator[list[tuple]]:
-    """Bare levels 0, 1, 2, ... of the multiplicity-m tree, unsorted.
-
-    Distinct parents never share a son (each node's parent is recovered
-    by re-adjoining its Frobenius number), so concatenating the
-    per-parent son lists lists every node of the next level exactly once.
-    While the next level is built, it and the current one are both alive.
-    """
-    frontier = [_root_node(m)]
-    while True:
-        yield frontier
-        frontier = [T for S in frontier for T in _sons(m, S)]
 
 
 def root(m: int) -> NumericalSemigroup:
@@ -115,8 +109,13 @@ def bfs_levels(m: int) -> Iterator[tuple[NumericalSemigroup, ...]]:
     """Yield levels 0, 1, 2, ... of the multiplicity-m tree on demand.
 
     Level k is the sorted tuple of all multiplicity-m semigroups of genus
-    (m-1)+k.  Two levels are alive while the next one is built.
+    (m-1)+k.  Distinct parents never share a son (each node's parent is
+    recovered by re-adjoining its Frobenius number), so concatenating the
+    per-parent son lists lists every node of the next level exactly once.
+    While the next level is built, it and the current one are both alive.
     """
-    for level in _levels(m):
+    level = [_root_node(m)]
+    while True:
         # Bare nodes order by their distinct min_gens, as values do.
         yield tuple(NumericalSemigroup(gens, w) for gens, w, _ in sorted(level))
+        level = [T for S in level for T in _sons(m, S)]

@@ -14,6 +14,7 @@ packed leaf walk, both gated by `core.require_family`.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .core import (
@@ -23,7 +24,7 @@ from .core import (
     interval_frobenius,
     interval_genus,
 )
-from .multiplicity_tree import _levels, _root_node, _sons
+from .multiplicity_tree import _root_node, _sons
 # `sons` is bound only because the benchmark's tracer self-test checks it.
 from .multiplicity_tree import sons  # noqa: F401
 from .packed import _minimizers, class_min_frobenius
@@ -70,21 +71,39 @@ def min_genus(m: int, e: int, stats: dict | None = None) -> SearchOutcome:
     grows by one per level, so the first level containing dimension-e
     members consists exactly of the minimizers.  The interval semigroup
     sits at a known level and has dimension e, which bounds the walk.
+
+    Along an edge the dimension falls by at most one, and every level
+    above the first hit has dimension above e; so the hits are sons of
+    the dimension-(e+1) nodes.  Each level builds those near sons first.
+    If one has dimension e, the near sons' hits are the minimizers and
+    the other nodes' sons are counted, not built (see `_sons`); otherwise
+    the rest of the level is built.  `stats["nodes"]` counts every node
+    of genus up to the minimum either way.
     """
     last_level = interval_genus(m, e) - (m - 1)
-    visited = 0
-    for k, lv in enumerate(_levels(m)):
-        visited += len(lv)
-        hits = sorted(T for T in lv if len(T[0]) == e)
-        if hits:
-            if stats is not None:
-                stats["nodes"] = visited
-            return SearchOutcome(
-                (m - 1) + k, tuple(NumericalSemigroup(gens, w) for gens, w, _ in hits)
-            )
+    level = [_root_node(m)]
+    nodes = 1
+    hits = level if e == m else []  # the root has dimension m
+    k = 0
+    while not hits:
         if k == last_level:
-            break
-    raise AssertionError("unreachable: the interval semigroup bounds the walk")
+            raise AssertionError("unreachable: the interval semigroup bounds the walk")
+        k += 1
+        near = [T for S in level if len(S[0]) == e + 1 for T in _sons(m, S)]
+        far = [S for S in level if len(S[0]) != e + 1]
+        hits = [T for T in near if len(T[0]) == e]
+        if hits:
+            nodes += len(near) + sum(
+                len(gens) - bisect_right(gens, F, 1) for gens, _, F in far
+            )
+        else:
+            level = near + [T for S in far for T in _sons(m, S)]
+            nodes += len(level)
+    if stats is not None:
+        stats["nodes"] = nodes
+    return SearchOutcome(
+        (m - 1) + k, tuple(NumericalSemigroup(gens, w) for gens, w, _ in sorted(hits))
+    )
 
 
 def min_genus_packed(m: int, e: int) -> SearchOutcome:

@@ -15,7 +15,8 @@ from semigroup_forge.core import (
     make_semigroup,
 )
 from semigroup_forge.errors import BadDimension
-from semigroup_forge.multiplicity_tree import bfs_levels, root
+import semigroup_forge.search as search_module
+from semigroup_forge.multiplicity_tree import bfs_levels, root, sons
 from semigroup_forge.oracle import enumerate_by_genus, sieve
 from semigroup_forge.packed import class_min_frobenius, enumerate_packed
 from semigroup_forge.search import (
@@ -55,6 +56,9 @@ GENUS_NODES = {
     (12, 6): 2700, (12, 7): 1418, (12, 8): 655, (12, 9): 246, (12, 10): 68,
     (12, 11): 12, (12, 12): 1,
 }
+# min_genus on cells past the benchmark's caps, where the last level holds
+# most of the nodes: (value, number of minimizers, nodes).
+LAST_LEVEL_GENUS = {(16, 6): (25, 2, 143642), (18, 10): (25, 6762, 116938)}
 FROBENIUS_NODES = {
     (4, 3): 5,
     (5, 3): 16, (5, 4): 6, (5, 5): 1,
@@ -73,6 +77,15 @@ FROBENIUS_NODES = {
 
 def _cell_id(cell):
     return f"{cell[0]}-{cell[1]}"
+
+
+def level_walk(m, e):
+    """Levels 0..k of the multiplicity-m tree, k the first with dimension e."""
+    levels = []
+    for lv in bfs_levels(m):
+        levels.append(lv)
+        if any(S.embedding_dim == e for S in lv):
+            return levels
 
 
 def assert_constructed(minimizers):
@@ -150,6 +163,39 @@ class TestMinGenus:
         out = min_genus(*cell, stats=stats)
         assert stats["nodes"] == GENUS_NODES[cell]
         assert_constructed(out.minimizers)
+
+    @pytest.mark.parametrize("cell", sorted(LAST_LEVEL_GENUS), ids=_cell_id)
+    def test_last_level_count(self, cell):
+        stats = {}
+        out = min_genus(*cell, stats=stats)
+        assert (out.value, len(out.minimizers), stats["nodes"]) == LAST_LEVEL_GENUS[cell]
+
+    @pytest.mark.parametrize(
+        "cell", [c for c in sorted(GENUS_NODES) if 3 <= c[1] and c[0] <= 11], ids=_cell_id
+    )
+    def test_matches_the_level_walk(self, cell, monkeypatch):
+        m, e = cell
+        levels = level_walk(m, e)
+        hits = tuple(S for S in levels[-1] if S.embedding_dim == e)
+        built = []
+        real = search_module._sons
+
+        def counted(*args):
+            out = real(*args)
+            built.append(len(out))
+            return out
+
+        monkeypatch.setattr(search_module, "_sons", counted)
+        stats = {}
+        out = min_genus(m, e, stats=stats)
+        assert out.value == (m - 1) + len(levels) - 1
+        assert out.minimizers == hits
+        assert [T.entries for T in out.minimizers] == [T.entries for T in hits]
+        assert stats["nodes"] == sum(map(len, levels))
+        # The hit level is built only from the dimension-(e+1) nodes above it.
+        before = levels[-2] if len(levels) > 1 else ()
+        near = sum(len(sons(S)) for S in before if S.embedding_dim == e + 1)
+        assert sum(built) == sum(map(len, levels[1:-1])) + near
 
 
 class TestMinGenusPacked:

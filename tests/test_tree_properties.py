@@ -1,11 +1,12 @@
 """Property tests of the tree son rule and the packing map."""
+from bisect import bisect_right
 from math import gcd
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semigroup_forge.core import make_semigroup
-from semigroup_forge.multiplicity_tree import root, sons
+from semigroup_forge.multiplicity_tree import _root_node, _sons, root, sons
 from semigroup_forge.packed import pack
 
 # Derandomized and bounded, so the suite stays deterministic and quick.
@@ -44,6 +45,38 @@ def test_sons_follow_the_tree_invariants(S, path):
         if step is None or not family:
             break
         S = family[step % len(family)]
+
+
+@st.composite
+def tree_nodes(draw):
+    """(m, bare node): a random generator set, or a random walk from the root."""
+    S = draw(st.one_of(semigroups(), st.none()))
+    if S is not None:
+        return S.multiplicity, (S.min_gens, S.entries, S.frobenius)
+    m = draw(st.integers(2, 9))
+    node = _root_node(m)
+    for step in draw(st.lists(st.integers(0, 50), max_size=12)):
+        family = _sons(m, node)
+        if not family:
+            break
+        node = family[step % len(family)]
+    return m, node
+
+
+@PROPERTY
+@given(tree_nodes())
+def test_son_count_reads_off_the_generators(cell):
+    m, node = cell
+    gens, _, F = node
+    assert len(_sons(m, node)) == len(gens) - bisect_right(gens, F, 1)
+
+
+@PROPERTY
+@given(tree_nodes())
+def test_dimension_falls_by_at_most_one(cell):
+    m, node = cell
+    for gens, _, _ in _sons(m, node):
+        assert len(gens) in (len(node[0]), len(node[0]) - 1)
 
 
 @PROPERTY
