@@ -9,7 +9,6 @@ wraps all of it.
 """
 from ._backend import backend_name
 from .core import (
-    AperyTable,
     NumericalSemigroup,
     apery_set,
     genus_lower_bound,
@@ -25,7 +24,6 @@ from .errors import (
     Degenerate,
     EmptyInput,
     InvalidGenerator,
-    NotCoprime,
     NotMember,
     NotNumerical,
     NotPacked,
@@ -36,7 +34,6 @@ from .errors import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AperyTable",
     "NumericalSemigroup",
     "apery_set",
     "backend_name",
@@ -51,7 +48,6 @@ __all__ = [
     "Degenerate",
     "EmptyInput",
     "InvalidGenerator",
-    "NotCoprime",
     "NotMember",
     "NotNumerical",
     "NotPacked",

@@ -20,14 +20,12 @@ import time
 from itertools import islice
 
 from ._backend import backend_name
-from .core import NumericalSemigroup, make_semigroup
+from .core import Existence, NumericalSemigroup, existence, make_semigroup
 from .errors import NotPacked, SemigroupError, Uncertified
 from .multiplicity_tree import bfs_levels
 from .oracle import sieve
 from .packed import _minimizers, class_min_frobenius, enumerate_packed
 from .search import (
-    Existence,
-    existence,
     min_frobenius,
     min_frobenius_full_set,
     min_genus,

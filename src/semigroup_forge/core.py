@@ -4,10 +4,11 @@ A numerical semigroup is a subset of the non-negative integers that
 contains 0, is closed under addition, and has finite complement.  The
 value type here stores the minimal generating set and the least-element
 (Apery) table of its multiplicity, nothing else; multiplicity, embedding
-dimension, Frobenius number, genus and the `AperyTable` view are read off
-them.  Construction from generators goes through `make_semigroup`; the
-walks, which already hold each node's table, call the class directly.
-All values are immutable and hashable.
+dimension, Frobenius number and genus are read off them.  An Apery table
+is a plain tuple, entry i the least member congruent to i modulo its
+length.  Construction from generators goes through `make_semigroup`;
+the walks, which already hold each node's table, call the class
+directly.  All values are immutable and hashable.
 
 The closed formulas for interval-generated semigroups (generators
 m, m+1, ..., m+e-1) live here too, since they double as search bounds,
@@ -25,13 +26,11 @@ from .errors import (
     BadDimension,
     EmptyInput,
     InvalidGenerator,
-    NotCoprime,
     NotMember,
     NotNumerical,
 )
 
 __all__ = [
-    "AperyTable",
     "Existence",
     "NumericalSemigroup",
     "make_semigroup",
@@ -47,24 +46,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AperyTable:
-    """Least semigroup element per residue class.
-
-    `entries[i]` is the least member congruent to i modulo `modulus`.
-    Entry 0 is always 0.
-    """
-
-    modulus: int
-    entries: tuple[int, ...]
-
-    @property
-    def coefficients(self) -> tuple[int, ...]:
-        """The k with entries[i] = k*modulus + i, per residue i."""
-        m = self.modulus
-        return tuple((w - i) // m for i, w in enumerate(self.entries))
-
-
 @dataclass(frozen=True, order=True, repr=False)
 class NumericalSemigroup:
     """A numerical semigroup: minimal generators and least-element table.
@@ -75,16 +56,11 @@ class NumericalSemigroup:
     canonical (strictly increasing, minimal).  Multiplicity, embedding
     dimension and largest generator are read off `min_gens`; F and g
     off `entries` by Selmer's formulas, each in O(m).  Membership
-    testing is `n in S`; it reads `entries`.  `apery` wraps the table
-    with its modulus as an `AperyTable`, built on each read.
+    testing is `n in S`; it reads `entries`.
     """
 
     min_gens: tuple[int, ...]
     entries: tuple[int, ...] = field(compare=False)
-
-    @property
-    def apery(self) -> AperyTable:
-        return AperyTable(self.min_gens[0], self.entries)
 
     @property
     def multiplicity(self) -> int:
@@ -156,11 +132,11 @@ def make_semigroup(generators) -> NumericalSemigroup:
     return NumericalSemigroup((m, *(w[i] for i in minimal_residues(m, w, gens))), tuple(w))
 
 
-def apery_set(S: NumericalSemigroup, n: int) -> AperyTable:
-    """Apery table of S with respect to any nonzero member n."""
+def apery_set(S: NumericalSemigroup, n: int) -> tuple[int, ...]:
+    """Apery table of S modulo a nonzero member n, entry i congruent to i."""
     if n == 0 or n not in S:
         raise NotMember(f"{n} is not a nonzero member of {S!r}")
-    return AperyTable(modulus=n, entries=tuple(residue_table(n, S.min_gens)))
+    return tuple(residue_table(n, S.min_gens))
 
 
 def sylvester_frobenius(n1: int, n2: int) -> int:
@@ -168,7 +144,7 @@ def sylvester_frobenius(n1: int, n2: int) -> int:
     if n1 < 1 or n2 < 1:
         raise InvalidGenerator("generators must be positive")
     if gcd(n1, n2) != 1:
-        raise NotCoprime(f"gcd({n1},{n2}) = {gcd(n1, n2)}")
+        raise NotNumerical(f"gcd({n1},{n2}) = {gcd(n1, n2)}")
     return n1 * n2 - n1 - n2
 
 
@@ -207,14 +183,14 @@ def require_family(m: int, e: int) -> None:
         )
 
 
-def interval_apery(m: int, e: int) -> AperyTable:
+def interval_apery(m: int, e: int) -> tuple[int, ...]:
     """Apery table of the interval semigroup with generators m..m+e-1.
 
     Closed form, no search: the nonzero residues fall in blocks of e-1,
     and residue i of block t = ceil(i/(e-1)) first appears at t*m + i.
     """
     require_family(m, e)
-    return AperyTable(modulus=m, entries=tuple(m * -(-i // (e - 1)) + i for i in range(m)))
+    return tuple(m * -(-i // (e - 1)) + i for i in range(m))
 
 
 def interval_genus(m: int, e: int) -> int:
@@ -231,9 +207,9 @@ def interval_frobenius(m: int, e: int) -> int:
 
 
 def _least_levels(m: int, e: int) -> list[int]:
-    """Lower bounds on the sorted Apery coefficients of any member of L(m, e).
+    """Lower bounds on the sorted Apery levels of any member of L(m, e).
 
-    Entry t bounds the t-th smallest coefficient of the m-1 nonzero
+    Entry t bounds the t-th smallest level (w - i) / m of the m-1 nonzero
     residues; see `genus_lower_bound` for the argument.
     """
     require_family(m, e)

@@ -21,10 +21,6 @@ class NotMember(SemigroupError):
     """The requested modulus is not a nonzero element of the semigroup."""
 
 
-class NotCoprime(SemigroupError):
-    """The two-generator Frobenius formula needs coprime inputs."""
-
-
 class BadDimension(SemigroupError):
     """A multiplicity/embedding-dimension pair outside m >= e >= 2.
 

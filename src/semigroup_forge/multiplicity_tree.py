@@ -23,7 +23,7 @@ from typing import Iterator
 # `make_semigroup` is bound only because the benchmark's tracer self-test
 # checks it.
 from .core import NumericalSemigroup, make_semigroup  # noqa: F401
-from .errors import EmptyInput
+from .errors import InvalidGenerator
 
 __all__ = ["root", "sons", "bfs_levels"]
 
@@ -36,7 +36,7 @@ def _root_node(m: int) -> tuple:
     minimal.  For m = 1 that is the naturals, with F = -1.
     """
     if m < 1:
-        raise EmptyInput("at least one generator is required")
+        raise InvalidGenerator(f"multiplicity {m} is not positive")
     entries = (0, *range(m + 1, 2 * m))
     return tuple(range(m, 2 * m)), entries, max(entries) - m
 

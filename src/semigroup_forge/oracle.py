@@ -32,16 +32,14 @@ class SieveResult:
     """Outcome of one reachability sieve.
 
     `reachable[i]` is 1 iff i is a member, exact for all i <= bound.
-    `certified` records that min(generators) consecutive members were
-    observed below the bound, which pins down frobenius and genus.
+    The table ends with min(generators) consecutive members, which pins
+    down frobenius and genus.
     """
 
-    generators: tuple[int, ...]
     bound: int
     reachable: bytes
     frobenius: int
     genus: int
-    certified: bool
 
 
 # The bytes 0 and 1 for the ASCII digits of a binary string.
@@ -95,15 +93,7 @@ def sieve(generators, bound: int | None = None) -> SieveResult:
         table = _sieve_once(gens, bound)
         frobenius = table.rfind(0)
         if frobenius + m <= bound:
-            genus = table.count(0)
-            return SieveResult(
-                generators=tuple(gens),
-                bound=bound,
-                reachable=table,
-                frobenius=frobenius,
-                genus=genus,
-                certified=True,
-            )
+            return SieveResult(bound, table, frobenius, table.count(0))
         bound *= 2
 
 

@@ -106,7 +106,7 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
     best = cap = SENTINEL
     if key is not None:
         bound, slack = _bound_and_slack(m, e, key)
-        best = key(interval_apery(m, e).entries)
+        best = key(interval_apery(m, e))
         cap = best - slack
 
         def bounds_of(w: list[int], first: int, j: int, lb: int) -> list[int]:

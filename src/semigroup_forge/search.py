@@ -17,23 +17,15 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .core import (
-    Existence,
-    NumericalSemigroup,
-    existence,
-    interval_frobenius,
-    interval_genus,
-)
+from .core import NumericalSemigroup, interval_frobenius, interval_genus
 from .multiplicity_tree import _root_node, _sons
 # `sons` is bound only because the benchmark's tracer self-test checks it.
 from .multiplicity_tree import sons  # noqa: F401
 from .packed import _minimizers, class_min_frobenius
 
 __all__ = [
-    "Existence",
     "SearchOutcome",
     "WilfViolation",
-    "existence",
     "min_genus",
     "min_genus_packed",
     "min_frobenius",

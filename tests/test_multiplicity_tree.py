@@ -6,7 +6,7 @@ import pytest
 
 from semigroup_forge import cli, core
 from semigroup_forge.core import make_semigroup
-from semigroup_forge.errors import EmptyInput
+from semigroup_forge.errors import InvalidGenerator
 from semigroup_forge.multiplicity_tree import bfs_levels, root, sons
 from semigroup_forge.oracle import enumerate_by_genus
 
@@ -40,13 +40,13 @@ class TestRoot:
         for m in range(1, 65):
             S, fresh = root(m), make_semigroup(range(m, 2 * m))
             assert S.min_gens == fresh.min_gens == tuple(range(m, 2 * m))
-            assert S.apery == fresh.apery
+            assert S.entries == fresh.entries
             assert S.frobenius == fresh.frobenius == (m - 1 if m > 1 else -1)
             assert S.genus == fresh.genus == m - 1
 
     def test_nonpositive_multiplicity_is_refused(self):
         for m in (0, -3):
-            with pytest.raises(EmptyInput):
+            with pytest.raises(InvalidGenerator, match=f"multiplicity {m} is not positive"):
                 root(m)
 
     def test_largest_root_needs_no_kernel(self, monkeypatch, capsys):
@@ -59,7 +59,7 @@ class TestRoot:
         m = cli.MAX_MULTIPLICITY
         S = root(m)
         assert S.min_gens == tuple(range(m, 2 * m))
-        assert S.apery.entries == (0, *range(m + 1, 2 * m))
+        assert S.entries == (0, *range(m + 1, 2 * m))
         assert (S.frobenius, S.genus) == (m - 1, m - 1)
         for args, read in (
             (("min-genus", m, m), lambda r: r["value"]),
@@ -111,7 +111,7 @@ class TestSons:
 class TestIncrementalSonRule:
     """The sons are built from the parent's Apery table, without a kernel."""
 
-    FIELDS = ("min_gens", "apery", "frobenius", "genus", "embedding_dim",
+    FIELDS = ("min_gens", "entries", "frobenius", "genus", "embedding_dim",
               "max_gen", "multiplicity")
 
     def test_sons_match_a_fresh_construction(self):

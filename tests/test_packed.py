@@ -104,8 +104,8 @@ class TestEnumeratePacked:
             for e in range(2, m + 1):
                 for S in enumerate_packed(m, e):
                     T = make_semigroup(S.min_gens)
-                    assert (S.min_gens, S.apery.entries, S.frobenius, S.genus) == (
-                        T.min_gens, T.apery.entries, T.frobenius, T.genus
+                    assert (S.min_gens, S.entries, S.frobenius, S.genus) == (
+                        T.min_gens, T.entries, T.frobenius, T.genus
                     ), (m, e)
 
     def test_members_are_packed_with_exact_dimensions(self):
@@ -238,7 +238,7 @@ def reference_class_sons(P):
 
 
 def fields(S):
-    return S.min_gens, S.apery.entries, S.frobenius, S.genus
+    return S.min_gens, S.entries, S.frobenius, S.genus
 
 
 class TestClassSons:

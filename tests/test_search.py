@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from semigroup_forge.core import (
+    Existence,
+    existence,
     genus_lower_bound,
     interval_apery,
     interval_frobenius,
@@ -20,9 +22,7 @@ from semigroup_forge.multiplicity_tree import bfs_levels, root, sons
 from semigroup_forge.oracle import enumerate_by_genus, sieve
 from semigroup_forge.packed import class_min_frobenius, enumerate_packed
 from semigroup_forge.search import (
-    Existence,
     SearchOutcome,
-    existence,
     min_frobenius,
     min_frobenius_full_set,
     min_frobenius_value_packed,
@@ -92,8 +92,8 @@ def assert_constructed(minimizers):
     """Each returned minimizer equals a fresh construction on every field."""
     for T in minimizers:
         fresh = make_semigroup(T.min_gens)
-        assert (T.min_gens, T.apery, T.frobenius, T.genus) == (
-            fresh.min_gens, fresh.apery, fresh.frobenius, fresh.genus), T
+        assert (T.min_gens, T.entries, T.frobenius, T.genus) == (
+            fresh.min_gens, fresh.entries, fresh.frobenius, fresh.genus), T
 
 
 class TestExistence:

@@ -39,8 +39,8 @@ def test_sons_follow_the_tree_invariants(S, path):
             assert T.multiplicity == S.multiplicity
             assert T.embedding_dim <= S.embedding_dim
             fresh = make_semigroup(T.min_gens)
-            assert (fresh.min_gens, fresh.apery, fresh.frobenius, fresh.genus) == (
-                T.min_gens, T.apery, T.frobenius, T.genus,
+            assert (fresh.min_gens, fresh.entries, fresh.frobenius, fresh.genus) == (
+                T.min_gens, T.entries, T.frobenius, T.genus,
             )
         if step is None or not family:
             break
