@@ -166,28 +166,6 @@ class _Report:
         self.nodes, self.route, self.alarm = nodes, route, alarm
 
 
-def _verify_members(semigroups) -> tuple[str, bool]:
-    """Sieve every listed semigroup; returns (status text, failed flag)."""
-    semigroups = list(semigroups)
-    for S in semigroups[:VERIFY_MEMBER_CAP]:
-        try:
-            r = sieve(S.min_gens)
-        except Uncertified:
-            return f"partial: sieve uncertified for {S!r}", False
-        if r.frobenius != S.frobenius or r.genus != S.genus:
-            return (
-                f"failed: oracle disagrees on {S!r}: "
-                f"F {r.frobenius} vs {S.frobenius}, g {r.genus} vs {S.genus}",
-                True,
-            )
-    if len(semigroups) > VERIFY_MEMBER_CAP:
-        return (
-            f"partial: sieved {VERIFY_MEMBER_CAP} of {len(semigroups)} members",
-            False,
-        )
-    return "ok", False
-
-
 class _Exit(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
@@ -195,14 +173,27 @@ class _Exit(Exception):
 
 
 def _verify(ns, report: _Report) -> str:
-    """The one verify path: sieve the members, then cross-check the route."""
-    status, failed = _verify_members(report.members)
-    if not failed and report.route is not None:
+    """The status of sieving the members and cross-checking the route, or exit 4."""
+    members = report.members
+    status = "ok"
+    if len(members) > VERIFY_MEMBER_CAP:
+        status = f"partial: sieved {VERIFY_MEMBER_CAP} of {len(members)} members"
+    for S in members[:VERIFY_MEMBER_CAP]:
+        try:
+            r = sieve(S.min_gens)
+        except Uncertified:
+            status = f"partial: sieve uncertified for {S!r}"
+            break
+        if r.frobenius != S.frobenius or r.genus != S.genus:
+            raise _Exit(
+                4,
+                f"failed: oracle disagrees on {S!r}: "
+                f"F {r.frobenius} vs {S.frobenius}, g {r.genus} vs {S.genus}",
+            )
+    if report.route is not None:
         other = report.route(ns.m, ns.e)
-        if (other.value, list(other.minimizers)) != (report.result["value"], report.members):
-            status, failed = f"failed: packed route disagrees (value {other.value})", True
-    if failed:
-        raise _Exit(4, status)
+        if (other.value, list(other.minimizers)) != (report.result["value"], members):
+            raise _Exit(4, f"failed: packed route disagrees (value {other.value})")
     return status
 
 

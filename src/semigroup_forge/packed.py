@@ -76,10 +76,12 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
     generators: the subset {a1 < a2 < ...} of {1, ..., m-1} yields the
     generators {m, m+a1, m+a2, ...}, which are automatically a minimal
     system, and a numerical semigroup when gcd(m, a1, a2, ...) is 1.
-    The subsets are walked in lexicographic order as a prefix tree, with
-    an explicit stack: each step copies the prefix's least-element table
-    and adjoins one generator by `relax`, and the gcd filter runs before
-    the last step.  Every yielded table is a fresh list the caller owns.
+    The subsets are walked in lexicographic order as a prefix tree, on an
+    explicit stack of one frame per prefix, holding its least-element
+    table and its children's bounds.  Each step copies the prefix's table
+    and adjoins one generator by `relax`; a prefix one residue short of a
+    leaf reads the gcd of its generators once and filters the last step
+    by it.  Every yielded table is a fresh list the caller owns.
 
     With a `key` (`sum` or `max`) the walk is a branch-and-bound for the
     least key, and yields only the leaves whose key is at most the least
@@ -99,10 +101,6 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
     """
     require_family(m, e)
     top = m - e + 1  # the largest first residue; position j goes up to top + j
-    w = residue_table(m, ())
-    gens = [m]  # m and one generator per residue chosen so far
-    tables = [w]  # tables[j]: table of gens[:j + 1]
-    gcds = [m]
     best = cap = SENTINEL
     if key is not None:
         bound, slack = _bound_and_slack(m, e, key)
@@ -117,14 +115,17 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
                 return [lb] * (top + j - first + 1)
             return _child_bounds(w, m, first, top + j, bound)
 
-        # bounds[j]: the bounds of the unvisited children of prefix j,
-        # the next child's last; only prefixes with interior children.
-        bounds = [bounds_of(w, 1, 0, 0)] if e > 2 else []
+    w = residue_table(m, ())
+    gens = [m]  # m and one generator per residue chosen so far
+    # stack[j]: the table of gens[:j + 1] and the bounds of its unvisited
+    # children, the next child's last, or None when nothing prunes them.
+    stack = [(w, bounds_of(w, 1, 0, 0) if key is not None and e > 2 else None)]
     a = 1
-    while True:
-        j = len(gens) - 1
+    while stack:
+        j = len(stack) - 1
+        t, bounds = stack[j]
         if j == e - 2:
-            t, g = tables[j], gcds[j]
+            g = gcd(*gens)
             for r in range(a, m):
                 if gcd(g, r) == 1:
                     w = t.copy()
@@ -136,25 +137,16 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
                             continue
                         best, cap = k, k - slack
                     yield (*gens, m + r), w
-        elif a <= top + j and (key is None or (lb := bounds[j].pop()) <= best):
-            # The last value at a position leaves no sibling to need the
-            # prefix's table again, so it is relaxed in place.
-            w = tables[j] if a == top + j else tables[j].copy()
+        elif a <= top + j and (bounds is None or (lb := bounds.pop()) <= best):
+            w = t.copy()
             relax(w, m, m + a)
-            tables.append(w)
-            gcds.append(gcd(gcds[j], a))
             gens.append(m + a)
             a += 1
-            if key is not None and j + 1 < e - 2:
-                bounds.append(bounds_of(w, a, j + 1, lb))
+            interior = key is not None and j + 1 < e - 2
+            stack.append((w, bounds_of(w, a, j + 1, lb) if interior else None))
             continue
-        if j == 0:
-            return
-        if key is not None and j < e - 2:
-            bounds.pop()
+        stack.pop()
         a = gens.pop() - m + 1
-        tables.pop()
-        gcds.pop()
 
 
 def _child_bounds(w: list[int], m: int, first: int, last: int, bound) -> list[int]:
@@ -238,7 +230,7 @@ def pack(S: NumericalSemigroup) -> NumericalSemigroup:
     return make_semigroup({m + (x % m) for x in S.min_gens})
 
 
-def class_sons(P: NumericalSemigroup) -> tuple[NumericalSemigroup, ...]:
+def class_sons(P: NumericalSemigroup, bound: int | None = None) -> tuple[NumericalSemigroup, ...]:
     """Sons of P in the tree of its packing class, in sorted order.
 
     Replacing a non-multiplicity generator n_k by n_k + m stays in the
@@ -248,6 +240,9 @@ def class_sons(P: NumericalSemigroup) -> tuple[NumericalSemigroup, ...]:
     when their gcd exceeds 1, stays at SENTINEL).  They stay minimal, as
     the son lies inside P.  A son past the kernel range raises
     InvalidGenerator, as in `make_semigroup`.
+
+    With `bound`, only the sons with Frobenius number <= bound are kept.
+    The son of n_k misses n_k, so n_k > bound skips it before its table.
     """
     m = P.multiplicity
     gens = P.min_gens
@@ -258,6 +253,8 @@ def class_sons(P: NumericalSemigroup) -> tuple[NumericalSemigroup, ...]:
         lifted = gens[k] + m
         if lifted <= gens[-1]:
             break
+        if bound is not None and gens[k] > bound:
+            continue
         rest = gens[:k] + gens[k + 1 :]
         w = residue_table(m, rest)
         if w[lifted % m] <= lifted:
@@ -265,7 +262,8 @@ def class_sons(P: NumericalSemigroup) -> tuple[NumericalSemigroup, ...]:
         if m * lifted >= SENTINEL:
             raise InvalidGenerator(f"generator {lifted} exceeds the 62-bit kernel range")
         relax(w, m, lifted)
-        out.append(NumericalSemigroup((*rest, lifted), tuple(w)))
+        if bound is None or max(w) - m <= bound:
+            out.append(NumericalSemigroup((*rest, lifted), tuple(w)))
     return tuple(out)
 
 
@@ -274,10 +272,11 @@ def class_min_frobenius(S: NumericalSemigroup) -> tuple[NumericalSemigroup, ...]
 
     S must be packed (it is then the class root, realizing the minimal
     Frobenius number of the class).  BFS over the class tree, keeping
-    only sons whose Frobenius number still equals F(S); generator sums
-    grow strictly along class edges, so the walk terminates.  Each member
-    has one parent (lower its largest generator by m), so no member is
-    reached twice.
+    only sons whose Frobenius number still equals F(S): a son lies inside
+    its parent, so it is those with F at most F(S), and `class_sons`
+    builds no other.  Generator sums grow strictly along class edges, so
+    the walk terminates.  Each member has one parent (lower its largest
+    generator by m), so no member is reached twice.
     """
     if not is_packed(S):
         raise NotPacked(f"{S!r} has a minimal generator >= 2*m")
@@ -285,6 +284,6 @@ def class_min_frobenius(S: NumericalSemigroup) -> tuple[NumericalSemigroup, ...]
     accepted = [S]
     frontier = [S]
     while frontier:
-        frontier = [T for P in frontier for T in class_sons(P) if T.frobenius == target]
+        frontier = [T for P in frontier for T in class_sons(P, target)]
         accepted += frontier
     return tuple(sorted(accepted))

@@ -66,11 +66,11 @@ def min_genus(m: int, e: int, stats: dict | None = None) -> SearchOutcome:
 
     Along an edge the dimension falls by at most one, and every level
     above the first hit has dimension above e; so the hits are sons of
-    the dimension-(e+1) nodes.  Each level builds those near sons first.
-    If one has dimension e, the near sons' hits are the minimizers and
-    the other nodes' sons are counted, not built (see `_sons`); otherwise
-    the rest of the level is built.  `stats["nodes"]` counts every node
-    of genus up to the minimum either way.
+    the dimension-(e+1) nodes.  Each level is counted from its parents'
+    generators (see `_sons`), then builds those near sons first.  If one
+    has dimension e, the near sons' hits are the minimizers and the other
+    nodes' sons are never built; otherwise the rest of the level is
+    built.  `stats["nodes"]` counts every node of genus up to the minimum.
     """
     last_level = interval_genus(m, e) - (m - 1)
     level = [_root_node(m)]
@@ -81,16 +81,11 @@ def min_genus(m: int, e: int, stats: dict | None = None) -> SearchOutcome:
         if k == last_level:
             raise AssertionError("unreachable: the interval semigroup bounds the walk")
         k += 1
+        nodes += sum(len(gens) - bisect_right(gens, F, 1) for gens, _, F in level)
         near = [T for S in level if len(S[0]) == e + 1 for T in _sons(m, S)]
-        far = [S for S in level if len(S[0]) != e + 1]
         hits = [T for T in near if len(T[0]) == e]
-        if hits:
-            nodes += len(near) + sum(
-                len(gens) - bisect_right(gens, F, 1) for gens, _, F in far
-            )
-        else:
-            level = near + [T for S in far for T in _sons(m, S)]
-            nodes += len(level)
+        if not hits:
+            level = near + [T for S in level if len(S[0]) != e + 1 for T in _sons(m, S)]
     if stats is not None:
         stats["nodes"] = nodes
     return SearchOutcome(

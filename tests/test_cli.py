@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from semigroup_forge.cli import _verify_members, main
+from semigroup_forge.cli import _Exit, _Report, _verify, main
 from semigroup_forge.core import make_semigroup
 
 
@@ -552,9 +552,10 @@ class TestVerify:
         # <4,5,7> is (0, 5, 10, 7), and moving residue 3 to 11 makes the
         # derived Frobenius number 7 where the sieve finds 6.
         broken = dataclasses.replace(make_semigroup([4, 5, 7]), entries=(0, 5, 10, 11))
-        status, failed = _verify_members([broken])
-        assert failed
-        assert status.startswith("failed")
+        with pytest.raises(_Exit) as raised:
+            _verify(None, _Report({}, [], [broken]))
+        assert raised.value.code == 4
+        assert str(raised.value).startswith("failed: oracle disagrees")
 
 
 class TestDeterminism:

@@ -97,6 +97,11 @@ class TestEnumeratePacked:
         # The prefix walk is e-1 steps deep.
         assert enumerate_packed(1100, 1100).members == (root(1100),)
 
+    @pytest.mark.parametrize("key", [sum, max], ids=["genus", "frobenius"])
+    def test_deep_keyed_walk_does_not_recurse(self, key):
+        # The branch-and-bound keeps one frame per prefix, e-1 of them.
+        assert _minimizers(1100, 1100, key) == (root(1100),)
+
     def test_members_match_construction(self):
         # Equality compares min_gens only; the table, F and g are
         # built by the prefix walk, so compare them too.
@@ -283,6 +288,18 @@ class TestClassSons:
         for m in range(2, 9):
             assert class_sons(mk(m, m + 1)) == (mk(m, 2 * m + 1),)
 
+    def test_bound_keeps_exactly_the_sons_within_it(self):
+        for m in range(3, 10):
+            for e in range(2, m + 1):
+                level = list(enumerate_packed(m, e))
+                for _ in range(3):
+                    for P in level:
+                        sons = class_sons(P)
+                        for b in (P.frobenius, P.frobenius + 1, P.frobenius + m):
+                            want = [fields(T) for T in sons if T.frobenius <= b]
+                            assert [fields(T) for T in class_sons(P, b)] == want, (P, b)
+                    level = [T for P in level for T in class_sons(P)]
+
     def test_sons_stay_in_class(self):
         P = mk(6, 7, 8, 9, 11)
         for T in class_sons(P):
@@ -302,6 +319,16 @@ class TestClassMinFrobenius:
 
     def test_naturals(self):
         assert class_min_frobenius(mk(1)) == (mk(1),)
+
+    def test_root_builds_no_son(self, monkeypatch):
+        # Every son of root(m) misses a generator above F = m-1.
+        S = root(400)
+
+        def refuse(*args):
+            raise AssertionError("a son's table was built")
+
+        monkeypatch.setattr(packed, "residue_table", refuse)
+        assert class_min_frobenius(S) == (S,)
 
     def test_unpacked_rejected(self):
         with pytest.raises(NotPacked):
