@@ -21,7 +21,7 @@ from itertools import islice
 
 from ._backend import backend_name
 from .core import Existence, NumericalSemigroup, existence, make_semigroup
-from .errors import NotPacked, SemigroupError, Uncertified
+from .errors import SemigroupError, Uncertified
 from .multiplicity_tree import bfs_levels
 from .oracle import sieve
 from .packed import _minimizers, class_min_frobenius, enumerate_packed
@@ -66,6 +66,9 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cross-check the result against the brute-force oracle",
     )
+    family = argparse.ArgumentParser(add_help=False, parents=[common])
+    family.add_argument("m", type=int)
+    family.add_argument("e", type=int)
     p = argparse.ArgumentParser(
         prog="semigroup-forge",
         description="Minimal genus and minimal Frobenius number over numerical "
@@ -73,15 +76,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("min-genus", parents=[common], help="least genus at (m, e)")
-    q.add_argument("m", type=int)
-    q.add_argument("e", type=int)
+    sub.add_parser("min-genus", parents=[family], help="least genus at (m, e)")
 
     q = sub.add_parser(
-        "min-frobenius", parents=[common], help="least Frobenius number at (m, e)"
+        "min-frobenius", parents=[family], help="least Frobenius number at (m, e)"
     )
-    q.add_argument("m", type=int)
-    q.add_argument("e", type=int)
     q.add_argument(
         "--via",
         choices=("tree", "packed"),
@@ -94,11 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="with --via packed: expand the minimizing classes to the full set",
     )
 
-    q = sub.add_parser(
-        "packed", parents=[common], help="the packed family C(m, e)"
-    )
-    q.add_argument("m", type=int)
-    q.add_argument("e", type=int)
+    q = sub.add_parser("packed", parents=[family], help="the packed family C(m, e)")
     q.add_argument(
         "--show",
         choices=("g", "f"),
@@ -123,11 +118,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser(
         "audit-wilf",
-        parents=[common],
+        parents=[family],
         help="Wilf inequality over dimension-e members of tree levels 0..K",
     )
-    q.add_argument("m", type=int)
-    q.add_argument("e", type=int)
     q.add_argument("--levels", type=int, required=True, metavar="K")
 
     return p
@@ -231,12 +224,13 @@ def _cmd_min_genus(ns) -> _Report:
     naturals = _classify(ns.m, ns.e)
     nodes = None
     if naturals is not None:
-        value, level_index, minimizers = 0, 0, [naturals]
+        value, minimizers = 0, [naturals]
     else:
         stats: dict = {}
         outcome = min_genus(ns.m, ns.e, stats=stats)
-        value, level_index = outcome.value, outcome.value - (ns.m - 1)
-        minimizers, nodes = list(outcome.minimizers), stats["nodes"]
+        value, minimizers = outcome.value, list(outcome.minimizers)
+        nodes = stats["nodes"]
+    level_index = value - (ns.m - 1)
     result = {
         "value": value,
         "level": level_index,
@@ -433,9 +427,6 @@ def main(argv=None) -> int:
     except _Exit as ex:
         print(f"error: {ex}", file=sys.stderr)
         return ex.code
-    except NotPacked as ex:
-        print(f"error: not packed: {ex}", file=sys.stderr)
-        return 2
     except SemigroupError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2

@@ -241,11 +241,13 @@ def class_sons(P: NumericalSemigroup, bound: int | None = None) -> tuple[Numeric
     the son lies inside P.  A son past the kernel range raises
     InvalidGenerator, as in `make_semigroup`.
 
-    With `bound`, only the sons with Frobenius number <= bound are kept.
-    The son of n_k misses n_k, so n_k > bound skips it before its table.
+    With `bound`, a son is kept when its F is at most bound: when its
+    table stays within cap = bound + m, which `relax` checks as it sweeps.
+    The son of n_k misses n_k, so n_k + m > cap skips it before its table.
     """
     m = P.multiplicity
     gens = P.min_gens
+    cap = SENTINEL if bound is None else bound + m
     out = []
     # Lifting a larger generator gives a lexicographically smaller son,
     # so walking the generators downwards yields the sons sorted.
@@ -253,7 +255,7 @@ def class_sons(P: NumericalSemigroup, bound: int | None = None) -> tuple[Numeric
         lifted = gens[k] + m
         if lifted <= gens[-1]:
             break
-        if bound is not None and gens[k] > bound:
+        if lifted > cap:
             continue
         rest = gens[:k] + gens[k + 1 :]
         w = residue_table(m, rest)
@@ -261,8 +263,7 @@ def class_sons(P: NumericalSemigroup, bound: int | None = None) -> tuple[Numeric
             continue
         if m * lifted >= SENTINEL:
             raise InvalidGenerator(f"generator {lifted} exceeds the 62-bit kernel range")
-        relax(w, m, lifted)
-        if bound is None or max(w) - m <= bound:
+        if relax(w, m, lifted, cap):
             out.append(NumericalSemigroup((*rest, lifted), tuple(w)))
     return tuple(out)
 
@@ -279,7 +280,7 @@ def class_min_frobenius(S: NumericalSemigroup) -> tuple[NumericalSemigroup, ...]
     generator by m), so no member is reached twice.
     """
     if not is_packed(S):
-        raise NotPacked(f"{S!r} has a minimal generator >= 2*m")
+        raise NotPacked(f"not packed: {S!r} has a minimal generator >= 2*m")
     target = S.frobenius
     accepted = [S]
     frontier = [S]

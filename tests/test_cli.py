@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from semigroup_forge.cli import _Exit, _Report, _verify, main
+from semigroup_forge.cli import _build_parser, _Exit, _Report, _verify, main
 from semigroup_forge.core import make_semigroup
 
 
@@ -292,6 +292,26 @@ class TestExitCodes:
         code, _, err = run_main(capsys, "class-min-frob", "5,11,17")
         assert code == 2
         assert "not packed" in err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["info", "3,x"], "invalid generator token: 'x'"),
+            (["info", ","], "expected a comma-separated generator list"),
+            (["tree", "0", "--levels", "1"], "multiplicity must be positive"),
+            (["tree", "5", "--levels", "-1"], "level count must be non-negative"),
+            (
+                ["audit-wilf", "5", "0", "--levels", "2"],
+                "multiplicity and dimension must be positive",
+            ),
+        ],
+    )
+    def test_refusals(self, capsys, args, message):
+        code, out, err = run_main(capsys, *args)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
 
     def test_multiplicity_guard(self, capsys):
         code, _, err = run_main(capsys, "min-genus", "5001", "3")
@@ -603,3 +623,70 @@ class TestRoundTrip:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+
+# (option strings, dest, type name, default, choices, required, metavar, help)
+# of each parser action, in declaration order.
+HELP = (["-h", "--help"], "help", None, "==SUPPRESS==", None, False, None,
+        "show this help message and exit")
+FORMAT = (["--format"], "format", None, "table", ["table", "json"], False, None,
+          "output format")
+VERIFY = (["--verify"], "verify", None, False, None, False, None,
+          "cross-check the result against the brute-force oracle")
+M = ([], "m", "int", None, None, True, None, None)
+E = ([], "e", "int", None, None, True, None, None)
+LEVELS = (["--levels"], "levels", "int", None, None, True, "K", None)
+GENERATORS = ([], "generators", "_gen_list", None, None, True, "G1,G2,...", None)
+PARSER_STRUCTURE = {
+    None: [
+        HELP,
+        ([], "command", None, None,
+         ["min-genus", "min-frobenius", "packed", "tree", "class-min-frob", "info",
+          "audit-wilf"],
+         True, None, None),
+    ],
+    "min-genus": [HELP, FORMAT, VERIFY, M, E],
+    "min-frobenius": [
+        HELP, FORMAT, VERIFY, M, E,
+        (["--via"], "via", None, "tree", ["tree", "packed"], False, None,
+         "pruned tree search, or minimum over the packed family"),
+        (["--full-set"], "full_set", None, False, None, False, None,
+         "with --via packed: expand the minimizing classes to the full set"),
+    ],
+    "packed": [
+        HELP, FORMAT, VERIFY, M, E,
+        (["--show"], "show", None, None, ["g", "f"], False, None,
+         "append the per-member genus (g) or Frobenius (f) value list"),
+    ],
+    "tree": [HELP, FORMAT, VERIFY, M, LEVELS],
+    "class-min-frob": [HELP, FORMAT, VERIFY, GENERATORS],
+    "info": [HELP, FORMAT, VERIFY, GENERATORS],
+    "audit-wilf": [HELP, FORMAT, VERIFY, M, E, LEVELS],
+}
+
+
+def action_fields(parser) -> list[tuple]:
+    return [
+        (
+            a.option_strings,
+            a.dest,
+            getattr(a.type, "__name__", None),
+            a.default,
+            None if a.choices is None else list(a.choices),
+            a.required,
+            a.metavar,
+            a.help,
+        )
+        for a in parser._actions
+    ]
+
+
+class TestParser:
+    # The structure, not the formatted help: help layout differs between
+    # Python versions, the actions do not.
+    def test_structure(self):
+        top = _build_parser()
+        parsers = {None: top, **top._actions[-1].choices}
+        assert list(parsers) == list(PARSER_STRUCTURE)
+        for name, parser in parsers.items():
+            assert action_fields(parser) == PARSER_STRUCTURE[name], name

@@ -416,6 +416,18 @@ class TestWilfAudit:
             members.extend(lv)
         assert wilf_audit(members) == ()
 
+    def test_violation_reported(self):
+        # A corrupted table: e = 3, g = 5, F = 6, so 3*5 > 2*7.
+        S = dataclasses.replace(make_semigroup([4, 5, 7]), entries=(0, 9, 10, 7))
+        (v,) = wilf_audit([S])
+        assert (v.semigroup, v.lhs, v.rhs) == (S, 15, 14)
+
+    def test_dimension_three_levels_clean(self):
+        members = [S for lv in islice(bfs_levels(5), 5) for S in lv]
+        audited = [S for S in members if S.embedding_dim == 3]
+        assert audited
+        assert wilf_audit(audited) == ()
+
     def test_outcome_shape(self):
         out = min_genus(5, 3)
         assert isinstance(out, SearchOutcome)
