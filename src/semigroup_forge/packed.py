@@ -14,6 +14,7 @@ pairs.  `enumerate_packed` takes every leaf and wraps it into a value.
 The searches go through `_minimizers`, which runs the same walk as a
 branch-and-bound on the sum (genus) or the maximum (Frobenius number)
 of the tables: a prefix whose bound exceeds the best key so far is cut,
+as is, for the maximum, a child whose leaves cannot fit m entries under it,
 and a leaf's `relax` stops as soon as the leaf loses.  They wrap only
 the members they return.  The class walk wraps every son.  Every value
 is made by `NumericalSemigroup(min_gens, tuple(table))`, since each walk
@@ -97,11 +98,23 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
       only prefixes with enough leaves below them sweep (`_SWEEP_PAYS`).
     - At a leaf, `relax` stops at the first entry above a cap past which
       the key exceeds the incumbent (`_bound_and_slack`).
+    - Under `max` the walk also counts slots.  Below child a of a prefix
+      with table t, q more generators are still to come, each at least
+      m+a (q = 1 in a leaf's loop).  Each entry of a leaf below is some
+      t[i] plus a sum of k of them, and distinct residues need distinct
+      pairs (i, multiset); there are C(q-1+k, k) multisets of size k, so
+      C(q+K, q) of size at most K.  Hence at most `_slots`, the sum over
+      t[i] <= cap of C(q + (cap - t[i]) // (m+a), q), leaf entries are
+      at most the cap, and a leaf within the cap needs m of them.  The
+      count does not grow with a, so the first child short of m ends the
+      sibling loop, before its table is copied.  Under `sum` the cap is
+      too loose for the count to pay.
     Pruning is strict, so ties survive.
     """
     require_family(m, e)
     top = m - e + 1  # the largest first residue; position j goes up to top + j
     best = cap = SENTINEL
+    counts = key is max
     if key is not None:
         bound, slack = _bound_and_slack(m, e, key)
         best = key(interval_apery(m, e))
@@ -126,8 +139,12 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
         t, bounds = stack[j]
         if j == e - 2:
             g = gcd(*gens)
+            room = [cap - x for x in t if x <= cap] if counts else None
             for r in range(a, m):
                 if gcd(g, r) == 1:
+                    # `_slots` at q = 1, summed by `map` since it runs per leaf.
+                    if counts and len(room) + sum(map((m + r).__rfloordiv__, room)) < m:
+                        break
                     w = t.copy()
                     if not relax(w, m, m + r, cap):
                         continue
@@ -135,9 +152,15 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
                         k = key(w)
                         if k > best:
                             continue
+                        if counts and k < best:
+                            room = [k - x for x in t if x <= k]
                         best, cap = k, k - slack
                     yield (*gens, m + r), w
-        elif a <= top + j and (bounds is None or (lb := bounds.pop()) <= best):
+        elif (
+            a <= top + j
+            and (bounds is None or (lb := bounds.pop()) <= best)
+            and (not counts or _slots(t, m + a, e - 1 - j, cap) >= m)
+        ):
             w = t.copy()
             relax(w, m, m + a)
             gens.append(m + a)
@@ -158,6 +181,11 @@ def _child_bounds(w: list[int], m: int, first: int, last: int, bound) -> list[in
         if r <= last:
             out.append(bound(u))
     return out
+
+
+def _slots(t: list[int], g: int, q: int, cap: int) -> int:
+    """An upper bound on the entries <= cap of a leaf of `t` and q more generators >= g."""
+    return sum(comb(q + (cap - x) // g, q) for x in t if x <= cap)
 
 
 def _bound_and_slack(m: int, e: int, key):

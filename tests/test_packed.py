@@ -22,12 +22,14 @@ from semigroup_forge.packed import (
     _bound_and_slack,
     _child_bounds,
     _minimizers,
+    _slots,
     class_min_frobenius,
     class_sons,
     enumerate_packed,
     is_packed,
     pack,
 )
+from semigroup_forge.search import min_frobenius_full_set
 
 
 def mk(*gens):
@@ -190,6 +192,51 @@ class TestBranchAndBound:
                         assert sum(leaf) - max(leaf) >= slack, residues
                     else:
                         assert slack == 0
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.data())
+    def test_slot_counts_hold_for_their_leaves(self, data):
+        m = data.draw(st.integers(3, 11), label="m")
+        e = data.draw(st.integers(2, m), label="e")
+        j = data.draw(st.integers(0, e - 2), label="prefix length")
+        prefix = sorted(data.draw(st.sets(st.integers(1, m - 2), min_size=j, max_size=j)))
+        first = prefix[-1] + 1 if prefix else 1
+        a = data.draw(st.integers(first, m - 1), label="child")
+        cap = data.draw(st.integers(m, m * m), label="cap")
+        table = residue_table(m, [m + r for r in prefix])
+        q = e - 1 - j  # generators still to come, the child's included
+        slots = [_slots(table, m + b, q, cap) for b in range(first, m)]
+        assert slots == sorted(slots, reverse=True)
+        for rest in combinations(range(a + 1, m), e - 2 - j):
+            residues = (*prefix, a, *rest)
+            if gcd(m, *residues) != 1:
+                continue
+            leaf = residue_table(m, [m + r for r in residues])
+            # All m entries of a leaf fit under its own largest one.
+            assert _slots(table, m + a, q, max(leaf)) >= m, residues
+            if max(leaf) <= cap:
+                assert slots[a - first] >= m, (residues, cap)
+
+    def test_slot_count_cuts_the_frobenius_walk(self, monkeypatch):
+        # Without the count, (40, 3) relaxes 605 tables for its one leaf.
+        relax = packed.relax
+        finished = []
+
+        def counted(*args):
+            done = relax(*args)
+            finished.append(done)
+            return done
+
+        monkeypatch.setattr(packed, "relax", counted)
+        assert [S.min_gens for S in _minimizers(40, 3, max)] == [(40, 43, 47)]
+        assert len(finished) < 300
+        monkeypatch.undo()
+        out = min_frobenius_full_set(36, 6)
+        assert out.value == 107
+        assert out.minimizers == (mk(36, 37, 40, 41, 49, 51), mk(36, 37, 40, 42, 50, 51))
+        out = min_frobenius_full_set(44, 5)
+        assert out.value == 175
+        assert out.minimizers == (mk(44, 45, 47, 55, 62),)
 
 
 class TestIsPacked:
