@@ -412,6 +412,11 @@ def _emit(text: str, stream) -> None:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    # argparse takes `-3,5` for an option: only a bare negative number passes
+    # as a value.  A leading blank makes such a generator list a value, and
+    # `_gen_list` strips it, so `make_semigroup` names the bad generator.
+    argv = sys.argv[1:] if argv is None else argv
+    argv = [" " + a if a[:1] == "-" and a[1:2].isdigit() and "," in a else a for a in argv]
     try:
         ns = parser.parse_args(argv)
     except SystemExit as ex:

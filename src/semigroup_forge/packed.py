@@ -14,16 +14,19 @@ pairs.  `enumerate_packed` takes every leaf and wraps it into a value.
 The searches go through `_minimizers`, which runs the same walk as a
 branch-and-bound on the sum (genus) or the maximum (Frobenius number)
 of the tables: a prefix whose bound exceeds the best key so far is cut,
-as is, for the maximum, a child whose leaves cannot fit m entries under it,
-and a leaf's `relax` stops as soon as the leaf loses.  They wrap only
-the members they return.  The class walk wraps every son.  Every value
-is made by `NumericalSemigroup(min_gens, tuple(table))`, since each walk
-owns its tables as lists, and keeps only its generators and table; F and
-g are read off the table on demand, and the oracle's enumerator checks
-those reads against brute-force gap counts.
+as is a child whose leaves cannot fit m entries under the cap (for the
+maximum) or whose m least possible entries already sum past the best
+key (for the sum), and a leaf's `relax` stops as soon as the leaf
+loses.  They wrap only the members they return.  The class walk wraps
+every son.  Every value is made by `NumericalSemigroup(min_gens,
+tuple(table))`, since each walk owns its tables as lists, and keeps only
+its generators and table; F and g are read off the table on demand, and
+the oracle's enumerator checks those reads against brute-force gap
+counts.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb, gcd
 from typing import Iterator
@@ -66,7 +69,9 @@ class PackedFamily:
 # A prefix runs its suffix sweep, one relax per residue above it, only when
 # it has at least this many times as many leaves below it.  Without the rule
 # the sweeps cost up to 16 times a full scan at large e, where most prefixes
-# lead to one or two leaves; 4, 8 and 16 measured alike.
+# lead to one or two leaves; 4, 8 and 16 measured alike.  The least-sum cut
+# of the genus search runs by the same rule, and in a leaf's loop only when
+# it has at least this many children.
 _SWEEP_PAYS = 8
 
 
@@ -79,10 +84,11 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
     system, and a numerical semigroup when gcd(m, a1, a2, ...) is 1.
     The subsets are walked in lexicographic order as a prefix tree, on an
     explicit stack of one frame per prefix, holding its least-element
-    table and its children's bounds.  Each step copies the prefix's table
-    and adjoins one generator by `relax`; a prefix one residue short of a
-    leaf reads the gcd of its generators once and filters the last step
-    by it.  Every yielded table is a fresh list the caller owns.
+    table, its children's bounds and the end of its loop.  Each step
+    copies the prefix's table and adjoins one generator by `relax`; a
+    prefix one residue short of a leaf reads the gcd of its generators
+    once and filters the last step by it.  Every yielded table is a fresh
+    list the caller owns.
 
     With a `key` (`sum` or `max`) the walk is a branch-and-bound for the
     least key, and yields only the leaves whose key is at most the least
@@ -98,49 +104,68 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
       only prefixes with enough leaves below them sweep (`_SWEEP_PAYS`).
     - At a leaf, `relax` stops at the first entry above a cap past which
       the key exceeds the incumbent (`_bound_and_slack`).
-    - Under `max` the walk also counts slots.  Below child a of a prefix
-      with table t, q more generators are still to come, each at least
-      m+a (q = 1 in a leaf's loop).  Each entry of a leaf below is some
-      t[i] plus a sum of k of them, and distinct residues need distinct
-      pairs (i, multiset); there are C(q-1+k, k) multisets of size k, so
-      C(q+K, q) of size at most K.  Hence at most `_slots`, the sum over
-      t[i] <= cap of C(q + (cap - t[i]) // (m+a), q), leaf entries are
-      at most the cap, and a leaf within the cap needs m of them.  The
-      count does not grow with a, so the first child short of m ends the
-      sibling loop, before its table is copied.  Under `sum` the cap is
-      too loose for the count to pay.
+    - Both keys count what a child can still hold.  Below child a of a
+      prefix with table t, q more generators are still to come, each at
+      least m+a (q = 1 in a leaf's loop).  Each entry of a leaf below is
+      some t[i] plus a sum of k of them, at least t[i] + k(m+a), and
+      distinct residues need distinct pairs (i, multiset), of which there
+      are C(q-1+k, k) for each i and k.  So the s-th least entry of the
+      leaf is at least the s-th least of the values t[i] + k(m+a), each
+      counted that often, and a leaf within the cap draws only on values
+      within it.  The values grow with a, so the first child that fails
+      either test below ends the sibling loop.
+    - Under `max` the walk counts those values up to the cap: at most
+      `_slots`, the sum over t[i] <= cap of C(q + (cap - t[i]) // (m+a), q),
+      leaf entries are at most the cap, and a leaf within it needs m.  The
+      count runs at every interior child and in every leaf's loop, before
+      the child's table is copied.
+    - Under `sum` the walk adds up the m least of them within the cap
+      (`_least_sum`, SENTINEL when fewer fit): a leaf within the cap sums
+      to at least that, and a leaf past it loses anyway.  It runs only
+      where `_SWEEP_PAYS` says a bound pays: a sweeping prefix finds its
+      first such child by binary search when it is made, and keeps it as
+      the end of its loop; a leaf's loop with that many children does the
+      same when its last child already fails.
     Pruning is strict, so ties survive.
     """
     require_family(m, e)
     top = m - e + 1  # the largest first residue; position j goes up to top + j
     best = cap = SENTINEL
-    counts = key is max
+    counts, sums = key is max, key is sum
     if key is not None:
         bound, slack = _bound_and_slack(m, e, key)
         best = key(interval_apery(m, e))
         cap = best - slack
 
-        def bounds_of(w: list[int], first: int, j: int, lb: int) -> list[int]:
+        def frame(w: list[int], first: int, j: int, lb: int, best: int) -> tuple:
             # A prefix with too few leaves, C(m-first, e-1-j), gives each
-            # child `lb`, the bound on the prefix itself.
+            # child `lb`, the bound on the prefix itself.  The incumbent
+            # comes as an argument, so the walk's `best` stays a plain local.
+            last = top + j
             n = m - first
             if comb(n, e - 1 - j) < _SWEEP_PAYS * n:
-                return [lb] * (top + j - first + 1)
-            return _child_bounds(w, m, first, top + j, bound)
+                return w, [lb] * (last - first + 1), last + 1
+            if sums:
+                last = _sum_cut(w, m, first, last, e - 1 - j, best - slack, best) - 1
+            bounds = _child_bounds(w, m, first, last, bound) if first <= last else []
+            return w, bounds, last + 1
 
     w = residue_table(m, ())
     gens = [m]  # m and one generator per residue chosen so far
-    # stack[j]: the table of gens[:j + 1] and the bounds of its unvisited
-    # children, the next child's last, or None when nothing prunes them.
-    stack = [(w, bounds_of(w, 1, 0, 0) if key is not None and e > 2 else None)]
+    # stack[j]: the table of gens[:j + 1]; the bounds of its unvisited
+    # children, the next child's last, or None when nothing prunes them;
+    # and the end of its loop, past its last child or at its first cut one.
+    stack = [frame(w, 1, 0, 0, best) if key is not None and e > 2 else (w, None, top + 1)]
     a = 1
     while stack:
         j = len(stack) - 1
-        t, bounds = stack[j]
+        t, bounds, end = stack[j]
         if j == e - 2:
             g = gcd(*gens)
             room = [cap - x for x in t if x <= cap] if counts else None
-            for r in range(a, m):
+            if sums and m - a >= _SWEEP_PAYS:
+                end = _sum_cut(t, m, a, m - 1, 1, cap, best)
+            for r in range(a, end):
                 if gcd(g, r) == 1:
                     # `_slots` at q = 1, summed by `map` since it runs per leaf.
                     if counts and len(room) + sum(map((m + r).__rfloordiv__, room)) < m:
@@ -157,7 +182,7 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
                         best, cap = k, k - slack
                     yield (*gens, m + r), w
         elif (
-            a <= top + j
+            a < end
             and (bounds is None or (lb := bounds.pop()) <= best)
             and (not counts or _slots(t, m + a, e - 1 - j, cap) >= m)
         ):
@@ -166,7 +191,7 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
             gens.append(m + a)
             a += 1
             interior = key is not None and j + 1 < e - 2
-            stack.append((w, bounds_of(w, a, j + 1, lb) if interior else None))
+            stack.append(frame(w, a, j + 1, lb, best) if interior else (w, None, top + j + 2))
             continue
         stack.pop()
         a = gens.pop() - m + 1
@@ -186,6 +211,47 @@ def _child_bounds(w: list[int], m: int, first: int, last: int, bound) -> list[in
 def _slots(t: list[int], g: int, q: int, cap: int) -> int:
     """An upper bound on the entries <= cap of a leaf of `t` and q more generators >= g."""
     return sum(comb(q + (cap - x) // g, q) for x in t if x <= cap)
+
+
+def _least_sum(v: list[int], g: int, q: int, m: int, cap: int) -> int:
+    """The sum of the m least values t[i] + k*g within cap, or SENTINEL if fewer fit.
+
+    Each value counts C(q-1+k, k) times, once per multiset of k of q
+    generators.  `v` holds the entries t[i] <= cap, sorted and closed by
+    SENTINEL.  The values for q generators are those for q-1 merged with
+    their own list shifted by g (the multisets that use the q-th), so q
+    merges of length m yield the m least.
+    """
+    for _ in range(q):
+        out = [0]  # t[0] = 0 is the least value
+        i, k, y = 1, 0, g
+        for _ in range(m - 1):
+            x = v[i]
+            if x <= y:
+                out.append(x)
+                i += 1
+            elif y <= cap:
+                out.append(y)
+                k += 1
+                y = out[k] + g
+            else:
+                break
+        out.append(SENTINEL)
+        v = out
+    return sum(v) - SENTINEL if len(v) > m else SENTINEL
+
+
+def _sum_cut(t: list[int], m: int, first: int, last: int, q: int, cap: int, best: int) -> int:
+    """The first child a in first..last whose least sum exceeds `best`, or last + 1."""
+    v = sorted([x for x in t if x <= cap])
+    v.append(SENTINEL)
+    if _least_sum(v, m + last, q, m, cap) <= best:
+        return last + 1
+
+    def over(a: int) -> bool:
+        return _least_sum(v, m + a, q, m, cap) > best
+
+    return first + bisect_left(range(first, last), True, key=over)
 
 
 def _bound_and_slack(m: int, e: int, key):

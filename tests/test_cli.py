@@ -304,6 +304,7 @@ class TestExitCodes:
                 ["audit-wilf", "5", "0", "--levels", "2"],
                 "multiplicity and dimension must be positive",
             ),
+            (["info", "-3,5"], "error: generator -3 is not positive"),
         ],
     )
     def test_refusals(self, capsys, args, message):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semigroup_forge import packed
-from semigroup_forge._backend import residue_table
+from semigroup_forge._backend import SENTINEL, residue_table
 from semigroup_forge.core import make_semigroup, monoid_contains
 from semigroup_forge.errors import (
     BadDimension,
@@ -21,19 +21,35 @@ from semigroup_forge.multiplicity_tree import bfs_levels, root
 from semigroup_forge.packed import (
     _bound_and_slack,
     _child_bounds,
+    _least_sum,
     _minimizers,
     _slots,
+    _sum_cut,
     class_min_frobenius,
     class_sons,
     enumerate_packed,
     is_packed,
     pack,
 )
-from semigroup_forge.search import min_frobenius_full_set
+from semigroup_forge.search import min_frobenius_full_set, min_genus_packed
 
 
 def mk(*gens):
     return make_semigroup(gens)
+
+
+def count_relax(monkeypatch):
+    """Wrap `packed.relax`; the returned list gets each call's result."""
+    relax = packed.relax
+    finished = []
+
+    def counted(*args):
+        done = relax(*args)
+        finished.append(done)
+        return done
+
+    monkeypatch.setattr(packed, "relax", counted)
+    return finished
 
 
 def random_semigroups(count, seed, top=120):
@@ -152,15 +168,7 @@ class TestBranchAndBound:
     def test_prunes_most_of_the_family(self, key, monkeypatch):
         # A full scan relaxes at least once per leaf, of C(23, 7) = 245,157,
         # and finishes every sweep; most leaves reached lose early.
-        relax = packed.relax
-        finished = []
-
-        def counted(*args):
-            done = relax(*args)
-            finished.append(done)
-            return done
-
-        monkeypatch.setattr(packed, "relax", counted)
+        finished = count_relax(monkeypatch)
         assert len(_minimizers(24, 8, key)) == 52
         assert len(finished) < comb(23, 7) // 20
         assert finished.count(False) > len(finished) // 2
@@ -219,15 +227,7 @@ class TestBranchAndBound:
 
     def test_slot_count_cuts_the_frobenius_walk(self, monkeypatch):
         # Without the count, (40, 3) relaxes 605 tables for its one leaf.
-        relax = packed.relax
-        finished = []
-
-        def counted(*args):
-            done = relax(*args)
-            finished.append(done)
-            return done
-
-        monkeypatch.setattr(packed, "relax", counted)
+        finished = count_relax(monkeypatch)
         assert [S.min_gens for S in _minimizers(40, 3, max)] == [(40, 43, 47)]
         assert len(finished) < 300
         monkeypatch.undo()
@@ -236,6 +236,67 @@ class TestBranchAndBound:
         assert out.minimizers == (mk(36, 37, 40, 41, 49, 51), mk(36, 37, 40, 42, 50, 51))
         out = min_frobenius_full_set(44, 5)
         assert out.value == 175
+        assert out.minimizers == (mk(44, 45, 47, 55, 62),)
+
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.data())
+    def test_least_sums_hold_for_their_leaves(self, data):
+        m = data.draw(st.integers(3, 11), label="m")
+        e = data.draw(st.integers(2, m), label="e")
+        j = data.draw(st.integers(0, e - 2), label="prefix length")
+        prefix = sorted(data.draw(st.sets(st.integers(1, m - 2), min_size=j, max_size=j)))
+        first = prefix[-1] + 1 if prefix else 1
+        a = data.draw(st.integers(first, m - 1), label="child")
+        cap = data.draw(st.integers(m, m * m), label="cap")
+        table = residue_table(m, [m + r for r in prefix])
+        q = e - 1 - j  # generators still to come, the child's included
+
+        def least_sum(cap, g):
+            v = sorted(x for x in table if x <= cap)
+            return _least_sum([*v, SENTINEL], g, q, m, cap)
+
+        sums = [least_sum(cap, m + b) for b in range(first, m)]
+        assert sums == sorted(sums)
+        # The merges add up the m least values of the multiset, listed out.
+        for b, got in zip(range(first, m), sums):
+            g = m + b
+            values = sorted(
+                x + k * g
+                for x in table
+                if x <= cap
+                for k in range((cap - x) // g + 1)
+                for _ in range(min(comb(q - 1 + k, k), m))
+            )
+            assert got == (sum(values[:m]) if len(values) >= m else SENTINEL), b
+        best = data.draw(st.integers(0, m * cap), label="best")
+        over = [b for b, s in zip(range(first, m), sums) if s > best]
+        assert _sum_cut(table, m, first, m - 1, q, cap, best) == (over[0] if over else m)
+        for rest in combinations(range(a + 1, m), e - 2 - j):
+            residues = (*prefix, a, *rest)
+            if gcd(m, *residues) != 1:
+                continue
+            leaf = residue_table(m, [m + r for r in residues])
+            # Every leaf is within the cap of its own largest entry.
+            assert sum(leaf) >= least_sum(max(leaf), m + a), residues
+            if max(leaf) <= cap:
+                assert sum(leaf) >= sums[a - first], (residues, cap)
+
+    def test_least_sum_cuts_the_genus_walk(self, monkeypatch):
+        # Without the least sums, (38, 3) relaxes 557 tables for its two leaves.
+        finished = count_relax(monkeypatch)
+        assert [S.min_gens for S in _minimizers(38, 3, sum)] == [(38, 39, 44), (38, 39, 45)]
+        assert len(finished) < 200
+        monkeypatch.undo()
+        out = min_genus_packed(36, 6)
+        assert out.value == 81
+        assert out.minimizers == (
+            mk(36, 37, 40, 41, 49, 51),
+            mk(36, 37, 40, 42, 50, 51),
+            mk(36, 37, 40, 46, 48, 53),
+        )
+        out = min_genus_packed(44, 5)
+        assert out.value == 124
         assert out.minimizers == (mk(44, 45, 47, 55, 62),)
 
 
