@@ -17,7 +17,9 @@ of the tables: a prefix whose bound exceeds the best key so far is cut,
 as is a child whose leaves cannot fit m entries under the cap (for the
 maximum) or whose m least possible entries already sum past the best
 key (for the sum), and a leaf's `relax` stops as soon as the leaf
-loses.  They wrap only the members they return.  The class walk wraps
+loses.  One maker builds every frame of the walk and decides there
+which prefixes keep child bounds and where each loop ends.  The
+searches wrap only the members they return.  The class walk wraps
 every son.  Every value is made by `NumericalSemigroup(min_gens,
 tuple(table))`, since each walk owns its tables as lists, and keeps only
 its generators and table; F and g are read off the table on demand, and
@@ -55,8 +57,6 @@ __all__ = [
 class PackedFamily:
     """All packed semigroups with the given multiplicity and dimension."""
 
-    m: int
-    e: int
     members: tuple[NumericalSemigroup, ...]
 
     def __len__(self) -> int:
@@ -70,8 +70,8 @@ class PackedFamily:
 # it has at least this many times as many leaves below it.  Without the rule
 # the sweeps cost up to 16 times a full scan at large e, where most prefixes
 # lead to one or two leaves; 4, 8 and 16 measured alike.  The least-sum cut
-# of the genus search runs by the same rule, and in a leaf's loop only when
-# it has at least this many children.
+# of the genus search runs by the same rule, and at a leaf-level prefix only
+# when it has at least this many children.
 _SWEEP_PAYS = 8
 
 
@@ -83,25 +83,30 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
     generators {m, m+a1, m+a2, ...}, which are automatically a minimal
     system, and a numerical semigroup when gcd(m, a1, a2, ...) is 1.
     The subsets are walked in lexicographic order as a prefix tree, on an
-    explicit stack of one frame per prefix, holding its least-element
-    table, its children's bounds and the end of its loop.  Each step
-    copies the prefix's table and adjoins one generator by `relax`; a
-    prefix one residue short of a leaf reads the gcd of its generators
-    once and filters the last step by it.  Every yielded table is a fresh
-    list the caller owns.
+    explicit stack of one frame per prefix: its least-element table, its
+    children's bounds and the end of its loop.  `frame` makes every frame,
+    the root's and the leaf-level ones too, and alone decides the last
+    two.  Each step copies the prefix's table and adjoins one generator by
+    `relax`; a prefix one residue short of a leaf reads the gcd of its
+    generators once and filters the last step by it.  Every yielded table
+    is a fresh list the caller owns.
 
     With a `key` (`sum` or `max`) the walk is a branch-and-bound for the
     least key, and yields only the leaves whose key is at most the least
     one met so far, starting from the interval semigroup's, so every
     member attaining the minimum comes out, in family order, after any
     worse ones that were yielded.
-    - Each interior prefix bounds its children by one suffix sweep: U_a,
-      its table relaxed with m+r for every r >= a, lies pointwise below
-      every leaf under child a.  Built from r = m-1 downwards, one
-      `relax` per r, it bounds the key below child a, and the bound does
-      not decrease as a grows; the first child whose bound exceeds the
-      incumbent ends the sibling loop.  Only the bounds are kept, and
-      only prefixes with enough leaves below them sweep (`_SWEEP_PAYS`).
+    - A prefix bounds its children by one suffix sweep: U_a, its table
+      relaxed with m+r for every r >= a, lies pointwise below every leaf
+      under child a.  Built from r = m-1 downwards, one `relax` per r, it
+      bounds the key below child a, and the bound does not decrease as a
+      grows; the first child whose bound exceeds the incumbent ends the
+      sibling loop.  Only the bounds are kept, and only interior prefixes
+      with enough leaves below them sweep (`_SWEEP_PAYS`).  No other frame
+      keeps bounds, as its own bound lb could cut no child: its parent
+      found lb <= best on entering it (the root has lb = 0), lb lies below
+      every leaf under it, and only those leaves move the incumbent until
+      its loop ends, so best >= lb throughout.
     - At a leaf, `relax` stops at the first entry above a cap past which
       the key exceeds the incumbent (`_bound_and_slack`).
     - Both keys count what a child can still hold.  Below child a of a
@@ -121,11 +126,10 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
       the child's table is copied.
     - Under `sum` the walk adds up the m least of them within the cap
       (`_least_sum`, SENTINEL when fewer fit): a leaf within the cap sums
-      to at least that, and a leaf past it loses anyway.  It runs only
-      where `_SWEEP_PAYS` says a bound pays: a sweeping prefix finds its
-      first such child by binary search when it is made, and keeps it as
-      the end of its loop; a leaf's loop with that many children does the
-      same when its last child already fails.
+      to at least that, and a leaf past it loses anyway.  `frame` ends the
+      loop at the first child past the best, by binary search, only where
+      `_SWEEP_PAYS` says a bound pays: at a sweeping prefix, and at a
+      leaf-level one with that many children, whose loop runs at once.
     Pruning is strict, so ties survive.
     """
     require_family(m, e)
@@ -137,25 +141,21 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
         best = key(interval_apery(m, e))
         cap = best - slack
 
-        def frame(w: list[int], first: int, j: int, lb: int, best: int) -> tuple:
-            # A prefix with too few leaves, C(m-first, e-1-j), gives each
-            # child `lb`, the bound on the prefix itself.  The incumbent
-            # comes as an argument, so the walk's `best` stays a plain local.
-            last = top + j
-            n = m - first
-            if comb(n, e - 1 - j) < _SWEEP_PAYS * n:
-                return w, [lb] * (last - first + 1), last + 1
-            if sums:
-                last = _sum_cut(w, m, first, last, e - 1 - j, best - slack, best) - 1
-            bounds = _child_bounds(w, m, first, last, bound) if first <= last else []
-            return w, bounds, last + 1
+    def frame(w: list[int], first: int, j: int, best: int) -> tuple:
+        # A prefix with table `w` and children first..top + j.  The incumbent
+        # comes as an argument, so the walk's `best` stays a plain local.
+        last, q, n = top + j, e - 1 - j, m - first
+        sweeps = key is not None and q > 1 and comb(n, q) >= _SWEEP_PAYS * n
+        if sums and (sweeps or q == 1 and n >= _SWEEP_PAYS):
+            last = _sum_cut(w, m, first, last, q, best - slack, best) - 1
+        bounds = _child_bounds(w, m, first, last, bound) if sweeps and first <= last else None
+        return w, bounds, last + 1
 
-    w = residue_table(m, ())
     gens = [m]  # m and one generator per residue chosen so far
     # stack[j]: the table of gens[:j + 1]; the bounds of its unvisited
-    # children, the next child's last, or None when nothing prunes them;
+    # children, the next child's last, or None when it does not sweep;
     # and the end of its loop, past its last child or at its first cut one.
-    stack = [frame(w, 1, 0, 0, best) if key is not None and e > 2 else (w, None, top + 1)]
+    stack = [frame(residue_table(m, ()), 1, 0, best)]
     a = 1
     while stack:
         j = len(stack) - 1
@@ -163,8 +163,6 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
         if j == e - 2:
             g = gcd(*gens)
             room = [cap - x for x in t if x <= cap] if counts else None
-            if sums and m - a >= _SWEEP_PAYS:
-                end = _sum_cut(t, m, a, m - 1, 1, cap, best)
             for r in range(a, end):
                 if gcd(g, r) == 1:
                     # `_slots` at q = 1, summed by `map` since it runs per leaf.
@@ -183,15 +181,14 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
                     yield (*gens, m + r), w
         elif (
             a < end
-            and (bounds is None or (lb := bounds.pop()) <= best)
+            and (bounds is None or bounds.pop() <= best)
             and (not counts or _slots(t, m + a, e - 1 - j, cap) >= m)
         ):
             w = t.copy()
             relax(w, m, m + a)
             gens.append(m + a)
             a += 1
-            interior = key is not None and j + 1 < e - 2
-            stack.append(frame(w, a, j + 1, lb, best) if interior else (w, None, top + j + 2))
+            stack.append(frame(w, a, j + 1, best))
             continue
         stack.pop()
         a = gens.pop() - m + 1
@@ -285,7 +282,7 @@ def enumerate_packed(m: int, e: int) -> PackedFamily:
     `_minimizers` instead.
     """
     members = tuple(NumericalSemigroup(gens, tuple(w)) for gens, w in _leaves(m, e))
-    return PackedFamily(m=m, e=e, members=members)
+    return PackedFamily(members)
 
 
 def _minimizers(m: int, e: int, key) -> tuple[NumericalSemigroup, ...]:

@@ -7,10 +7,11 @@ Frobenius bound (minimal Frobenius).  The packed route reads the same
 minima off the tables of the finite packed family, builds values only
 for the members attaining them, and recovers the full Frobenius
 minimizer set by searching each minimizing packing class.  Every route
-returns a `SearchOutcome`, the minimum and its minimizers.  The routes
-cross-check each other in the test suite.  Each route refuses (m, e)
-outside m >= e >= 2 through its first call, an interval formula or the
-packed leaf walk, both gated by `core.require_family`.
+returns a `SearchOutcome`, the minimum and its minimizers, except
+`min_frobenius_value_packed`, which returns the minimum alone as an int.
+The routes cross-check each other in the test suite.  Each route refuses
+(m, e) outside m >= e >= 2 through its first call, an interval formula or
+the packed leaf walk, both gated by `core.require_family`.
 """
 from __future__ import annotations
 

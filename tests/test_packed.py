@@ -173,6 +173,36 @@ class TestBranchAndBound:
         assert len(finished) < comb(23, 7) // 20
         assert finished.count(False) > len(finished) // 2
 
+    @pytest.mark.parametrize(
+        "m, e, key, calls",
+        [
+            (24, 8, sum, 4989),
+            (24, 8, max, 3887),
+            (20, 10, sum, 25841),
+            (20, 10, max, 6732),
+            (36, 6, sum, 9564),
+            (36, 6, max, 28263),
+            (44, 5, sum, 4190),
+            (14, 7, None, 3001),
+        ],
+    )
+    def test_cuts_are_pinned(self, m, e, key, calls, monkeypatch):
+        """The walk's exact `relax` calls: every cut decision shows here.
+
+        The other tests bound these counts from above only, so a cut that
+        moves while staying under them would go unseen.  A change that
+        moves a cut re-pins this table and gives the reason in CHANGES.md.
+        At (36, 6) under `sum` a sweeping prefix whose least-sum cut leaves
+        no child must build no bounds (11,331 calls when it does).  With
+        no key the walk visits every member (`enumerate_packed`).
+        """
+        finished = count_relax(monkeypatch)
+        if key is None:
+            assert len(enumerate_packed(m, e)) == 1715
+        else:
+            _minimizers(m, e, key)
+        assert len(finished) == calls
+
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(st.data())
     def test_prefix_bounds_stay_below_their_leaves(self, data):
