@@ -5,6 +5,12 @@ formats: a human-oriented table using the angle-bracket generator
 notation, and a single JSON document with sorted keys.  Identical
 invocations produce byte-identical stdout; timing goes to stderr.
 
+Each answer is rendered once, in the format asked for.  `_json` writes
+the JSON document itself, byte for byte what `json.dumps` writes with
+sorted keys and a two-space indent: any indent makes `json` fall back to
+its pure-Python encoder.  Semigroups are written straight from their
+generators, F and g.
+
 Exit codes: 0 success, 2 invalid arguments, 3 empty family,
 4 verification failure (including a Wilf violation).  Output cut short
 by its reader (`| head -1`, also with `2>&1`) keeps that code and prints
@@ -18,6 +24,7 @@ import os
 import sys
 import time
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 
 from ._backend import backend_name
 from .core import Existence, NumericalSemigroup, existence, make_semigroup
@@ -126,21 +133,63 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _sg_json(S: NumericalSemigroup) -> dict:
-    return {"min_gens": list(S.min_gens), "frobenius": S.frobenius, "genus": S.genus}
-
-
 def _member_lines(semigroups) -> list[str]:
     return [f"  {S!r}  F={S.frobenius}  g={S.genus}" for S in semigroups]
+
+
+def _json(x, pad: str = "") -> str:
+    """What `json.dumps` writes for `x` with sorted keys and a two-space
+    indent, with `x` nested at `pad`.
+
+    Takes dicts with str keys, lists, tuples, ints, strs, bools, None and
+    semigroups; a semigroup is the object of its `frobenius`, `genus` and
+    `min_gens`.  Types are tested with `is`: a bool is an int subclass,
+    and json writes it `true`/`false`.
+    """
+    t = type(x)
+    if t is int:
+        return int.__repr__(x)
+    if t is str:
+        return encode_basestring_ascii(x)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if t is NumericalSemigroup:
+        deeper = inner + "  "
+        return (
+            f'{{\n{inner}"frobenius": {x.frobenius}{sep}"genus": {x.genus}'
+            f'{sep}"min_gens": [\n{deeper}'
+            + (",\n" + deeper).join(map(int.__repr__, x.min_gens))
+            + f"\n{inner}]\n{pad}}}"
+        )
+    if t is dict:
+        if not x:
+            return "{}"
+        body = sep.join(
+            encode_basestring_ascii(k) + ": " + _json(v, inner)
+            for k, v in sorted(x.items())
+        )
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if t is list or t is tuple:
+        if not x:
+            return "[]"
+        if all(type(v) is int for v in x):
+            body = sep.join(map(int.__repr__, x))
+        else:
+            body = sep.join([_json(v, inner) for v in x])
+        return "[\n" + inner + body + "\n" + pad + "]"
+    return json.dumps(x)
 
 
 class _Report:
     """What one subcommand computed; `main` verifies and renders it.
 
-    `members` are the semigroups `--verify` sieves.  `route`, when set,
-    is the packed search for the same minimum: `--verify` calls it as
-    `route(m, e)` and requires its value and full minimizer set to equal
-    `result["value"]` and `members`.  `alarm` is printed on stderr after
+    `result` is the JSON form, holding the semigroups themselves; `lines`
+    is a zero-argument callable that builds the table form, so each
+    answer is rendered only in the format asked for.  `members` are the
+    semigroups `--verify` sieves.  `route`, when set, is the packed
+    search for the same minimum: `--verify` calls it as `route(m, e)` and
+    requires its value and full minimizer set to equal `result["value"]`
+    and `members`.  `alarm` is printed on stderr after
     the report and makes the exit code 4.
     """
 
@@ -149,7 +198,7 @@ class _Report:
     def __init__(
         self,
         result: dict,
-        lines: list[str],
+        lines,
         members: list[NumericalSemigroup],
         nodes: int | None = None,
         route=None,
@@ -234,9 +283,9 @@ def _cmd_min_genus(ns) -> _Report:
     result = {
         "value": value,
         "level": level_index,
-        "minimizers": [_sg_json(S) for S in minimizers],
+        "minimizers": minimizers,
     }
-    lines = [
+    lines = lambda: [
         f"min-genus m={ns.m} e={ns.e}",
         f"value: {value}",
         f"level: {level_index}",
@@ -266,10 +315,10 @@ def _cmd_min_frobenius(ns) -> _Report:
     result = {
         "value": value,
         "complete": complete,
-        "minimizers": [_sg_json(S) for S in minimizers],
+        "minimizers": minimizers,
     }
     label = "complete" if complete else "packed representatives only"
-    lines = [
+    lines = lambda: [
         f"min-frobenius m={ns.m} e={ns.e} via={ns.via}",
         f"value: {value}",
         f"minimizers ({len(minimizers)}, {label}):",
@@ -283,13 +332,17 @@ def _cmd_min_frobenius(ns) -> _Report:
 def _cmd_packed(ns) -> _Report:
     naturals = _classify(ns.m, ns.e)
     members = [naturals] if naturals is not None else list(enumerate_packed(ns.m, ns.e))
-    result = {"count": len(members), "members": [_sg_json(S) for S in members]}
-    lines = [f"packed m={ns.m} e={ns.e}", f"count: {len(members)}", *_member_lines(members)]
+    result = {"count": len(members), "members": members}
     if ns.show is not None:
         kind = {"g": "genus", "f": "frobenius"}[ns.show]
         values = [getattr(S, kind) for S in members]
         result["values"] = {"kind": kind, "values": values}
-        lines.append(f"{kind} values: " + ",".join(str(v) for v in values))
+    lines = lambda: [
+        f"packed m={ns.m} e={ns.e}",
+        f"count: {len(members)}",
+        *_member_lines(members),
+        *([f"{kind} values: " + ",".join(map(str, values))] if ns.show else []),
+    ]
     return _Report(result, lines, members)
 
 
@@ -300,17 +353,21 @@ def _cmd_tree(ns) -> _Report:
             {
                 "level_index": k,
                 "genus": ns.m - 1 + k,
-                "members": [_sg_json(S) for S in lv],
+                "members": lv,
             }
             for k, lv in enumerate(levels)
         ]
     }
-    lines = [f"tree m={ns.m} levels={ns.levels}"]
-    for k, lv in enumerate(levels):
-        n = len(lv)
-        word = "member" if n == 1 else "members"
-        lines.append(f"level {k} (genus {ns.m - 1 + k}, {n} {word}):")
-        lines.extend(f"  {S!r}" for S in lv)
+
+    def lines() -> list[str]:
+        out = [f"tree m={ns.m} levels={ns.levels}"]
+        for k, lv in enumerate(levels):
+            n = len(lv)
+            word = "member" if n == 1 else "members"
+            out.append(f"level {k} (genus {ns.m - 1 + k}, {n} {word}):")
+            out.extend(f"  {S!r}" for S in lv)
+        return out
+
     members = [S for lv in levels for S in lv]
     return _Report(result, lines, members, nodes=len(members))
 
@@ -328,9 +385,9 @@ def _cmd_class_min_frob(ns) -> _Report:
     result = {
         "frobenius": S.frobenius,
         "count": len(members),
-        "members": [_sg_json(T) for T in members],
+        "members": members,
     }
-    lines = [
+    lines = lambda: [
         f"class-min-frob {S!r}",
         f"frobenius: {S.frobenius}",
         f"members ({len(members)}):",
@@ -342,15 +399,15 @@ def _cmd_class_min_frob(ns) -> _Report:
 def _cmd_info(ns) -> _Report:
     S = _semigroup_arg(ns.generators)
     result = {
-        "min_gens": list(S.min_gens),
+        "min_gens": S.min_gens,
         "multiplicity": S.multiplicity,
         "embedding_dim": S.embedding_dim,
         "max_gen": S.max_gen,
         "frobenius": S.frobenius,
         "genus": S.genus,
-        "apery": {"modulus": S.multiplicity, "entries": list(S.entries)},
+        "apery": {"modulus": S.multiplicity, "entries": S.entries},
     }
-    lines = [
+    lines = lambda: [
         f"semigroup {S!r}",
         "min_gens: " + ",".join(str(g) for g in S.min_gens),
         f"multiplicity: {S.multiplicity}",
@@ -371,16 +428,16 @@ def _cmd_audit_wilf(ns) -> _Report:
     result = {
         "checked": len(audited),
         "violations": [
-            {"min_gens": list(v.semigroup.min_gens), "lhs": v.lhs, "rhs": v.rhs}
+            {"min_gens": v.semigroup.min_gens, "lhs": v.lhs, "rhs": v.rhs}
             for v in violations
         ],
     }
-    lines = [
+    lines = lambda: [
         f"audit-wilf m={ns.m} e={ns.e} levels={ns.levels}",
         f"checked: {len(audited)}",
         f"violations: {len(violations)}",
+        *(f"  {v.semigroup!r}  lhs={v.lhs}  rhs={v.rhs}" for v in violations),
     ]
-    lines.extend(f"  {v.semigroup!r}  lhs={v.lhs}  rhs={v.rhs}" for v in violations)
     alarm = None
     if violations:
         alarm = "WILF INEQUALITY VIOLATED: " + "; ".join(
@@ -435,8 +492,6 @@ def main(argv=None) -> int:
     except SemigroupError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
-    # Nothing below reads the semigroups; free them before rendering.
-    report.members = report.route = None
     if ns.format == "json":
         inputs = {
             k: v for k, v in vars(ns).items() if k not in ("command", "format", "verify")
@@ -447,10 +502,10 @@ def main(argv=None) -> int:
             "result": report.result,
             "meta": meta,
         }
-        out = json.dumps(envelope, sort_keys=True, indent=2)
+        out = _json(envelope)
     else:
         verify_line = [f"verify: {meta['verify']}"] if meta["verify"] else []
-        out = "\n".join(report.lines + verify_line)
+        out = "\n".join(report.lines() + verify_line)
     _emit(out, sys.stdout)
     if report.alarm:
         _emit(report.alarm, sys.stderr)

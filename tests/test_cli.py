@@ -6,9 +6,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from semigroup_forge.cli import _build_parser, _Exit, _Report, _verify, main
-from semigroup_forge.core import make_semigroup
+import semigroup_forge.cli as cli
+from semigroup_forge.cli import _build_parser, _Exit, _json, _Report, _verify, main
+from semigroup_forge.core import NumericalSemigroup, make_semigroup
 
 
 def run_main(capsys, *args):
@@ -624,6 +627,108 @@ class TestRoundTrip:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+
+def canonical(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+# Strings json must escape: quotes, backslashes, control characters,
+# the generator brackets and characters outside the BMP.
+json_text = st.text(
+    st.characters() | st.sampled_from('"\\\n\t\x00\x1f\x7f⟨⟩\U0001d54a')
+)
+json_docs = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64)
+    | json_text
+    | st.lists(st.integers(), min_size=1),
+    lambda kids: st.lists(kids)
+    | st.lists(kids).map(tuple)
+    | st.dictionaries(json_text, kids),
+    max_leaves=20,
+)
+
+# Every subcommand with and without --verify, both --show lists, the
+# naturals (F = -1) and a representatives-only answer (complete: false).
+RENDERED_COMMANDS = [
+    *(
+        args + verify
+        for args in (
+            ("min-genus", "6", "3"),
+            ("min-frobenius", "7", "4"),
+            ("packed", "6", "3"),
+            ("tree", "4", "--levels", "3"),
+            ("class-min-frob", "6,7,8,9,11"),
+            ("info", "4,5,7"),
+            ("audit-wilf", "5", "3", "--levels", "4"),
+        )
+        for verify in ((), ("--verify",))
+    ),
+    ("packed", "6", "3", "--show", "g"),
+    ("packed", "6", "3", "--show", "f"),
+    ("min-genus", "1", "1"),
+    ("tree", "1", "--levels", "0"),
+    ("min-frobenius", "7", "4", "--via", "packed"),
+]
+
+
+class TestJsonRenderer:
+    @settings(max_examples=150, deadline=None)
+    @given(json_docs)
+    def test_matches_json_dumps(self, doc):
+        assert _json(doc) == canonical(doc)
+
+    def test_semigroup_renders_as_its_dict(self):
+        for gens in ([1], [4, 5, 7], [6, 8, 11, 13, 15]):
+            S = make_semigroup(gens)
+            old = {"min_gens": list(S.min_gens), "frobenius": S.frobenius, "genus": S.genus}
+            assert _json(S) == canonical(old)
+            assert _json({"members": [S, S]}) == canonical({"members": [old, old]})
+
+    @pytest.mark.parametrize("args", RENDERED_COMMANDS, ids=" ".join)
+    def test_stdout_is_canonical_json(self, capsys, args):
+        code, out, _ = run_main(capsys, *args, "--format", "json")
+        assert code == 0
+        assert out == canonical(json.loads(out)) + "\n"
+        if "--via" in args:
+            assert json.loads(out)["result"]["complete"] is False
+
+
+class TestRenderOnce:
+    """Each answer is rendered only in the format asked for."""
+
+    def test_json_builds_no_table(self, capsys, monkeypatch):
+        class JsonOnly(_Report):
+            def __init__(self, result, lines, *rest, **kw):
+                assert callable(lines)
+                super().__init__(result, self.no_table, *rest, **kw)
+
+            @staticmethod
+            def no_table():
+                raise AssertionError("table lines built under --format json")
+
+        def no_repr(S):
+            raise AssertionError("semigroup named under --format json")
+
+        monkeypatch.setattr(cli, "_Report", JsonOnly)
+        monkeypatch.setattr(NumericalSemigroup, "__repr__", no_repr)
+        for args in RENDERED_COMMANDS:
+            code, out, _ = run_main(capsys, *args, "--format", "json")
+            assert code == 0, args
+            json.loads(out)
+
+    def test_table_renders_no_json(self, capsys, monkeypatch):
+        def no_json(x, pad=""):
+            raise AssertionError("JSON rendered under --format table")
+
+        monkeypatch.setattr(cli, "_json", no_json)
+        for args in RENDERED_COMMANDS:
+            code, out, _ = run_main(capsys, *args)
+            assert code == 0, args
+            assert not out.startswith("{"), args
 
 
 # (option strings, dest, type name, default, choices, required, metavar, help)
