@@ -18,17 +18,18 @@ as is a child whose leaves cannot fit m entries under the cap (for the
 maximum) or whose m least possible entries already sum past the best
 key (for the sum), and a leaf's `relax` stops as soon as the leaf
 loses.  One maker builds every frame of the walk and decides there
-which prefixes keep child bounds and where each loop ends.  The
-searches wrap only the members they return.  The class walk wraps
-every son.  Every value is made by `NumericalSemigroup(min_gens,
-tuple(table))`, since each walk owns its tables as lists, and keeps only
-its generators and table; F and g are read off the table on demand, and
-the oracle's enumerator checks those reads against brute-force gap
-counts.
+which prefixes bound their children; each of those lowers the end of
+its loop whenever the walk returns to it with a better key, so no cut
+waits on a stale one.  The searches wrap only the members they return.
+The class walk wraps every son.  Every value is made by
+`NumericalSemigroup(min_gens, tuple(table))`, since each walk owns its
+tables as lists, and keeps only its generators and table; F and g are
+read off the table on demand, and the oracle's enumerator checks those
+reads against brute-force gap counts.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import comb, gcd
 from typing import Iterator
@@ -83,11 +84,12 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
     generators {m, m+a1, m+a2, ...}, which are automatically a minimal
     system, and a numerical semigroup when gcd(m, a1, a2, ...) is 1.
     The subsets are walked in lexicographic order as a prefix tree, on an
-    explicit stack of one frame per prefix: its least-element table, its
-    children's bounds and the end of its loop.  `frame` makes every frame,
-    the root's and the leaf-level ones too, and alone decides the last
-    two.  Each step copies the prefix's table and adjoins one generator by
-    `relax`; a prefix one residue short of a leaf reads the gcd of its
+    explicit stack of one frame per prefix: its least-element table, the
+    end of its loop and the incumbent that end was computed for.  `frame`
+    makes every frame, the root's and the leaf-level ones too, and alone
+    decides which prefixes sweep (`_sweeping`), the only ones whose ends
+    move.  Each step copies the prefix's table and adjoins one generator
+    by `relax`; a prefix one residue short of a leaf reads the gcd of its
     generators once and filters the last step by it.  Every yielded table
     is a fresh list the caller owns.
 
@@ -96,17 +98,25 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
     one met so far, starting from the interval semigroup's, so every
     member attaining the minimum comes out, in family order, after any
     worse ones that were yielded.
-    - A prefix bounds its children by one suffix sweep: U_a, its table
+    - A prefix bounds its children by a suffix sweep: U_a, its table
       relaxed with m+r for every r >= a, lies pointwise below every leaf
-      under child a.  Built from r = m-1 downwards, one `relax` per r, it
-      bounds the key below child a, and the bound does not decrease as a
-      grows; the first child whose bound exceeds the incumbent ends the
-      sibling loop.  Only the bounds are kept, and only interior prefixes
-      with enough leaves below them sweep (`_SWEEP_PAYS`).  No other frame
-      keeps bounds, as its own bound lb could cut no child: its parent
-      found lb <= best on entering it (the root has lb = 0), lb lies below
-      every leaf under it, and only those leaves move the incumbent until
-      its loop ends, so best >= lb throughout.
+      under child a, so bound(U_a) bounds the key below it, and the bound
+      does not decrease as a grows.  The sweep builds U_r from r = m-1
+      downwards, one `relax` per r, reads the bound only at children that
+      the least-sum cut below left (all of them under `max`), and stops
+      at the first whose bound is within the incumbent: every child up to
+      it passes, and the ones above it are cut.  The frame keeps U_r and
+      its bound, and the sweep goes on down from there only once the
+      incumbent falls below that bound, so no U_r is built twice and a
+      frame never relaxes more than once per residue above it.  Under
+      `sum` a bound costs as much as a `relax` or more (it sorts the
+      table), so the sweep reads none past the least-sum cut's end.  Only
+      interior prefixes with enough leaves below them sweep
+      (`_SWEEP_PAYS`).  No other frame needs bounds, as its own bound lb
+      could cut no child: its parent found lb <= best on entering it (the
+      root has lb = 0), lb lies below every leaf under it, and only those
+      leaves move the incumbent until its loop ends, so best >= lb
+      throughout.
     - At a leaf, `relax` stops at the first entry above a cap past which
       the key exceeds the incumbent (`_bound_and_slack`).
     - Both keys count what a child can still hold.  Below child a of a
@@ -126,10 +136,27 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
       the child's table is copied.
     - Under `sum` the walk adds up the m least of them within the cap
       (`_least_sum`, SENTINEL when fewer fit): a leaf within the cap sums
-      to at least that, and a leaf past it loses anyway.  `frame` ends the
-      loop at the first child past the best, by binary search, only where
+      to at least that, and a leaf past it loses anyway.  The loop ends at
+      the first child past the best, found by binary search, only where
       `_SWEEP_PAYS` says a bound pays: at a sweeping prefix, and at a
-      leaf-level one with that many children, whose loop runs at once.
+      leaf-level one with that many children, whose loop runs at once.  A
+      sweeping prefix keeps its entries within the cap, sorted, and cuts
+      them at each lower cap.
+    - When the walk returns to a sweeping prefix with a better incumbent,
+      it lowers the prefix's end: the least-sum cut runs again over the
+      children still left, then the sweep goes on down if the bound it
+      stopped at is past the new incumbent; a cut that leaves no child
+      starts no sweep.  This is exact.  Each test compares a lower bound
+      that does not depend on the incumbent with it strictly, so a child
+      cut once stays cut as the incumbent falls, and the new end is the
+      first child left that fails either test at the new incumbent.  Every
+      leaf below a cut child has a key above the incumbent of that moment,
+      which is no lower than the final minimum, so no minimizer is cut.
+      Nor is any leaf the walk yields: the incumbent only falls, so each
+      leaf under a cut child would have lost to it where it was met.  The
+      walk yields the same leaves, in the same order, as one that fixes
+      each end when its frame is made, and under `max`, where the bounds
+      were read as each child was met, it cuts the same children too.
     Pruning is strict, so ties survive.
     """
     require_family(m, e)
@@ -141,26 +168,27 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
         best = key(interval_apery(m, e))
         cap = best - slack
 
-    def frame(w: list[int], first: int, j: int, best: int) -> tuple:
+    def frame(w: list[int], first: int, j: int, best: int):
         # A prefix with table `w` and children first..top + j.  The incumbent
         # comes as an argument, so the walk's `best` stays a plain local.
         last, q, n = top + j, e - 1 - j, m - first
-        sweeps = key is not None and q > 1 and comb(n, q) >= _SWEEP_PAYS * n
-        if sums and (sweeps or q == 1 and n >= _SWEEP_PAYS):
+        if key is not None and q > 1 and comb(n, q) >= _SWEEP_PAYS * n:
+            return _sweeping(w, m, first, last, q, best, bound, slack, sums)
+        if sums and q == 1 and n >= _SWEEP_PAYS:
             last = _sum_cut(w, m, first, last, q, best - slack, best) - 1
-        bounds = _child_bounds(w, m, first, last, bound) if sweeps and first <= last else None
-        return w, bounds, last + 1
+        return w, last + 1, -1
 
     gens = [m]  # m and one generator per residue chosen so far
-    # stack[j]: the table of gens[:j + 1]; the bounds of its unvisited
-    # children, the next child's last, or None when it does not sweep;
-    # and the end of its loop, past its last child or at its first cut one.
+    # stack[j]: the frame of gens[:j + 1], which starts with its table, the
+    # end of its loop and the incumbent that end was computed for (-1 when
+    # it never moves); see `_sweeping` for the rest.
     stack = [frame(residue_table(m, ()), 1, 0, best)]
     a = 1
     while stack:
         j = len(stack) - 1
-        t, bounds, end = stack[j]
+        f = stack[j]
         if j == e - 2:
+            t, end = f[0], f[1]
             g = gcd(*gens)
             room = [cap - x for x in t if x <= cap] if counts else None
             for r in range(a, end):
@@ -179,30 +207,59 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
                             room = [k - x for x in t if x <= k]
                         best, cap = k, k - slack
                     yield (*gens, m + r), w
-        elif (
-            a < end
-            and (bounds is None or bounds.pop() <= best)
-            and (not counts or _slots(t, m + a, e - 1 - j, cap) >= m)
-        ):
-            w = t.copy()
-            relax(w, m, m + a)
-            gens.append(m + a)
-            a += 1
-            stack.append(frame(w, a, j + 1, best))
-            continue
+        else:
+            if best < f[2] and a < f[1]:
+                _lower(f, a, best, m, bound, slack)
+            if a < f[1] and (not counts or _slots(f[0], m + a, e - 1 - j, cap) >= m):
+                w = f[0].copy()
+                relax(w, m, m + a)
+                gens.append(m + a)
+                a += 1
+                stack.append(frame(w, a, j + 1, best))
+                continue
         stack.pop()
         a = gens.pop() - m + 1
 
 
-def _child_bounds(w: list[int], m: int, first: int, last: int, bound) -> list[int]:
-    """bound(U_a) for a = last down to first, U_a being `w` relaxed with m+r, r >= a."""
-    u = w.copy()
-    out = []
-    for r in range(m - 1, first - 1, -1):
-        relax(u, m, m + r)
-        if r <= last:
-            out.append(bound(u))
-    return out
+def _sweeping(
+    t: list[int], m: int, first: int, last: int, q: int, best: int, bound, slack: int, sums: bool
+) -> list:
+    """The frame of a sweeping prefix with children first..last, its end set for `best`.
+
+    [t, end, seen, u, ub, r, q, v]: the prefix's table, the end of its loop
+    and the incumbent it was computed for; U_r, bound(U_r) and r, where the
+    suffix sweep stands (u is None until it starts, at r = m); the
+    generators still to come; and under `sum` the entries of t within the
+    cap, sorted and closed by SENTINEL (else None).
+    """
+    v = None
+    if sums:
+        v = sorted(t)  # `_lower` drops the entries above the cap
+        v.append(SENTINEL)
+    f = [t, last + 1, SENTINEL, None, SENTINEL, m, q, v]
+    _lower(f, first, best, m, bound, slack)
+    return f
+
+
+def _lower(f: list, a: int, best: int, m: int, bound, slack: int) -> None:
+    """Lower the loop end of the sweeping frame `f`, whose next child is a, to `best`."""
+    t, end, _, u, ub, r, q, v = f
+    if v is not None:
+        cap = best - slack
+        del v[bisect_right(v, cap) : -1]
+        end = _least_cut(v, m, a, end - 1, q, cap, best)
+    if a < end and ub > best:
+        if u is None:
+            u = t.copy()
+        while r > a:
+            r -= 1
+            relax(u, m, m + r)
+            if r < end:
+                ub = bound(u)
+                if ub <= best:
+                    break
+        end = min(end, r + (ub <= best))
+    f[1:6] = end, best, u, ub, r
 
 
 def _slots(t: list[int], g: int, q: int, cap: int) -> int:
@@ -242,6 +299,11 @@ def _sum_cut(t: list[int], m: int, first: int, last: int, q: int, cap: int, best
     """The first child a in first..last whose least sum exceeds `best`, or last + 1."""
     v = sorted([x for x in t if x <= cap])
     v.append(SENTINEL)
+    return _least_cut(v, m, first, last, q, cap, best)
+
+
+def _least_cut(v: list[int], m: int, first: int, last: int, q: int, cap: int, best: int) -> int:
+    """`_sum_cut` on the entries within the cap, sorted and closed by SENTINEL."""
     if _least_sum(v, m + last, q, m, cap) <= best:
         return last + 1
 

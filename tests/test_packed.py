@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from semigroup_forge import packed
 from semigroup_forge._backend import SENTINEL, residue_table
-from semigroup_forge.core import make_semigroup, monoid_contains
+from semigroup_forge.core import interval_apery, make_semigroup, monoid_contains
 from semigroup_forge.errors import (
     BadDimension,
     Degenerate,
@@ -20,11 +20,12 @@ from semigroup_forge.errors import (
 from semigroup_forge.multiplicity_tree import bfs_levels, root
 from semigroup_forge.packed import (
     _bound_and_slack,
-    _child_bounds,
     _least_sum,
+    _lower,
     _minimizers,
     _slots,
     _sum_cut,
+    _sweeping,
     class_min_frobenius,
     class_sons,
     enumerate_packed,
@@ -50,6 +51,11 @@ def count_relax(monkeypatch):
 
     monkeypatch.setattr(packed, "relax", counted)
     return finished
+
+
+def suffix_table(m, prefix, a):
+    """U_a: the table of the prefix's generators and every m+r, r >= a."""
+    return residue_table(m, [m + r for r in (*prefix, *range(a, m))])
 
 
 def random_semigroups(count, seed, top=120):
@@ -176,13 +182,13 @@ class TestBranchAndBound:
     @pytest.mark.parametrize(
         "m, e, key, calls",
         [
-            (24, 8, sum, 4989),
-            (24, 8, max, 3887),
-            (20, 10, sum, 25841),
-            (20, 10, max, 6732),
-            (36, 6, sum, 9564),
-            (36, 6, max, 28263),
-            (44, 5, sum, 4190),
+            (24, 8, sum, 4893),
+            (24, 8, max, 3790),
+            (20, 10, sum, 25061),
+            (20, 10, max, 5961),
+            (36, 6, sum, 8426),
+            (36, 6, max, 21712),
+            (44, 5, sum, 3795),
             (14, 7, None, 3001),
         ],
     )
@@ -193,8 +199,8 @@ class TestBranchAndBound:
         moves while staying under them would go unseen.  A change that
         moves a cut re-pins this table and gives the reason in CHANGES.md.
         At (36, 6) under `sum` a sweeping prefix whose least-sum cut leaves
-        no child must build no bounds (11,331 calls when it does).  With
-        no key the walk visits every member (`enumerate_packed`).
+        no child must start no sweep (9,770 calls when it sweeps anyway).
+        With no key the walk visits every member (`enumerate_packed`).
         """
         finished = count_relax(monkeypatch)
         if key is None:
@@ -211,11 +217,10 @@ class TestBranchAndBound:
         j = data.draw(st.integers(0, e - 2), label="prefix length")
         prefix = sorted(data.draw(st.sets(st.integers(1, m - 1), min_size=j, max_size=j)))
         first = prefix[-1] + 1 if prefix else 1
-        table = residue_table(m, [m + r for r in prefix])
         for key in (sum, max):
             bound, slack = _bound_and_slack(m, e, key)
-            # Listed for a = m-1 down to first, so reversed they run upwards.
-            bounds = _child_bounds(table, m, first, m - 1, bound)[::-1]
+            # bound(U_a) for a = first..m-1, U_a built anew from every m+r, r >= a.
+            bounds = [bound(suffix_table(m, prefix, a)) for a in range(first, m)]
             assert bounds == sorted(bounds)
             for a, b in zip(range(first, m), bounds):
                 for rest in combinations(range(a + 1, m), e - 2 - j):
@@ -230,6 +235,42 @@ class TestBranchAndBound:
                         assert sum(leaf) - max(leaf) >= slack, residues
                     else:
                         assert slack == 0
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.data())
+    def test_lowered_loop_ends_match_the_eager_ones(self, data):
+        # A sweeping frame lowers its loop end as the incumbent falls; after
+        # each step it must end where bounds and least sums built anew do.
+        m = data.draw(st.integers(4, 11), label="m")
+        e = data.draw(st.integers(3, m), label="e")
+        j = data.draw(st.integers(0, e - 3), label="prefix length")
+        # Position i of a prefix goes up to m - e + 1 + i.
+        prefixes = list(combinations(range(1, m - e + j + 1), j))
+        prefix = data.draw(st.sampled_from(prefixes), label="prefix")
+        first, last, q = (prefix[-1] + 1 if prefix else 1), m - e + 1 + j, e - 1 - j
+        key = data.draw(st.sampled_from([sum, max]), label="key")
+        bound, slack = _bound_and_slack(m, e, key)
+        table = residue_table(m, [m + r for r in prefix])
+        bounds = [bound(suffix_table(m, prefix, a)) for a in range(first, last + 1)]
+        # Every incumbent of the walk is the key of a member, and the last is the least.
+        least = min(key(S.entries) for S in enumerate_packed(m, e))
+        worst = key(interval_apery(m, e))
+        run = data.draw(st.lists(st.integers(least, worst), max_size=5), label="bests")
+        f, a = None, first
+        for best in sorted({*run, least}, reverse=True):
+            if f is None:
+                f = _sweeping(table, m, first, last, q, best, bound, slack, key is sum)
+            else:
+                _lower(f, a, best, m, bound, slack)
+            over = [b for b, u in zip(range(first, last + 1), bounds) if u > best]
+            end = over[0] if over else last + 1
+            if key is sum:
+                end = min(end, _sum_cut(table, m, first, last, q, best - slack, best))
+            # The children before a were met already, so the loop ends no earlier.
+            assert f[1] == max(a, end), (best, a)
+            if f[1] == a:
+                break
+            a = data.draw(st.integers(a, f[1] - 1), label="next child")
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(st.data())
