@@ -17,11 +17,11 @@ of the tables: a prefix whose bound exceeds the best key so far is cut,
 as is a child whose leaves cannot fit m entries under the cap (for the
 maximum) or whose m least possible entries already sum past the best
 key (for the sum), and a leaf's `relax` stops as soon as the leaf
-loses.  One maker builds every frame of the walk and decides there
-which prefixes bound their children; each of those lowers the end of
-its loop whenever the walk returns to it with a better key, so no cut
-waits on a stale one.  The searches wrap only the members they return.
-The class walk wraps every son.  Every value is made by
+loses.  One maker, `_frame`, builds every frame of the walk and decides
+there which prefixes bound their children; `_lower` alone sets the end
+of each of their loops, and lowers it whenever the walk returns with a
+better key, so no cut waits on a stale one.  The searches wrap only the
+members they return.  The class walk wraps every son.  Every value is made by
 `NumericalSemigroup(min_gens, tuple(table))`, since each walk owns its
 tables as lists, and keeps only its generators and table; F and g are
 read off the table on demand, and the oracle's enumerator checks those
@@ -85,13 +85,14 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
     system, and a numerical semigroup when gcd(m, a1, a2, ...) is 1.
     The subsets are walked in lexicographic order as a prefix tree, on an
     explicit stack of one frame per prefix: its least-element table, the
-    end of its loop and the incumbent that end was computed for.  `frame`
+    end of its loop and the incumbent that end was computed for.  `_frame`
     makes every frame, the root's and the leaf-level ones too, and alone
-    decides which prefixes sweep (`_sweeping`), the only ones whose ends
-    move.  Each step copies the prefix's table and adjoins one generator
-    by `relax`; a prefix one residue short of a leaf reads the gcd of its
-    generators once and filters the last step by it.  Every yielded table
-    is a fresh list the caller owns.
+    decides which prefixes bound their children; `_lower` alone sets
+    their ends, and only a sweeping prefix's end moves later.  Each step
+    copies the prefix's table and adjoins one generator by `relax`; a
+    prefix one residue short of a leaf reads the gcd of its generators
+    once and filters the last step by it.  Every yielded table is a fresh
+    list the caller owns.
 
     With a `key` (`sum` or `max`) the walk is a branch-and-bound for the
     least key, and yields only the leaves whose key is at most the least
@@ -139,8 +140,8 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
       to at least that, and a leaf past it loses anyway.  The loop ends at
       the first child past the best, found by binary search, only where
       `_SWEEP_PAYS` says a bound pays: at a sweeping prefix, and at a
-      leaf-level one with that many children, whose loop runs at once.  A
-      sweeping prefix keeps its entries within the cap, sorted, and cuts
+      leaf-level one with that many children, whose loop runs at once.
+      Such a prefix keeps its entries within the cap, sorted, and cuts
       them at each lower cap.
     - When the walk returns to a sweeping prefix with a better incumbent,
       it lowers the prefix's end: the least-sum cut runs again over the
@@ -162,27 +163,16 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
     require_family(m, e)
     top = m - e + 1  # the largest first residue; position j goes up to top + j
     best = cap = SENTINEL
-    counts, sums = key is max, key is sum
+    counts = key is max
+    bound, slack = _bound_and_slack(m, e, key)
     if key is not None:
-        bound, slack = _bound_and_slack(m, e, key)
         best = key(interval_apery(m, e))
         cap = best - slack
-
-    def frame(w: list[int], first: int, j: int, best: int):
-        # A prefix with table `w` and children first..top + j.  The incumbent
-        # comes as an argument, so the walk's `best` stays a plain local.
-        last, q, n = top + j, e - 1 - j, m - first
-        if key is not None and q > 1 and comb(n, q) >= _SWEEP_PAYS * n:
-            return _sweeping(w, m, first, last, q, best, bound, slack, sums)
-        if sums and q == 1 and n >= _SWEEP_PAYS:
-            last = _sum_cut(w, m, first, last, q, best - slack, best) - 1
-        return w, last + 1, -1
-
     gens = [m]  # m and one generator per residue chosen so far
     # stack[j]: the frame of gens[:j + 1], which starts with its table, the
     # end of its loop and the incumbent that end was computed for (-1 when
-    # it never moves); see `_sweeping` for the rest.
-    stack = [frame(residue_table(m, ()), 1, 0, best)]
+    # it never moves); see `_frame` for the rest.
+    stack = [_frame(residue_table(m, ()), m, 1, top, e - 1, best, key, bound, slack)]
     a = 1
     while stack:
         j = len(stack) - 1
@@ -215,39 +205,48 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
                 relax(w, m, m + a)
                 gens.append(m + a)
                 a += 1
-                stack.append(frame(w, a, j + 1, best))
+                stack.append(_frame(w, m, a, top + j + 1, e - 2 - j, best, key, bound, slack))
                 continue
         stack.pop()
         a = gens.pop() - m + 1
 
 
-def _sweeping(
-    t: list[int], m: int, first: int, last: int, q: int, best: int, bound, slack: int, sums: bool
-) -> list:
-    """The frame of a sweeping prefix with children first..last, its end set for `best`.
+def _frame(t: list[int], m: int, first: int, last: int, q: int, best: int, key, bound, slack: int):
+    """The frame of a prefix with table t, children first..last and q generators to come.
 
-    [t, end, seen, u, ub, r, q, v]: the prefix's table, the end of its loop
-    and the incumbent it was computed for; U_r, bound(U_r) and r, where the
-    suffix sweep stands (u is None until it starts, at r = m); the
-    generators still to come; and under `sum` the entries of t within the
-    cap, sorted and closed by SENTINEL (else None).
+    A prefix whose end never moves gets (t, last + 1, -1).  A sweeping one,
+    and a leaf-level genus prefix with `_SWEEP_PAYS` children or more, gets
+    [t, end, seen, u, ub, r, q, v], its end set by `_lower` for `best`:
+    the end of its loop and the incumbent it was computed for; U_r,
+    bound(U_r) and r, where the suffix sweep stands (u is None until it
+    starts, at r = m; ub = 0 when the prefix does not sweep); q; and under
+    `sum` the entries of t within the cap, sorted and closed by SENTINEL
+    (else None).
     """
-    v = None
-    if sums:
-        v = sorted(t)  # `_lower` drops the entries above the cap
-        v.append(SENTINEL)
-    f = [t, last + 1, SENTINEL, None, SENTINEL, m, q, v]
+    n = m - first
+    sweeps = key is not None and q > 1 and comb(n, q) >= _SWEEP_PAYS * n
+    if not (sweeps or key is sum and q == 1 and n >= _SWEEP_PAYS):
+        return t, last + 1, -1
+    v = [*sorted(t), SENTINEL] if key is sum else None  # `_lower` drops those above the cap
+    f = [t, last + 1, SENTINEL, None, SENTINEL if sweeps else 0, m, q, v]
     _lower(f, first, best, m, bound, slack)
     return f
 
 
 def _lower(f: list, a: int, best: int, m: int, bound, slack: int) -> None:
-    """Lower the loop end of the sweeping frame `f`, whose next child is a, to `best`."""
+    """Set the loop end of the frame `f`, whose next child is a, for `best`.
+
+    Under `sum` the end falls to the first child whose least sum exceeds
+    `best`, found by binary search only when the last child's already does.
+    """
     t, end, _, u, ub, r, q, v = f
     if v is not None:
         cap = best - slack
         del v[bisect_right(v, cap) : -1]
-        end = _least_cut(v, m, a, end - 1, q, cap, best)
+        if _least_sum(v, m + end - 1, q, m, cap) > best:
+            end = a + bisect_left(
+                range(a, end - 1), True, key=lambda b: _least_sum(v, m + b, q, m, cap) > best
+            )
     if a < end and ub > best:
         if u is None:
             u = t.copy()
@@ -293,24 +292,6 @@ def _least_sum(v: list[int], g: int, q: int, m: int, cap: int) -> int:
         out.append(SENTINEL)
         v = out
     return sum(v) - SENTINEL if len(v) > m else SENTINEL
-
-
-def _sum_cut(t: list[int], m: int, first: int, last: int, q: int, cap: int, best: int) -> int:
-    """The first child a in first..last whose least sum exceeds `best`, or last + 1."""
-    v = sorted([x for x in t if x <= cap])
-    v.append(SENTINEL)
-    return _least_cut(v, m, first, last, q, cap, best)
-
-
-def _least_cut(v: list[int], m: int, first: int, last: int, q: int, cap: int, best: int) -> int:
-    """`_sum_cut` on the entries within the cap, sorted and closed by SENTINEL."""
-    if _least_sum(v, m + last, q, m, cap) <= best:
-        return last + 1
-
-    def over(a: int) -> bool:
-        return _least_sum(v, m + a, q, m, cap) > best
-
-    return first + bisect_left(range(first, last), True, key=over)
 
 
 def _bound_and_slack(m: int, e: int, key):

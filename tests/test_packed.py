@@ -19,13 +19,13 @@ from semigroup_forge.errors import (
 )
 from semigroup_forge.multiplicity_tree import bfs_levels, root
 from semigroup_forge.packed import (
+    _SWEEP_PAYS,
     _bound_and_slack,
+    _frame,
     _least_sum,
     _lower,
     _minimizers,
     _slots,
-    _sum_cut,
-    _sweeping,
     class_min_frobenius,
     class_sons,
     enumerate_packed,
@@ -240,7 +240,8 @@ class TestBranchAndBound:
     @given(st.data())
     def test_lowered_loop_ends_match_the_eager_ones(self, data):
         # A sweeping frame lowers its loop end as the incumbent falls; after
-        # each step it must end where bounds and least sums built anew do.
+        # each step it must end where bounds and least sums built anew do,
+        # and under `sum` keep only the entries within the new cap.
         m = data.draw(st.integers(4, 11), label="m")
         e = data.draw(st.integers(3, m), label="e")
         j = data.draw(st.integers(0, e - 3), label="prefix length")
@@ -256,21 +257,67 @@ class TestBranchAndBound:
         least = min(key(S.entries) for S in enumerate_packed(m, e))
         worst = key(interval_apery(m, e))
         run = data.draw(st.lists(st.integers(least, worst), max_size=5), label="bests")
-        f, a = None, first
+        # The frame as `_frame` documents it, before its first end is set.
+        v = [*sorted(table), SENTINEL] if key is sum else None
+        f, a = [table, last + 1, SENTINEL, None, SENTINEL, m, q, v], first
         for best in sorted({*run, least}, reverse=True):
-            if f is None:
-                f = _sweeping(table, m, first, last, q, best, bound, slack, key is sum)
-            else:
-                _lower(f, a, best, m, bound, slack)
+            _lower(f, a, best, m, bound, slack)
             over = [b for b, u in zip(range(first, last + 1), bounds) if u > best]
-            end = over[0] if over else last + 1
             if key is sum:
-                end = min(end, _sum_cut(table, m, first, last, q, best - slack, best))
+                cap = best - slack
+                within = [*sorted(x for x in table if x <= cap), SENTINEL]
+                assert f[7] == within, best
+                # The least sums by a linear scan over every child.
+                over += [
+                    b for b in range(first, last + 1) if _least_sum(within, m + b, q, m, cap) > best
+                ]
+            end = min(over, default=last + 1)
             # The children before a were met already, so the loop ends no earlier.
             assert f[1] == max(a, end), (best, a)
             if f[1] == a:
                 break
             a = data.draw(st.integers(a, f[1] - 1), label="next child")
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(st.data())
+    def test_leaf_level_genus_frames_end_at_their_least_sums(self, data):
+        # A leaf-level prefix with `_SWEEP_PAYS` children or more under
+        # `sum`: its end comes from the least sums alone, and no table is
+        # relaxed for it.
+        m = data.draw(st.integers(_SWEEP_PAYS + 2, 14), label="m")
+        residues = st.integers(1, m - 1 - _SWEEP_PAYS)
+        prefix = sorted(data.draw(st.sets(residues, max_size=4), label="prefix"))
+        e, first = len(prefix) + 2, (prefix[-1] + 1 if prefix else 1)
+        bound, slack = _bound_and_slack(m, e, sum)
+        table = residue_table(m, [m + r for r in prefix])
+        least = min(sum(S.entries) for S in enumerate_packed(m, e))
+        best = data.draw(st.integers(least, sum(interval_apery(m, e))), label="best")
+        with pytest.MonkeyPatch.context() as patch:
+            finished = count_relax(patch)
+            f = _frame(table, m, first, m - 1, 1, best, sum, bound, slack)
+        assert finished == []
+        assert f[3] is None, prefix
+        cap = best - slack
+        within = [*sorted(x for x in table if x <= cap), SENTINEL]
+        over = [b for b in range(first, m) if _least_sum(within, m + b, 1, m, cap) > best]
+        assert f[:3] == [table, min(over, default=m), best], prefix
+
+    @pytest.mark.parametrize("key", [None, sum, max], ids=["none", "genus", "frobenius"])
+    def test_frames_off_every_gate_never_move(self, key):
+        # At (12, 5): the C(8, 2) = 28 residue pairs above ⟨12,13,15⟩ are
+        # fewer than `_SWEEP_PAYS` * 8, so it does not sweep, and the
+        # leaf-level ⟨12,13,14,17⟩ has 6 children.
+        m, e = 12, 5
+        bound, slack = _bound_and_slack(m, e, key)
+        best = SENTINEL if key is None else key(interval_apery(m, e))
+        interior = residue_table(m, [13, 15])
+        assert _frame(interior, m, 4, 10, 2, best, key, bound, slack) == (interior, 11, -1)
+        leaf_level = residue_table(m, [13, 14, 17])
+        assert _frame(leaf_level, m, 6, 11, 1, best, key, bound, slack) == (leaf_level, 12, -1)
+        if key is not sum:
+            # Only the genus search cuts a leaf-level loop with 8 children.
+            leaf_level = residue_table(m, [13, 14, 15])
+            assert _frame(leaf_level, m, 4, 11, 1, best, key, bound, slack) == (leaf_level, 12, -1)
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(st.data())
@@ -340,9 +387,6 @@ class TestBranchAndBound:
                 for _ in range(min(comb(q - 1 + k, k), m))
             )
             assert got == (sum(values[:m]) if len(values) >= m else SENTINEL), b
-        best = data.draw(st.integers(0, m * cap), label="best")
-        over = [b for b, s in zip(range(first, m), sums) if s > best]
-        assert _sum_cut(table, m, first, m - 1, q, cap, best) == (over[0] if over else m)
         for rest in combinations(range(a + 1, m), e - 2 - j):
             residues = (*prefix, a, *rest)
             if gcd(m, *residues) != 1:
