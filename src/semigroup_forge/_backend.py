@@ -68,15 +68,16 @@ def residue_table(modulus: int, gens) -> list[int]:
     """Least-element table of the monoid spanned by `gens` and `modulus`.
 
     Entry i is the least monoid element congruent to i, or SENTINEL when
-    the class holds none; `modulus` among `gens` relaxes nothing.  Total
-    cost O(modulus * len(gens)).
+    the class holds none; `modulus` among `gens` relaxes nothing.  Each
+    `relax` is exact, so `gens` may come in any order.  Total cost
+    O(modulus * len(gens)).
     """
     m = modulus
     if m < 1:
         raise ValueError("modulus must be positive")
     w = [SENTINEL] * m
     w[0] = 0
-    for g in sorted(gens):
+    for g in gens:
         relax(w, m, g)
     return w
 

@@ -241,7 +241,8 @@ def monoid_contains(generators, n: int) -> bool:
     """Whether n is a non-negative integer combination of the generators.
 
     Works for any generator set, including gcd > 1, which rules out the
-    Apery machinery; a bounded reachability table up to n is used instead.
+    Apery machinery; a bounded reachability table up to n is used instead,
+    which adjoins the generators exactly in any order.
     """
     if n < 0:
         return False
@@ -250,7 +251,7 @@ def monoid_contains(generators, n: int) -> bool:
     gens = [g for g in set(generators) if 1 <= g <= n]
     reachable = bytearray(n + 1)
     reachable[0] = 1
-    for g in sorted(gens):
+    for g in gens:
         for i in range(g, n + 1):
             if reachable[i - g]:
                 reachable[i] = 1

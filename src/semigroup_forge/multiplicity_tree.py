@@ -6,6 +6,29 @@ are obtained by deleting one minimal generator that exceeds the
 Frobenius number (never the multiplicity itself); walking levels
 breadth-first therefore enumerates by increasing genus.
 
+A level built parent by parent from a sorted level, each parent's sons
+in the sorted order of `_sons`, with or without a Frobenius bound, is
+sorted by min_gens, so no walk sorts one.  Take nodes S < S' of one
+level, and let d be the first index at which min_gens differ: s_d < s'_d
+(neither tuple is a prefix of the other, or S' would lie inside S or S
+inside S').  Two distinct nodes of one genus are never nested, and that
+gives both halves of a lemma:
+- every son of S removes a generator s_i with i > d.  Were i <= d, S'
+  would lie inside S: s'_j = s_j for j < d, and s'_j >= s'_d > s_d >=
+  s_i > F(S) for j >= d;
+- every son of S' removes a generator s'_i with i >= d.  Were i < d, S
+  would lie inside S': s_j = s'_j for j < i, and s_j >= s_i = s'_i >
+  F(S') for j >= i.
+A son keeps the generators before the one it removes, and appends x+m
+when it gains one, larger than all of them (a minimal generator is at
+most F + m < x + m).  So a son T of S starts with s_0..s_d, and a son T'
+of S' starts with s_0..s_(d-1) and then holds at index d a generator at
+least s'_d > s_d: s'_d, s'_(d+1) or the appended one.  If T' has nothing
+at index d, its generators all lie in T, and T and T', distinct since
+distinct parents never share a son, are nested.  So T < T': every son of
+S comes before every son of S'.  The root level is one node, so every
+level is sorted.
+
 The walks run on bare nodes, plain triples (min_gens, Apery entries, F)
 of one tree; the multiplicity is the tree's and the genus is (m-1) plus
 the level, so no walk counts it.  `root`, `sons` and `bfs_levels` wrap
@@ -108,14 +131,14 @@ def sons(S: NumericalSemigroup, bound: int | None = None) -> tuple[NumericalSemi
 def bfs_levels(m: int) -> Iterator[tuple[NumericalSemigroup, ...]]:
     """Yield levels 0, 1, 2, ... of the multiplicity-m tree on demand.
 
-    Level k is the sorted tuple of all multiplicity-m semigroups of genus
-    (m-1)+k.  Distinct parents never share a son (each node's parent is
-    recovered by re-adjoining its Frobenius number), so concatenating the
-    per-parent son lists lists every node of the next level exactly once.
+    Level k is the tuple of all multiplicity-m semigroups of genus
+    (m-1)+k, sorted by construction.  Distinct parents never share a son
+    (each node's parent is recovered by re-adjoining its Frobenius number),
+    so concatenating the per-parent son lists lists every node of the next
+    level exactly once, and in sorted order (see the module docstring).
     While the next level is built, it and the current one are both alive.
     """
     level = [_root_node(m)]
     while True:
-        # Bare nodes order by their distinct min_gens, as values do.
-        yield tuple(NumericalSemigroup(gens, w) for gens, w, _ in sorted(level))
+        yield tuple(NumericalSemigroup(gens, w) for gens, w, _ in level)
         level = [T for S in level for T in _sons(m, S)]

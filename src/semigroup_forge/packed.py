@@ -9,8 +9,9 @@ packed family a complete set of class representatives on which both
 minima can be read off, and each class can then be searched separately
 for the full minimizing set.
 
-The family is walked by one walk, `_leaves`, as bare (min_gens, table)
-pairs.  `enumerate_packed` takes every leaf and wraps it into a value.
+The family is walked by one walk, `_leaves`, as bare (min_gens, table,
+key) triples, the key None when the walk does not search.
+`enumerate_packed` takes every leaf and wraps it into a value.
 The searches go through `_minimizers`, which runs the same walk as a
 branch-and-bound on the sum (genus) or the maximum (Frobenius number)
 of the tables: a prefix whose bound exceeds the best key so far is cut,
@@ -76,8 +77,8 @@ class PackedFamily:
 _SWEEP_PAYS = 8
 
 
-def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[int]]]:
-    """Each packed member at (m, e) as (min_gens, table), in family order.
+def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[int], int | None]]:
+    """Each packed member at (m, e) as (min_gens, table, key), in family order.
 
     Each one is determined by the e-1 nonzero residues of its larger
     generators: the subset {a1 < a2 < ...} of {1, ..., m-1} yields the
@@ -92,7 +93,8 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
     copies the prefix's table and adjoins one generator by `relax`; a
     prefix one residue short of a leaf reads the gcd of its generators
     once and filters the last step by it.  Every yielded table is a fresh
-    list the caller owns.
+    list the caller owns.  The third field is the leaf's key, computed once
+    by the walk, or None without a `key`.
 
     With a `key` (`sum` or `max`) the walk is a branch-and-bound for the
     least key, and yields only the leaves whose key is at most the least
@@ -163,6 +165,7 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
     require_family(m, e)
     top = m - e + 1  # the largest first residue; position j goes up to top + j
     best = cap = SENTINEL
+    k = None  # a leaf's key, set for each leaf when there is a `key`
     counts = key is max
     bound, slack = _bound_and_slack(m, e, key)
     if key is not None:
@@ -196,7 +199,7 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
                         if counts and k < best:
                             room = [k - x for x in t if x <= k]
                         best, cap = k, k - slack
-                    yield (*gens, m + r), w
+                    yield (*gens, m + r), w, k
         else:
             if best < f[2] and a < f[1]:
                 _lower(f, a, best, m, bound, slack)
@@ -324,7 +327,7 @@ def enumerate_packed(m: int, e: int) -> PackedFamily:
     into a value.  Searches that keep only a few members go through
     `_minimizers` instead.
     """
-    members = tuple(NumericalSemigroup(gens, tuple(w)) for gens, w in _leaves(m, e))
+    members = tuple(NumericalSemigroup(gens, tuple(w)) for gens, w, _ in _leaves(m, e))
     return PackedFamily(members)
 
 
@@ -333,13 +336,12 @@ def _minimizers(m: int, e: int, key) -> tuple[NumericalSemigroup, ...]:
 
     `sum` ranks by genus and `max` by Frobenius number, since g and F are
     increasing functions of them.  The family is searched by the
-    branch-and-bound of `_leaves`, whose leaves come no worse than the
-    best before them; only the members attaining the minimum are wrapped
-    into values.
+    branch-and-bound of `_leaves`, whose leaves come with their keys and
+    no worse than the best before them; only the members attaining the
+    minimum are wrapped into values.
     """
     best, hits = None, []
-    for gens, w in _leaves(m, e, key):
-        k = key(w)
+    for gens, w, k in _leaves(m, e, key):
         if best is None or k < best:
             best, hits = k, [(gens, w)]
         else:

@@ -146,6 +146,12 @@ class TestLevels:
             assert all(S.genus == (4 - 1) + k for S in lv)
             assert lv == tuple(sorted(expected))
 
+    def test_levels_come_out_sorted(self):
+        # No walk sorts a level: the tree builds each one in order.
+        for m in range(1, 13):
+            for lv in islice(bfs_levels(m), 9):
+                assert list(lv) == sorted(lv)
+
     def test_stream_matches_level(self):
         stream = list(islice(bfs_levels(4), 4))
         assert [set(lv) for lv in stream] == LEVELS_M4

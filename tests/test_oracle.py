@@ -160,8 +160,9 @@ class TestEnumerateByGenus:
             assert C.entries == S.entries
 
     def test_rejects_bad_multiplicity(self):
-        with pytest.raises(InvalidGenerator):
-            enumerate_by_genus(0, 3)
+        for m in (0, -2):
+            with pytest.raises(InvalidGenerator, match=f"multiplicity {m} is not positive"):
+                enumerate_by_genus(m, 3)
 
     def test_deep_window_does_not_recurse(self):
         # The window reaches position 1040, past Python's default

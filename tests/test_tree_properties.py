@@ -1,5 +1,6 @@
 """Property tests of the tree son rule and the packing map."""
 from bisect import bisect_right
+from functools import lru_cache
 from math import gcd
 
 from hypothesis import assume, given, settings
@@ -85,3 +86,41 @@ def test_pack_never_raises_frobenius_or_genus(S):
     P = pack(S)
     assert P.frobenius <= S.frobenius
     assert P.genus <= S.genus
+
+
+@lru_cache(maxsize=None)
+def _level(m, k):
+    """Level k of the multiplicity-m tree as bare nodes, in build order."""
+    if k == 0:
+        return (_root_node(m),)
+    return tuple(T for S in _level(m, k - 1) for T in _sons(m, S))
+
+
+@st.composite
+def level_pairs(draw):
+    """(m, S, S'): two distinct nodes of one tree level with S < S', m <= 12.
+
+    Both have sons: for a node without any, the claims below hold vacuously.
+    """
+    m = draw(st.integers(2, 12))
+    level = [S for S in _level(m, draw(st.integers(1, 8))) if _sons(m, S)]
+    assume(len(level) > 1)
+    i = draw(st.integers(0, len(level) - 1))
+    j = draw(st.integers(0, len(level) - 2))
+    S, T = sorted((level[i], level[j + (j >= i)]))
+    return m, S, T
+
+
+@PROPERTY
+@given(level_pairs())
+def test_sons_of_a_lesser_node_come_first(cell):
+    # The index lemma of `multiplicity_tree`, which keeps levels sorted.
+    m, S, T = cell
+    gens, other = S[0], T[0]
+    # Neither tuple is a prefix of the other, so they differ at some index d.
+    d = next((i for i, (x, y) in enumerate(zip(gens, other)) if x != y), None)
+    assert d is not None and gens[d] < other[d]
+    low, high = _sons(m, S), _sons(m, T)
+    assert all(gens.index(U[2]) > d for U in low)
+    assert all(other.index(U[2]) >= d for U in high)
+    assert all(U[0] < V[0] for U in low for V in high)
