@@ -17,12 +17,26 @@ branch-and-bound on the sum (genus) or the maximum (Frobenius number)
 of the tables: a prefix whose bound exceeds the best key so far is cut,
 as is a child whose leaves cannot fit m entries under the cap (for the
 maximum) or whose m least possible entries already sum past the best
-key (for the sum), and a leaf's `relax` stops as soon as the leaf
-loses.  One maker, `_frame`, builds every frame of the walk and decides
-there which prefixes bound their children; `_lower` alone sets the end
-of each of their loops, and lowers it whenever the walk returns with a
-better key, so no cut waits on a stale one.  The searches wrap only the
-members they return.  The class walk wraps every son.  Every value is made by
+key (for the sum), and a leaf that loses builds no table.  One maker,
+`_frame`, builds every frame of the walk and decides there which
+prefixes bound their children; `_lower` alone sets the end of each of
+their loops, and lowers it whenever the walk returns with a better key,
+so no cut waits on a stale one.  The searches wrap only the members
+they return.  The class walk wraps every son.
+
+Both walks mostly ask one question of a table, whether every entry is
+at most a cap, and answer it on a member mask where the cap is narrow:
+bit i of the mask is set iff i is a member, for i in [0, cap], and
+`_close` adjoins a generator g by x |= (x << s) & full for s = g, 2g,
+4g, ... <= cap.  The lemma: a table has every entry <= cap iff bits
+cap-m+1 ... cap of its mask are all set, since each residue has one
+number there, a member iff its entry is at most it.  The keys of such a
+table come off the mask too: its max is the highest clear bit (F) plus
+m, and its sum is m * ((cap+1) - popcount) + m(m-1)/2, since the clear
+bits are the gaps (Selmer's formulas).  A leaf and a class son then
+build their table only when they pass.  Masks are used only while the
+cap is below `_MASK_BITS`; wider caps keep the capped `relax`, whose
+sweep stops at the first entry above the cap.  Every value is made by
 `NumericalSemigroup(min_gens, tuple(table))`, since each walk owns its
 tables as lists, and keeps only its generators and table; F and g are
 read off the table on demand, and the oracle's enumerator checks those
@@ -32,6 +46,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb, gcd
 from typing import Iterator
 
@@ -75,6 +90,15 @@ class PackedFamily:
 # of the genus search runs by the same rule, and at a leaf-level prefix only
 # when it has at least this many children.
 _SWEEP_PAYS = 8
+
+# Member masks (`_close`) decide a cap test only while the cap is below this
+# many bits, 64 words of 64 bits; wider caps keep the capped `relax`.  A mask
+# test costs a few operations on (cap+1)-bit integers, `relax` O(m) Python
+# steps, so masks pay at narrow caps and lose at wide ones.  With masks at
+# every width the genus search at (1000, 3), whose cap never falls below
+# 988,999 bits, took 5.2 s against 0.6 s, and with masks below 64 bits per
+# residue the Frobenius search there took 1.6 s against 1.1-1.2 s.
+_MASK_BITS = 4096
 
 
 def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[int], int | None]]:
@@ -120,8 +144,17 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
       root has lb = 0), lb lies below every leaf under it, and only those
       leaves move the incumbent until its loop ends, so best >= lb
       throughout.
-    - At a leaf, `relax` stops at the first entry above a cap past which
-      the key exceeds the incumbent (`_bound_and_slack`).
+    - A leaf loses when an entry of its table exceeds a cap past which the
+      key exceeds the incumbent (`_bound_and_slack`).  While the cap is
+      below `_MASK_BITS` each keyed frame also carries its prefix's member
+      mask, made by one `_close` from its parent's and cut by `& full` as
+      the cap falls: bits up to the cap depend on no member above it.  A
+      leaf closes its prefix's mask under its last generator, tests it
+      and reads its key off it by the lemma in the module docstring, and
+      only a leaf within the incumbent copies and relaxes the table it
+      yields.  When the cap first falls below the width, every prefix on
+      the stack is masked at once.  A wider cap tests a leaf by a capped
+      `relax`, which stops at the first entry above it.
     - Both keys count what a child can still hold.  Below child a of a
       prefix with table t, q more generators are still to come, each at
       least m+a (q = 1 in a leaf's loop).  Each entry of a leaf below is
@@ -171,11 +204,15 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
     if key is not None:
         best = key(interval_apery(m, e))
         cap = best - slack
+    full = (1 << cap + 1) - 1 if cap < _MASK_BITS else 0  # bits 0..cap; 0 while too wide for masks
+    ones, half = (1 << m) - 1, m * (m - 1) // 2
     gens = [m]  # m and one generator per residue chosen so far
     # stack[j]: the frame of gens[:j + 1], which starts with its table, the
     # end of its loop and the incumbent that end was computed for (-1 when
-    # it never moves); see `_frame` for the rest.
+    # it never moves); see `_frame` for the rest.  masks[j]: its member
+    # mask, up to the cap it was made for, or None while the cap is too wide.
     stack = [_frame(residue_table(m, ()), m, 1, top, e - 1, best, key, bound, slack)]
+    masks = _members(gens, cap) if full else [None]
     a = 1
     while stack:
         j = len(stack) - 1
@@ -184,21 +221,41 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
             t, end = f[0], f[1]
             g = gcd(*gens)
             room = [cap - x for x in t if x <= cap] if counts else None
+            p = masks[j] & full if full else None
             for r in range(a, end):
                 if gcd(g, r) == 1:
                     # `_slots` at q = 1, summed by `map` since it runs per leaf.
                     if counts and len(room) + sum(map((m + r).__rfloordiv__, room)) < m:
                         break
-                    w = t.copy()
-                    if not relax(w, m, m + r, cap):
-                        continue
-                    if key is not None:
-                        k = key(w)
+                    if p is None:
+                        w = t.copy()
+                        if not relax(w, m, m + r, cap):
+                            continue
+                        if key is not None:
+                            k = key(w)
+                            if k > best:
+                                continue
+                    else:
+                        x = _close(p, m + r, cap)
+                        if x >> cap - m + 1 != ones:
+                            continue
+                        if counts:  # F + m, F the highest clear bit
+                            k = (x ^ full).bit_length() - 1 + m
+                        else:  # m per gap, the clear bits, plus m(m-1)/2
+                            k = m * (cap + 1 - x.bit_count()) + half
                         if k > best:
                             continue
-                        if counts and k < best:
-                            room = [k - x for x in t if x <= k]
+                        w = t.copy()
+                        relax(w, m, m + r)
+                    if key is not None and k < best:
                         best, cap = k, k - slack
+                        if counts:
+                            room = [cap - x for x in t if x <= cap]
+                        if cap < _MASK_BITS:
+                            if not full:  # the cap just fell below the width
+                                masks = _members(gens, cap)
+                            full = (1 << cap + 1) - 1
+                            p = masks[j] & full
                     yield (*gens, m + r), w, k
         else:
             if best < f[2] and a < f[1]:
@@ -206,12 +263,36 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
             if a < f[1] and (not counts or _slots(f[0], m + a, e - 1 - j, cap) >= m):
                 w = f[0].copy()
                 relax(w, m, m + a)
+                masks.append(_close(masks[j] & full, m + a, cap) if full else None)
                 gens.append(m + a)
                 a += 1
                 stack.append(_frame(w, m, a, top + j + 1, e - 2 - j, best, key, bound, slack))
                 continue
         stack.pop()
+        masks.pop()
         a = gens.pop() - m + 1
+
+
+def _close(x: int, g: int, cap: int) -> int:
+    """The member mask x of a monoid, up to cap, closed under adding g.
+
+    Bit i of a mask is set iff i is a member.  Shifting by g, 2g, 4g, ...
+    while the shift is at most the cap adds the multiples of g in runs that
+    double, so every member up to the cap of the monoid with g adjoined is
+    some set bit plus j*g with j < 2^(steps), and each step drops only bits
+    above the cap, which no later step brings back below it.
+    """
+    full = (1 << cap + 1) - 1
+    s = g
+    while s <= cap:
+        x |= (x << s) & full
+        s += s
+    return x
+
+
+def _members(gens, cap: int) -> list[int]:
+    """The member masks up to cap of the monoids spanned by gens[:1], gens[:2], ..."""
+    return list(accumulate(gens, lambda x, g: _close(x, g, cap), initial=1))[1:]
 
 
 def _frame(t: list[int], m: int, first: int, last: int, q: int, best: int, key, bound, slack: int):
@@ -378,8 +459,14 @@ def class_sons(P: NumericalSemigroup, bound: int | None = None) -> tuple[Numeric
     InvalidGenerator, as in `make_semigroup`.
 
     With `bound`, a son is kept when its F is at most bound: when its
-    table stays within cap = bound + m, which `relax` checks as it sweeps.
-    The son of n_k misses n_k, so n_k + m > cap skips it before its table.
+    table stays within cap = bound + m.  The son of n_k misses n_k, so
+    n_k + m > cap skips it before its table.  While the cap is below
+    `_MASK_BITS` the member mask of the remaining generators up to the cap
+    decides both tests: n_k + m is redundant iff its bit is set, and the
+    son stays within the cap iff its mask, closed under n_k + m, has bits
+    cap-m+1 ... cap all set (the lemma in the module docstring).  Only a
+    kept son builds its table.  A wider cap, or no bound, builds every
+    candidate's table, and `relax` checks the cap as it sweeps.
     """
     m = P.multiplicity
     gens = P.min_gens
@@ -394,11 +481,20 @@ def class_sons(P: NumericalSemigroup, bound: int | None = None) -> tuple[Numeric
         if lifted > cap:
             continue
         rest = gens[:k] + gens[k + 1 :]
-        w = residue_table(m, rest)
-        if w[lifted % m] <= lifted:
+        if cap < _MASK_BITS:
+            x, w = _members(rest, cap)[-1], None
+            redundant = x >> lifted & 1
+        else:
+            w = residue_table(m, rest)
+            redundant = w[lifted % m] <= lifted
+        if redundant:
             continue
         if m * lifted >= SENTINEL:
             raise InvalidGenerator(f"generator {lifted} exceeds the 62-bit kernel range")
+        if w is None:
+            if _close(x, lifted, cap) >> cap - m + 1 != (1 << m) - 1:
+                continue
+            w = residue_table(m, rest)
         if relax(w, m, lifted, cap):
             out.append(NumericalSemigroup((*rest, lifted), tuple(w)))
     return tuple(out)

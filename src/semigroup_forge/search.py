@@ -67,14 +67,15 @@ def min_genus(m: int, e: int, stats: dict | None = None) -> SearchOutcome:
 
     Along an edge the dimension falls by at most one, and every level
     above the first hit has dimension above e; so the hits are sons of
-    the dimension-(e+1) nodes.  Each level is counted from its parents'
-    generators (see `_sons`), then builds those near sons first, each
-    family kept at its parent's position.  If one has dimension e, the
-    near sons' hits are the minimizers and the other nodes' sons are never
-    built; otherwise the next level is built parent by parent, from the
-    near families and the rest's sons.  So every level, and the hits, come
-    out sorted (see `multiplicity_tree`).  `stats["nodes"]` counts every
-    node of genus up to the minimum.
+    the dimension-(e+1) nodes.  Each level builds those near sons first,
+    each family kept at its parent's position.  If one has dimension e,
+    the near sons' hits are the minimizers and the other nodes' sons are
+    never built; otherwise the next level is built parent by parent, from
+    the near families and the rest's sons.  So every level, and the hits,
+    come out sorted (see `multiplicity_tree`).  `stats["nodes"]` counts
+    every node of genus up to the minimum: each built level by its length,
+    and the last, built only in part, from its parents' generators (see
+    `_sons`).
     """
     last_level = interval_genus(m, e) - (m - 1)
     level = [_root_node(m)]
@@ -85,14 +86,16 @@ def min_genus(m: int, e: int, stats: dict | None = None) -> SearchOutcome:
         if k == last_level:
             raise AssertionError("unreachable: the interval semigroup bounds the walk")
         k += 1
-        nodes += sum(len(gens) - bisect_right(gens, F, 1) for gens, _, F in level)
         near = [_sons(m, S) if len(S[0]) == e + 1 else None for S in level]
         hits = [T for fam in near if fam for T in fam if len(T[0]) == e]
         if not hits:
             level = [
                 T for S, fam in zip(level, near) for T in (_sons(m, S) if fam is None else fam)
             ]
+            nodes += len(level)
     if stats is not None:
+        if k:  # the sons of the last parents, counted without building them
+            nodes += sum(len(gens) - bisect_right(gens, F, 1) for gens, _, F in level)
         stats["nodes"] = nodes
     return SearchOutcome((m - 1) + k, tuple(NumericalSemigroup(gens, w) for gens, w, _ in hits))
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semigroup_forge import packed
-from semigroup_forge._backend import SENTINEL, residue_table
+from semigroup_forge._backend import SENTINEL, relax, residue_table
 from semigroup_forge.core import interval_apery, make_semigroup, monoid_contains
 from semigroup_forge.errors import (
     BadDimension,
@@ -19,11 +19,14 @@ from semigroup_forge.errors import (
 )
 from semigroup_forge.multiplicity_tree import bfs_levels, root
 from semigroup_forge.packed import (
+    _MASK_BITS,
     _SWEEP_PAYS,
     _bound_and_slack,
+    _close,
     _frame,
     _least_sum,
     _lower,
+    _members,
     _minimizers,
     _slots,
     class_min_frobenius,
@@ -39,17 +42,26 @@ def mk(*gens):
     return make_semigroup(gens)
 
 
-def count_relax(monkeypatch):
-    """Wrap `packed.relax`; the returned list gets each call's result."""
-    relax = packed.relax
+def count_tests(monkeypatch):
+    """Wrap `packed.relax` and `packed._close`, the two forms of a cap test.
+
+    The returned list gets each `relax` call's result and None for each
+    `_close` call, so a cut that moves shows whichever form the walk uses.
+    """
+    relax, close = packed.relax, packed._close
     finished = []
 
-    def counted(*args):
+    def relaxed(*args):
         done = relax(*args)
         finished.append(done)
         return done
 
-    monkeypatch.setattr(packed, "relax", counted)
+    def closed(*args):
+        finished.append(None)
+        return close(*args)
+
+    monkeypatch.setattr(packed, "relax", relaxed)
+    monkeypatch.setattr(packed, "_close", closed)
     return finished
 
 
@@ -173,11 +185,12 @@ class TestBranchAndBound:
     @pytest.mark.parametrize("key", [sum, max], ids=["genus", "frobenius"])
     def test_prunes_most_of_the_family(self, key, monkeypatch):
         # A full scan relaxes at least once per leaf, of C(23, 7) = 245,157,
-        # and finishes every sweep; most leaves reached lose early.
-        finished = count_relax(monkeypatch)
+        # and finishes every sweep; most leaves reached lose before their
+        # table is finished, by a mask (`_close`) or a stopped `relax`.
+        finished = count_tests(monkeypatch)
         assert len(_minimizers(24, 8, key)) == 52
         assert len(finished) < comb(23, 7) // 20
-        assert finished.count(False) > len(finished) // 2
+        assert finished.count(True) < len(finished) // 2
 
     @pytest.mark.parametrize(
         "m, e, key, calls",
@@ -193,7 +206,7 @@ class TestBranchAndBound:
         ],
     )
     def test_cuts_are_pinned(self, m, e, key, calls, monkeypatch):
-        """The walk's exact `relax` calls: every cut decision shows here.
+        """The walk's exact `relax` calls with masks off: every cut decision shows here.
 
         The other tests bound these counts from above only, so a cut that
         moves while staying under them would go unseen.  A change that
@@ -201,13 +214,42 @@ class TestBranchAndBound:
         At (36, 6) under `sum` a sweeping prefix whose least-sum cut leaves
         no child must start no sweep (9,770 calls when it sweeps anyway).
         With no key the walk visits every member (`enumerate_packed`).
+        Every cap here is narrow enough for masks, so with `_MASK_BITS` at 0
+        this pins the table path that wider caps take, and
+        `test_mask_tests_are_pinned` pins the same walks with masks.
         """
-        finished = count_relax(monkeypatch)
+        monkeypatch.setattr(packed, "_MASK_BITS", 0)
+        finished = count_tests(monkeypatch)
         if key is None:
             assert len(enumerate_packed(m, e)) == 1715
         else:
             _minimizers(m, e, key)
         assert len(finished) == calls
+
+    @pytest.mark.parametrize(
+        "m, e, key, relaxed, closed",
+        [
+            pytest.param(24, 8, sum, 1453, 4442, id="24-8-sum"),
+            pytest.param(24, 8, max, 1206, 3340, id="24-8-max"),
+            pytest.param(20, 10, sum, 23844, 23930, id="20-10-sum"),
+            pytest.param(20, 10, max, 4912, 4821, id="20-10-max"),
+            pytest.param(36, 6, sum, 5454, 4180, id="36-6-sum"),
+            pytest.param(36, 6, max, 9368, 15533, id="36-6-max"),
+            pytest.param(44, 5, sum, 2188, 2037, id="44-5-sum"),
+        ],
+    )
+    def test_mask_tests_are_pinned(self, m, e, key, relaxed, closed, monkeypatch):
+        """The walks of `test_cuts_are_pinned` with masks: exact `relax` and `_close` calls.
+
+        Each frame closes its parent's mask once and relaxes its table once.
+        A leaf closes its prefix's mask, and relaxes a table only when it is
+        within the incumbent, so no `relax` stops early.  The ids carry no count, so a
+        re-pin keeps them; it still gives its reason in CHANGES.md.
+        """
+        finished = count_tests(monkeypatch)
+        _minimizers(m, e, key)
+        assert (finished.count(True), finished.count(None)) == (relaxed, closed)
+        assert False not in finished
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(st.data())
@@ -293,7 +335,7 @@ class TestBranchAndBound:
         least = min(sum(S.entries) for S in enumerate_packed(m, e))
         best = data.draw(st.integers(least, sum(interval_apery(m, e))), label="best")
         with pytest.MonkeyPatch.context() as patch:
-            finished = count_relax(patch)
+            finished = count_tests(patch)
             f = _frame(table, m, first, m - 1, 1, best, sum, bound, slack)
         assert finished == []
         assert f[3] is None, prefix
@@ -344,8 +386,8 @@ class TestBranchAndBound:
                 assert slots[a - first] >= m, (residues, cap)
 
     def test_slot_count_cuts_the_frobenius_walk(self, monkeypatch):
-        # Without the count, (40, 3) relaxes 605 tables for its one leaf.
-        finished = count_relax(monkeypatch)
+        # Without the count, (40, 3) makes 614 cap tests for its one leaf, 150 with it.
+        finished = count_tests(monkeypatch)
         assert [S.min_gens for S in _minimizers(40, 3, max)] == [(40, 43, 47)]
         assert len(finished) < 300
         monkeypatch.undo()
@@ -398,8 +440,8 @@ class TestBranchAndBound:
                 assert sum(leaf) >= sums[a - first], (residues, cap)
 
     def test_least_sum_cuts_the_genus_walk(self, monkeypatch):
-        # Without the least sums, (38, 3) relaxes 557 tables for its two leaves.
-        finished = count_relax(monkeypatch)
+        # Without the least sums, (38, 3) makes 563 cap tests for its two leaves, 96 with them.
+        finished = count_tests(monkeypatch)
         assert [S.min_gens for S in _minimizers(38, 3, sum)] == [(38, 39, 44), (38, 39, 45)]
         assert len(finished) < 200
         monkeypatch.undo()
@@ -413,6 +455,74 @@ class TestBranchAndBound:
         out = min_genus_packed(44, 5)
         assert out.value == 124
         assert out.minimizers == (mk(44, 45, 47, 55, 62),)
+
+
+class TestMemberMasks:
+    """`_close` masks decide the same cap tests as `relax` and read both keys."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.data())
+    def test_mask_verdict_and_keys_match_the_table(self, data):
+        m = data.draw(st.integers(2, 24), label="m")
+        gens = st.integers(m + 1, 3 * m)
+        prefix = data.draw(st.lists(gens, max_size=5), label="prefix")
+        # Both walks adjoin only generators outside the class of 0, which
+        # `relax` sweeps; it returns True at once for a multiple of m.
+        g = data.draw(gens.filter(lambda g: g % m), label="generator")
+        cap = data.draw(st.integers(m, 4 * m * m), label="cap")
+        x = _close(_members([m, *prefix], cap)[-1], g, cap)
+        full = residue_table(m, [*prefix, g])
+        # The mask is exactly the members up to the cap.
+        assert x == sum(1 << y for y in range(cap + 1) if y >= full[y % m])
+        w = residue_table(m, prefix)
+        fits = x >> cap - m + 1 == (1 << m) - 1
+        assert relax(w, m, g, cap) == fits
+        if fits:
+            assert w == full
+            assert max(full) == (x ^ (1 << cap + 1) - 1).bit_length() - 1 + m
+            assert sum(full) == m * (cap + 1 - x.bit_count()) + m * (m - 1) // 2
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(st.data())
+    def test_any_mask_width_gives_the_table_path_answer(self, data):
+        # A width between the caps switches the walk to masks partway,
+        # once the incumbent falls below it.
+        m = data.draw(st.integers(3, 16), label="m")
+        e = data.draw(st.integers(2, min(m, 8)), label="e")
+        key = data.draw(st.sampled_from([sum, max]), label="key")
+        bits = data.draw(st.integers(0, key(interval_apery(m, e)) + 1), label="width")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(packed, "_MASK_BITS", 0)
+            want = [fields(S) for S in _minimizers(m, e, key)]
+            patch.setattr(packed, "_MASK_BITS", bits)
+            assert [fields(S) for S in _minimizers(m, e, key)] == want
+
+    @pytest.mark.parametrize("m", [39, 40])
+    def test_genus_caps_narrow_partway(self, m, monkeypatch):
+        # The genus search at (m, 3) starts with a cap above the mask width
+        # and ends below it, so it switches to masks partway.
+        bound, slack = _bound_and_slack(m, 3, sum)
+        hits = _minimizers(m, 3, sum)
+        assert sum(interval_apery(m, 3)) - slack >= _MASK_BITS > sum(hits[0].entries) - slack
+        monkeypatch.setattr(packed, "_MASK_BITS", 0)
+        assert [fields(S) for S in hits] == [fields(S) for S in _minimizers(m, 3, sum)]
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(st.data())
+    def test_class_walks_match_the_table_path(self, data):
+        m = data.draw(st.integers(3, 10), label="m")
+        e = data.draw(st.integers(2, m), label="e")
+        P = data.draw(st.sampled_from(enumerate_packed(m, e).members), label="root")
+        slack = data.draw(st.integers(0, 2 * m), label="bound above F")
+
+        def walk():
+            sons = class_sons(P, P.frobenius + slack)
+            return [fields(T) for T in (*sons, *class_min_frobenius(P))]
+
+        got = walk()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(packed, "_MASK_BITS", 0)
+            assert walk() == got
 
 
 class TestIsPacked:
@@ -495,8 +605,10 @@ class TestClassSons:
         assert mk(6, 8, 10, 15) in class_sons(mk(6, 8, 9, 10))
 
     def test_son_past_kernel_range_is_refused(self):
-        with pytest.raises(InvalidGenerator):
-            class_sons(mk(2, 2**61 - 1))
+        # A bound this wide keeps the table path, where the one check runs.
+        for bound in (None, 2**61):
+            with pytest.raises(InvalidGenerator):
+                class_sons(mk(2, 2**61 - 1), bound)
 
     def test_single_son(self):
         assert class_sons(mk(6, 7, 8, 9, 11)) == (mk(6, 8, 9, 11, 13),)
