@@ -29,12 +29,13 @@ def relax(w: list[int], modulus: int, g: int, cap: int = SENTINEL) -> bool:
     first one above `cap`: it then returns False and leaves `w` half
     updated, and the finished table would have an entry above `cap`.
     Otherwise it returns True with `w` complete.  The default cap never
-    stops a sweep.
+    stops a sweep.  A multiple of the modulus changes no entry, so it
+    returns whether the table is already within `cap`.
     """
     m = modulus
     step = g % m
     if step == 0:
-        return True
+        return max(w) <= cap
     d = gcd(step, m)
     cycle_len = m // d
     for lead in range(d):

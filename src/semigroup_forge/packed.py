@@ -14,33 +14,36 @@ key) triples, the key None when the walk does not search.
 `enumerate_packed` takes every leaf and wraps it into a value.
 The searches go through `_minimizers`, which runs the same walk as a
 branch-and-bound on the sum (genus) or the maximum (Frobenius number)
-of the tables: a prefix whose bound exceeds the best key so far is cut,
-as is a child whose leaves cannot fit m entries under the cap (for the
-maximum) or whose m least possible entries already sum past the best
-key (for the sum), and a leaf that loses builds no table.  One maker,
-`_frame`, builds every frame of the walk and decides there which
-prefixes bound their children; `_lower` alone sets the end of each of
-their loops, and lowers it whenever the walk returns with a better key,
-so no cut waits on a stale one.  The searches wrap only the members
-they return.  The class walk wraps every son.
+of the tables: a prefix whose bound exceeds the best key so far is
+cut, as is a child whose leaves cannot fit m entries under the cap
+(for the maximum) or whose m least possible entries already sum past
+the best key (for the sum).  One maker, `_frame`, builds every frame
+of the walk and decides there which prefixes bound their children;
+`_lower` alone sets the end of each of their loops, and lowers it
+whenever the walk returns with a better key, so no cut waits on a
+stale one.  The searches wrap only the members they return.  The class
+walk wraps every son.
 
 Both walks mostly ask one question of a table, whether every entry is
-at most a cap, and answer it on a member mask where the cap is narrow:
-bit i of the mask is set iff i is a member, for i in [0, cap], and
+at most a cap.  The capped `relax`, whose sweep stops at the first
+entry above the cap, decides every such test, and one cheap pre-filter
+per width goes before it.  While the cap is below `_MASK_BITS` it is a
+member mask: bit i is set iff i is a member, for i in [0, cap], and
 `_close` adjoins a generator g by x |= (x << s) & full for s = g, 2g,
 4g, ... <= cap.  The lemma: a table has every entry <= cap iff bits
 cap-m+1 ... cap of its mask are all set, since each residue has one
-number there, a member iff its entry is at most it.  The keys of such a
-table come off the mask too: its max is the highest clear bit (F) plus
-m, and its sum is m * ((cap+1) - popcount) + m(m-1)/2, since the clear
-bits are the gaps (Selmer's formulas).  A leaf and a class son then
-build their table only when they pass.  Masks are used only while the
-cap is below `_MASK_BITS`; wider caps keep the capped `relax`, whose
-sweep stops at the first entry above the cap.  Every value is made by
-`NumericalSemigroup(min_gens, tuple(table))`, since each walk owns its
-tables as lists, and keeps only its generators and table; F and g are
-read off the table on demand, and the oracle's enumerator checks those
-reads against brute-force gap counts.
+number there, a member iff its entry is at most it.  The keys of such
+a table come off the mask too: its max is the highest clear bit (F)
+plus m, and its sum is m * ((cap+1) - popcount) + m(m-1)/2, since the
+clear bits are the gaps (Selmer's formulas).  A leaf or class son the
+mask fails builds no table.  At wider caps the leaf-level counting
+cuts take its place: under `max` a count of the slots a leaf can fill
+pre-filters it, and under `sum` a leaf loop ends at its least sums.
+Every value is made by `NumericalSemigroup(min_gens, tuple(table))`,
+since each walk owns its tables as lists, and keeps only its
+generators and table; F and g are read off the table on demand, and
+the oracle's enumerator checks those reads against brute-force gap
+counts.
 """
 from __future__ import annotations
 
@@ -88,14 +91,14 @@ class PackedFamily:
 # the sweeps cost up to 16 times a full scan at large e, where most prefixes
 # lead to one or two leaves; 4, 8 and 16 measured alike.  The least-sum cut
 # of the genus search runs by the same rule, and at a leaf-level prefix only
-# when it has at least this many children.
+# when it has at least this many children and its cap is `_MASK_BITS` wide.
 _SWEEP_PAYS = 8
 
-# Member masks (`_close`) decide a cap test only while the cap is below this
-# many bits, 64 words of 64 bits; wider caps keep the capped `relax`.  A mask
-# test costs a few operations on (cap+1)-bit integers, `relax` O(m) Python
-# steps, so masks pay at narrow caps and lose at wide ones.  With masks at
-# every width the genus search at (1000, 3), whose cap never falls below
+# Member masks (`_close`) pre-filter a cap test only while the cap is below
+# this many bits, 64 words of 64 bits; wider caps keep the leaf-level counts.
+# A mask test costs a few operations on (cap+1)-bit integers, `relax` O(m)
+# Python steps, so masks pay at narrow caps and lose at wide ones.  With masks
+# at every width the genus search at (1000, 3), whose cap never falls below
 # 988,999 bits, took 5.2 s against 0.6 s, and with masks below 64 bits per
 # residue the Frobenius search there took 1.6 s against 1.1-1.2 s.
 _MASK_BITS = 4096
@@ -145,16 +148,15 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
       leaves move the incumbent until its loop ends, so best >= lb
       throughout.
     - A leaf loses when an entry of its table exceeds a cap past which the
-      key exceeds the incumbent (`_bound_and_slack`).  While the cap is
-      below `_MASK_BITS` each keyed frame also carries its prefix's member
-      mask, made by one `_close` from its parent's and cut by `& full` as
-      the cap falls: bits up to the cap depend on no member above it.  A
-      leaf closes its prefix's mask under its last generator, tests it
-      and reads its key off it by the lemma in the module docstring, and
-      only a leaf within the incumbent copies and relaxes the table it
-      yields.  When the cap first falls below the width, every prefix on
-      the stack is masked at once.  A wider cap tests a leaf by a capped
-      `relax`, which stops at the first entry above it.
+      key exceeds the incumbent (`_bound_and_slack`).  A leaf that passes
+      its pre-filter copies its prefix's table, a capped `relax` decides
+      it, and `key` reads its key unless a mask did.  While the cap is
+      below `_MASK_BITS` each keyed frame carries its prefix's member mask,
+      one `_close` from its parent's, cut by `& full` as the cap falls.  A
+      leaf closes it under its last generator and reads its verdict and
+      key off it (the module docstring's lemma), so only a leaf within
+      the incumbent relaxes, and never stops.  When the cap first falls
+      below the width, every prefix on the stack is masked at once.
     - Both keys count what a child can still hold.  Below child a of a
       prefix with table t, q more generators are still to come, each at
       least m+a (q = 1 in a leaf's loop).  Each entry of a leaf below is
@@ -168,14 +170,15 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
     - Under `max` the walk counts those values up to the cap: at most
       `_slots`, the sum over t[i] <= cap of C(q + (cap - t[i]) // (m+a), q),
       leaf entries are at most the cap, and a leaf within it needs m.  The
-      count runs at every interior child and in every leaf's loop, before
-      the child's table is copied.
+      count runs at every interior child, whose subtree no mask tests, and
+      in a leaf's loop only at caps of `_MASK_BITS` or more.
     - Under `sum` the walk adds up the m least of them within the cap
       (`_least_sum`, SENTINEL when fewer fit): a leaf within the cap sums
       to at least that, and a leaf past it loses anyway.  The loop ends at
       the first child past the best, found by binary search, only where
       `_SWEEP_PAYS` says a bound pays: at a sweeping prefix, and at a
-      leaf-level one with that many children, whose loop runs at once.
+      leaf-level one with that many children and a cap of `_MASK_BITS` or
+      more, whose loop runs at once.
       Such a prefix keeps its entries within the cap, sorted, and cuts
       them at each lower cap.
     - When the walk returns to a sweeping prefix with a better incumbent,
@@ -220,22 +223,11 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
         if j == e - 2:
             t, end = f[0], f[1]
             g = gcd(*gens)
-            room = [cap - x for x in t if x <= cap] if counts else None
             p = masks[j] & full if full else None
+            room = [cap - x for x in t if x <= cap] if counts and not full else None
             for r in range(a, end):
                 if gcd(g, r) == 1:
-                    # `_slots` at q = 1, summed by `map` since it runs per leaf.
-                    if counts and len(room) + sum(map((m + r).__rfloordiv__, room)) < m:
-                        break
-                    if p is None:
-                        w = t.copy()
-                        if not relax(w, m, m + r, cap):
-                            continue
-                        if key is not None:
-                            k = key(w)
-                            if k > best:
-                                continue
-                    else:
+                    if p is not None:
                         x = _close(p, m + r, cap)
                         if x >> cap - m + 1 != ones:
                             continue
@@ -245,17 +237,25 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
                             k = m * (cap + 1 - x.bit_count()) + half
                         if k > best:
                             continue
-                        w = t.copy()
-                        relax(w, m, m + r)
+                    # `_slots` at q = 1, summed by `map` since it runs per leaf.
+                    elif counts and len(room) + sum(map((m + r).__rfloordiv__, room)) < m:
+                        break
+                    w = t.copy()
+                    if not relax(w, m, m + r, cap):
+                        continue
+                    if p is None and key is not None:
+                        k = key(w)
+                        if k > best:
+                            continue
                     if key is not None and k < best:
                         best, cap = k, k - slack
-                        if counts:
-                            room = [cap - x for x in t if x <= cap]
                         if cap < _MASK_BITS:
                             if not full:  # the cap just fell below the width
                                 masks = _members(gens, cap)
                             full = (1 << cap + 1) - 1
                             p = masks[j] & full
+                        elif counts:
+                            room = [cap - x for x in t if x <= cap]
                     yield (*gens, m + r), w, k
         else:
             if best < f[2] and a < f[1]:
@@ -299,8 +299,9 @@ def _frame(t: list[int], m: int, first: int, last: int, q: int, best: int, key, 
     """The frame of a prefix with table t, children first..last and q generators to come.
 
     A prefix whose end never moves gets (t, last + 1, -1).  A sweeping one,
-    and a leaf-level genus prefix with `_SWEEP_PAYS` children or more, gets
-    [t, end, seen, u, ub, r, q, v], its end set by `_lower` for `best`:
+    and a leaf-level genus prefix with `_SWEEP_PAYS` children or more and
+    a cap best - slack of `_MASK_BITS` or more, gets [t, end, seen, u, ub,
+    r, q, v], its end set by `_lower` for `best`:
     the end of its loop and the incumbent it was computed for; U_r,
     bound(U_r) and r, where the suffix sweep stands (u is None until it
     starts, at r = m; ub = 0 when the prefix does not sweep); q; and under
@@ -309,7 +310,7 @@ def _frame(t: list[int], m: int, first: int, last: int, q: int, best: int, key, 
     """
     n = m - first
     sweeps = key is not None and q > 1 and comb(n, q) >= _SWEEP_PAYS * n
-    if not (sweeps or key is sum and q == 1 and n >= _SWEEP_PAYS):
+    if not (sweeps or key is sum and q == 1 and n >= _SWEEP_PAYS and best - slack >= _MASK_BITS):
         return t, last + 1, -1
     v = [*sorted(t), SENTINEL] if key is sum else None  # `_lower` drops those above the cap
     f = [t, last + 1, SENTINEL, None, SENTINEL if sweeps else 0, m, q, v]
@@ -462,11 +463,12 @@ def class_sons(P: NumericalSemigroup, bound: int | None = None) -> tuple[Numeric
     table stays within cap = bound + m.  The son of n_k misses n_k, so
     n_k + m > cap skips it before its table.  While the cap is below
     `_MASK_BITS` the member mask of the remaining generators up to the cap
-    decides both tests: n_k + m is redundant iff its bit is set, and the
-    son stays within the cap iff its mask, closed under n_k + m, has bits
-    cap-m+1 ... cap all set (the lemma in the module docstring).  Only a
-    kept son builds its table.  A wider cap, or no bound, builds every
-    candidate's table, and `relax` checks the cap as it sweeps.
+    pre-filters both tests: n_k + m is redundant iff its bit is set, and
+    the son stays within the cap iff its mask, closed under n_k + m, has
+    bits cap-m+1 ... cap all set (the lemma in the module docstring), so
+    only a kept son builds its table.  Every candidate left takes one
+    path: its table, the redundancy read off it, the kernel range check,
+    then `relax`, which checks the cap as it sweeps.
     """
     m = P.multiplicity
     gens = P.min_gens
@@ -482,19 +484,14 @@ def class_sons(P: NumericalSemigroup, bound: int | None = None) -> tuple[Numeric
             continue
         rest = gens[:k] + gens[k + 1 :]
         if cap < _MASK_BITS:
-            x, w = _members(rest, cap)[-1], None
-            redundant = x >> lifted & 1
-        else:
-            w = residue_table(m, rest)
-            redundant = w[lifted % m] <= lifted
-        if redundant:
+            x = _members(rest, cap)[-1]
+            if x >> lifted & 1 or _close(x, lifted, cap) >> cap - m + 1 != (1 << m) - 1:
+                continue
+        w = residue_table(m, rest)
+        if w[lifted % m] <= lifted:
             continue
         if m * lifted >= SENTINEL:
             raise InvalidGenerator(f"generator {lifted} exceeds the 62-bit kernel range")
-        if w is None:
-            if _close(x, lifted, cap) >> cap - m + 1 != (1 << m) - 1:
-                continue
-            w = residue_table(m, rest)
         if relax(w, m, lifted, cap):
             out.append(NumericalSemigroup((*rest, lifted), tuple(w)))
     return tuple(out)

@@ -79,14 +79,14 @@ def test_minimal_residues_match_monoid_reference(monoid):
 @example((7, {7, 9}), 10, 30)
 @example((6, {6, 9}), 8, 20)
 @example((5, {5}), 10, 0)
+@example((2, {2}), 4, 2)
 def test_capped_relax_stops_only_past_the_cap(monoid, g, cap):
-    # A stopped sweep means the finished table has an entry above the
-    # cap; a finished one leaves the uncapped table.
+    # The capped sweep returns whether the finished table is within the
+    # cap, a multiple of m included, and leaves that table when it is.
     m, gens = monoid
     full = _backend.residue_table(m, gens)
     capped = full.copy()
     assert _backend.relax(full, m, g) is True
-    if _backend.relax(capped, m, g, cap):
+    assert _backend.relax(capped, m, g, cap) == (max(full) <= cap)
+    if max(full) <= cap:
         assert capped == full
-    else:
-        assert max(full) > cap

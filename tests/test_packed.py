@@ -25,6 +25,7 @@ from semigroup_forge.packed import (
     _close,
     _frame,
     _least_sum,
+    _leaves,
     _lower,
     _members,
     _minimizers,
@@ -229,13 +230,13 @@ class TestBranchAndBound:
     @pytest.mark.parametrize(
         "m, e, key, relaxed, closed",
         [
-            pytest.param(24, 8, sum, 1453, 4442, id="24-8-sum"),
-            pytest.param(24, 8, max, 1206, 3340, id="24-8-max"),
-            pytest.param(20, 10, sum, 23844, 23930, id="20-10-sum"),
-            pytest.param(20, 10, max, 4912, 4821, id="20-10-max"),
-            pytest.param(36, 6, sum, 5454, 4180, id="36-6-sum"),
-            pytest.param(36, 6, max, 9368, 15533, id="36-6-max"),
-            pytest.param(44, 5, sum, 2188, 2037, id="44-5-sum"),
+            pytest.param(24, 8, sum, 1453, 6858, id="24-8-sum"),
+            pytest.param(24, 8, max, 1206, 6113, id="24-8-max"),
+            pytest.param(20, 10, sum, 23844, 23947, id="20-10-sum"),
+            pytest.param(20, 10, max, 4912, 13074, id="20-10-max"),
+            pytest.param(36, 6, sum, 5454, 20874, id="36-6-sum"),
+            pytest.param(36, 6, max, 9368, 52295, id="36-6-max"),
+            pytest.param(44, 5, sum, 2188, 10507, id="44-5-sum"),
         ],
     )
     def test_mask_tests_are_pinned(self, m, e, key, relaxed, closed, monkeypatch):
@@ -243,8 +244,10 @@ class TestBranchAndBound:
 
         Each frame closes its parent's mask once and relaxes its table once.
         A leaf closes its prefix's mask, and relaxes a table only when it is
-        within the incumbent, so no `relax` stops early.  The ids carry no count, so a
-        re-pin keeps them; it still gives its reason in CHANGES.md.
+        within the incumbent, so no `relax` stops early.  Below the width no
+        leaf-level counting cut runs, so every leaf left by the interior cuts
+        closes a mask.  The ids carry no count, so a re-pin keeps them; it
+        still gives its reason in CHANGES.md.
         """
         finished = count_tests(monkeypatch)
         _minimizers(m, e, key)
@@ -324,8 +327,9 @@ class TestBranchAndBound:
     @given(st.data())
     def test_leaf_level_genus_frames_end_at_their_least_sums(self, data):
         # A leaf-level prefix with `_SWEEP_PAYS` children or more under
-        # `sum`: its end comes from the least sums alone, and no table is
-        # relaxed for it.
+        # `sum`, while its cap is at least the mask width: its end comes from
+        # the least sums alone, and no table is relaxed for it.  Below the
+        # width masks test its leaves, and its end never moves.
         m = data.draw(st.integers(_SWEEP_PAYS + 2, 14), label="m")
         residues = st.integers(1, m - 1 - _SWEEP_PAYS)
         prefix = sorted(data.draw(st.sets(residues, max_size=4), label="prefix"))
@@ -334,7 +338,10 @@ class TestBranchAndBound:
         table = residue_table(m, [m + r for r in prefix])
         least = min(sum(S.entries) for S in enumerate_packed(m, e))
         best = data.draw(st.integers(least, sum(interval_apery(m, e))), label="best")
+        assert best - slack < _MASK_BITS
+        assert _frame(table, m, first, m - 1, 1, best, sum, bound, slack) == (table, m, -1)
         with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(packed, "_MASK_BITS", 0)
             finished = count_tests(patch)
             f = _frame(table, m, first, m - 1, 1, best, sum, bound, slack)
         assert finished == []
@@ -357,7 +364,8 @@ class TestBranchAndBound:
         leaf_level = residue_table(m, [13, 14, 17])
         assert _frame(leaf_level, m, 6, 11, 1, best, key, bound, slack) == (leaf_level, 12, -1)
         if key is not sum:
-            # Only the genus search cuts a leaf-level loop with 8 children.
+            # Only the genus search cuts a leaf-level loop with 8 children,
+            # and only at caps of `_MASK_BITS` or more.
             leaf_level = residue_table(m, [13, 14, 15])
             assert _frame(leaf_level, m, 4, 11, 1, best, key, bound, slack) == (leaf_level, 12, -1)
 
@@ -386,10 +394,21 @@ class TestBranchAndBound:
                 assert slots[a - first] >= m, (residues, cap)
 
     def test_slot_count_cuts_the_frobenius_walk(self, monkeypatch):
-        # Without the count, (40, 3) makes 614 cap tests for its one leaf, 150 with it.
+        # The leaf-level count runs only at caps of `_MASK_BITS` or more, so
+        # with the width at 0 (40, 3) tests its leaves by `relax` and counts
+        # at every child: 574 cap tests for its one leaf without either
+        # count, 293 with the interior one alone, 131 with both.
+        monkeypatch.setattr(packed, "_MASK_BITS", 0)
         finished = count_tests(monkeypatch)
         assert [S.min_gens for S in _minimizers(40, 3, max)] == [(40, 43, 47)]
-        assert len(finished) < 300
+        assert len(finished) == 131
+        monkeypatch.undo()
+        # Below the width masks pre-filter every leaf: only the interior
+        # count cuts, and only the leaves within the incumbent relax.
+        finished = count_tests(monkeypatch)
+        assert [S.min_gens for S in _minimizers(40, 3, max)] == [(40, 43, 47)]
+        assert (finished.count(True), finished.count(None)) == (26, 286)
+        assert False not in finished
         monkeypatch.undo()
         out = min_frobenius_full_set(36, 6)
         assert out.value == 107
@@ -466,9 +485,8 @@ class TestMemberMasks:
         m = data.draw(st.integers(2, 24), label="m")
         gens = st.integers(m + 1, 3 * m)
         prefix = data.draw(st.lists(gens, max_size=5), label="prefix")
-        # Both walks adjoin only generators outside the class of 0, which
-        # `relax` sweeps; it returns True at once for a multiple of m.
-        g = data.draw(gens.filter(lambda g: g % m), label="generator")
+        # A multiple of m adds no member; `relax` then reads the table's max.
+        g = data.draw(gens, label="generator")
         cap = data.draw(st.integers(m, 4 * m * m), label="cap")
         x = _close(_members([m, *prefix], cap)[-1], g, cap)
         full = residue_table(m, [*prefix, g])
@@ -486,16 +504,17 @@ class TestMemberMasks:
     @given(st.data())
     def test_any_mask_width_gives_the_table_path_answer(self, data):
         # A width between the caps switches the walk to masks partway,
-        # once the incumbent falls below it.
+        # once the incumbent falls below it.  Every leaf the walk yields,
+        # superseded ones included, comes out with the same table and key.
         m = data.draw(st.integers(3, 16), label="m")
         e = data.draw(st.integers(2, min(m, 8)), label="e")
         key = data.draw(st.sampled_from([sum, max]), label="key")
         bits = data.draw(st.integers(0, key(interval_apery(m, e)) + 1), label="width")
+        want = list(_leaves(m, e, key))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(packed, "_MASK_BITS", 0)
-            want = [fields(S) for S in _minimizers(m, e, key)]
-            patch.setattr(packed, "_MASK_BITS", bits)
-            assert [fields(S) for S in _minimizers(m, e, key)] == want
+            for width in (0, bits):
+                patch.setattr(packed, "_MASK_BITS", width)
+                assert list(_leaves(m, e, key)) == want, width
 
     @pytest.mark.parametrize("m", [39, 40])
     def test_genus_caps_narrow_partway(self, m, monkeypatch):
