@@ -220,11 +220,11 @@ def _verify(ns, report: _Report) -> str:
     status = "ok"
     if len(members) > VERIFY_MEMBER_CAP:
         status = f"partial: sieved {VERIFY_MEMBER_CAP} of {len(members)} members"
-    for S in members[:VERIFY_MEMBER_CAP]:
+    for i, S in enumerate(members[:VERIFY_MEMBER_CAP], 1):
         try:
             r = sieve(S.min_gens)
         except Uncertified:
-            status = f"partial: sieve uncertified for {S!r}"
+            status = f"partial: sieve uncertified for member {i} of {len(members)}"
             break
         if r.frobenius != S.frobenius or r.genus != S.genus:
             raise _Exit(

@@ -17,18 +17,16 @@ branch-and-bound on the sum (genus) or the maximum (Frobenius number)
 of the tables: a prefix whose bound exceeds the best key so far is
 cut, as is a child whose leaves cannot fit m entries under the cap
 (for the maximum) or whose m least possible entries already sum past
-the best key (for the sum).  One maker, `_frame`, builds every frame
-of the walk and decides there which prefixes bound their children;
-`_lower` alone sets the end of each of their loops, and lowers it
-whenever the walk returns with a better key, so no cut waits on a
-stale one.  The searches wrap only the members they return.  The class
-walk wraps every son.
+the best key (for the sum).  `_frame` only builds frames; `_lower`,
+called from one place in the walk's loop, alone sets and lowers their
+loop ends, so no cut waits on a stale key.  The searches wrap only the
+members they return.  The class walk wraps every son.
 
 Both walks mostly ask one question of a table, whether every entry is
 at most a cap.  The capped `relax`, whose sweep stops at the first
-entry above the cap, decides every such test, and one cheap pre-filter
-per width goes before it.  While the cap is below `_MASK_BITS` it is a
-member mask: bit i is set iff i is a member, for i in [0, cap], and
+entry above the cap, decides every such test.  While the cap is below
+`_MASK_BITS` a member mask pre-filters it: bit i is set iff i is a
+member, for i in [0, cap], and
 `_close` adjoins a generator g by x |= (x << s) & full for s = g, 2g,
 4g, ... <= cap.  The lemma: a table has every entry <= cap iff bits
 cap-m+1 ... cap of its mask are all set, since each residue has one
@@ -36,9 +34,8 @@ number there, a member iff its entry is at most it.  The keys of such
 a table come off the mask too: its max is the highest clear bit (F)
 plus m, and its sum is m * ((cap+1) - popcount) + m(m-1)/2, since the
 clear bits are the gaps (Selmer's formulas).  A leaf or class son the
-mask fails builds no table.  At wider caps the leaf-level counting
-cuts take its place: under `max` a count of the slots a leaf can fill
-pre-filters it, and under `sum` a leaf loop ends at its least sums.
+mask fails builds no table.  At wider caps no per-leaf test runs, and
+every keyed leaf loop ends at its counting bound instead.
 Every value is made by `NumericalSemigroup(min_gens, tuple(table))`,
 since each walk owns its tables as lists, and keeps only its
 generators and table; F and g are read off the table on demand, and
@@ -89,13 +86,13 @@ class PackedFamily:
 # A prefix runs its suffix sweep, one relax per residue above it, only when
 # it has at least this many times as many leaves below it.  Without the rule
 # the sweeps cost up to 16 times a full scan at large e, where most prefixes
-# lead to one or two leaves; 4, 8 and 16 measured alike.  The least-sum cut
-# of the genus search runs by the same rule, and at a leaf-level prefix only
-# when it has at least this many children and its cap is `_MASK_BITS` wide.
+# lead to one or two leaves; 4, 8 and 16 measured alike.  Only the sweep
+# reads it: an interior genus prefix ends its loop by least sums where it
+# sweeps, and a leaf-level one by its count whenever the cap is wide.
 _SWEEP_PAYS = 8
 
 # Member masks (`_close`) pre-filter a cap test only while the cap is below
-# this many bits, 64 words of 64 bits; wider caps keep the leaf-level counts.
+# this many bits, 64 words of 64 bits; wider caps end each leaf loop early.
 # A mask test costs a few operations on (cap+1)-bit integers, `relax` O(m)
 # Python steps, so masks pay at narrow caps and lose at wide ones.  With masks
 # at every width the genus search at (1000, 3), whose cap never falls below
@@ -114,14 +111,14 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
     The subsets are walked in lexicographic order as a prefix tree, on an
     explicit stack of one frame per prefix: its least-element table, the
     end of its loop and the incumbent that end was computed for.  `_frame`
-    makes every frame, the root's and the leaf-level ones too, and alone
-    decides which prefixes bound their children; `_lower` alone sets
-    their ends, and only a sweeping prefix's end moves later.  Each step
-    copies the prefix's table and adjoins one generator by `relax`; a
-    prefix one residue short of a leaf reads the gcd of its generators
-    once and filters the last step by it.  Every yielded table is a fresh
-    list the caller owns.  The third field is the leaf's key, computed once
-    by the walk, or None without a `key`.
+    makes every frame and decides which prefixes bound their children;
+    `_lower`, called at the top of the loop for the frame on top, alone
+    sets their ends, when a frame first comes to the top and whenever the
+    incumbent has fallen since.  Each step copies the prefix's table and
+    adjoins one generator by `relax`; a prefix one residue short of a leaf
+    reads the gcd of its generators once and filters the last step by it.
+    Every yielded table is a fresh list the caller owns.  The third field
+    is the leaf's key, computed once by the walk, or None without a `key`.
 
     With a `key` (`sum` or `max`) the walk is a branch-and-bound for the
     least key, and yields only the leaves whose key is at most the least
@@ -135,10 +132,11 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
       downwards, one `relax` per r, reads the bound only at children that
       the least-sum cut below left (all of them under `max`), and stops
       at the first whose bound is within the incumbent: every child up to
-      it passes, and the ones above it are cut.  The frame keeps U_r and
-      its bound, and the sweep goes on down from there only once the
-      incumbent falls below that bound, so no U_r is built twice and a
-      frame never relaxes more than once per residue above it.  Under
+      it passes, and the ones above it are cut.  The frame is made with
+      U_m, a copy of its table, and keeps U_r and its bound; the sweep
+      goes on down from there only once the incumbent falls below that
+      bound, so no U_r is built twice and a frame never relaxes more than
+      once per residue above it.  Under
       `sum` a bound costs as much as a `relax` or more (it sorts the
       table), so the sweep reads none past the least-sum cut's end.  Only
       interior prefixes with enough leaves below them sweep
@@ -156,7 +154,9 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
       leaf closes it under its last generator and reads its verdict and
       key off it (the module docstring's lemma), so only a leaf within
       the incumbent relaxes, and never stops.  When the cap first falls
-      below the width, every prefix on the stack is masked at once.
+      below the width, every prefix on the stack is masked at once.  At
+      wider caps no per-leaf cut runs: the leaf loop's end, set by the
+      counts below, does their work.
     - Both keys count what a child can still hold.  Below child a of a
       prefix with table t, q more generators are still to come, each at
       least m+a (q = 1 in a leaf's loop).  Each entry of a leaf below is
@@ -170,17 +170,16 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
     - Under `max` the walk counts those values up to the cap: at most
       `_slots`, the sum over t[i] <= cap of C(q + (cap - t[i]) // (m+a), q),
       leaf entries are at most the cap, and a leaf within it needs m.  The
-      count runs at every interior child, whose subtree no mask tests, and
-      in a leaf's loop only at caps of `_MASK_BITS` or more.
+      count runs at every interior child, whose subtree no mask tests.  At
+      caps of `_MASK_BITS` or more a leaf-level prefix's loop ends at the
+      first child that fails it (q = 1), found by binary search.
     - Under `sum` the walk adds up the m least of them within the cap
       (`_least_sum`, SENTINEL when fewer fit): a leaf within the cap sums
       to at least that, and a leaf past it loses anyway.  The loop ends at
-      the first child past the best, found by binary search, only where
-      `_SWEEP_PAYS` says a bound pays: at a sweeping prefix, and at a
-      leaf-level one with that many children and a cap of `_MASK_BITS` or
-      more, whose loop runs at once.
-      Such a prefix keeps its entries within the cap, sorted, and cuts
-      them at each lower cap.
+      the first child past the best, found by binary search, at a sweeping
+      prefix, and at every leaf-level one while the cap is `_MASK_BITS`
+      or more.  Such a prefix keeps its entries within the cap, sorted,
+      and cuts them at each lower cap.
     - When the walk returns to a sweeping prefix with a better incumbent,
       it lowers the prefix's end: the least-sum cut runs again over the
       children still left, then the sweep goes on down if the bound it
@@ -195,7 +194,9 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
       leaf under a cut child would have lost to it where it was met.  The
       walk yields the same leaves, in the same order, as one that fixes
       each end when its frame is made, and under `max`, where the bounds
-      were read as each child was met, it cuts the same children too.
+      were read as each child was met, it cuts the same children too.  A
+      leaf-level end is not lowered while its loop runs: a leaf past a
+      newer incumbent loses its cap test.
     Pruning is strict, so ties survive.
     """
     require_family(m, e)
@@ -214,18 +215,19 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
     # end of its loop and the incumbent that end was computed for (-1 when
     # it never moves); see `_frame` for the rest.  masks[j]: its member
     # mask, up to the cap it was made for, or None while the cap is too wide.
-    stack = [_frame(residue_table(m, ()), m, 1, top, e - 1, best, key, bound, slack)]
+    stack = [_frame(residue_table(m, ()), m, 1, top, e - 1, key, cap)]
     masks = _members(gens, cap) if full else [None]
     a = 1
     while stack:
         j = len(stack) - 1
         f = stack[j]
+        if best < f[2] and a < f[1]:
+            _lower(f, a, best, m, bound, slack)
         if j == e - 2:
-            t, end = f[0], f[1]
+            t = f[0]
             g = gcd(*gens)
             p = masks[j] & full if full else None
-            room = [cap - x for x in t if x <= cap] if counts and not full else None
-            for r in range(a, end):
+            for r in range(a, f[1]):
                 if gcd(g, r) == 1:
                     if p is not None:
                         x = _close(p, m + r, cap)
@@ -237,9 +239,6 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
                             k = m * (cap + 1 - x.bit_count()) + half
                         if k > best:
                             continue
-                    # `_slots` at q = 1, summed by `map` since it runs per leaf.
-                    elif counts and len(room) + sum(map((m + r).__rfloordiv__, room)) < m:
-                        break
                     w = t.copy()
                     if not relax(w, m, m + r, cap):
                         continue
@@ -254,20 +253,15 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
                                 masks = _members(gens, cap)
                             full = (1 << cap + 1) - 1
                             p = masks[j] & full
-                        elif counts:
-                            room = [cap - x for x in t if x <= cap]
                     yield (*gens, m + r), w, k
-        else:
-            if best < f[2] and a < f[1]:
-                _lower(f, a, best, m, bound, slack)
-            if a < f[1] and (not counts or _slots(f[0], m + a, e - 1 - j, cap) >= m):
-                w = f[0].copy()
-                relax(w, m, m + a)
-                masks.append(_close(masks[j] & full, m + a, cap) if full else None)
-                gens.append(m + a)
-                a += 1
-                stack.append(_frame(w, m, a, top + j + 1, e - 2 - j, best, key, bound, slack))
-                continue
+        elif a < f[1] and (not counts or _slots(f[0], m + a, e - 1 - j, cap) >= m):
+            w = f[0].copy()
+            relax(w, m, m + a)
+            masks.append(_close(masks[j] & full, m + a, cap) if full else None)
+            gens.append(m + a)
+            a += 1
+            stack.append(_frame(w, m, a, top + j + 1, e - 2 - j, key, cap))
+            continue
         stack.pop()
         masks.pop()
         a = gens.pop() - m + 1
@@ -295,46 +289,45 @@ def _members(gens, cap: int) -> list[int]:
     return list(accumulate(gens, lambda x, g: _close(x, g, cap), initial=1))[1:]
 
 
-def _frame(t: list[int], m: int, first: int, last: int, q: int, best: int, key, bound, slack: int):
+def _frame(t: list[int], m: int, first: int, last: int, q: int, key, cap: int):
     """The frame of a prefix with table t, children first..last and q generators to come.
 
     A prefix whose end never moves gets (t, last + 1, -1).  A sweeping one,
-    and a leaf-level genus prefix with `_SWEEP_PAYS` children or more and
-    a cap best - slack of `_MASK_BITS` or more, gets [t, end, seen, u, ub,
-    r, q, v], its end set by `_lower` for `best`:
-    the end of its loop and the incumbent it was computed for; U_r,
-    bound(U_r) and r, where the suffix sweep stands (u is None until it
-    starts, at r = m; ub = 0 when the prefix does not sweep); q; and under
-    `sum` the entries of t within the cap, sorted and closed by SENTINEL
-    (else None).
+    and with a `key` a leaf-level one while the cap is `_MASK_BITS` wide
+    or more, gets [t, end, seen, u, ub, r, q, v]: the end of its loop and
+    the incumbent it was computed for (SENTINEL until `_lower` first sets
+    it); U_r, bound(U_r) and r, where the suffix sweep stands (U_m = t, a
+    copy, and ub = 0 with u None when the prefix does not sweep); q; and
+    under `sum` the entries of t, sorted and closed by SENTINEL, which
+    `_lower` cuts to those within the cap (else None).
     """
     n = m - first
     sweeps = key is not None and q > 1 and comb(n, q) >= _SWEEP_PAYS * n
-    if not (sweeps or key is sum and q == 1 and n >= _SWEEP_PAYS and best - slack >= _MASK_BITS):
+    if not (sweeps or key is not None and q == 1 and cap >= _MASK_BITS):
         return t, last + 1, -1
-    v = [*sorted(t), SENTINEL] if key is sum else None  # `_lower` drops those above the cap
-    f = [t, last + 1, SENTINEL, None, SENTINEL if sweeps else 0, m, q, v]
-    _lower(f, first, best, m, bound, slack)
-    return f
+    v = [*sorted(t), SENTINEL] if key is sum else None
+    return [t, last + 1, SENTINEL, t.copy() if sweeps else None, SENTINEL if sweeps else 0, m, q, v]
 
 
 def _lower(f: list, a: int, best: int, m: int, bound, slack: int) -> None:
     """Set the loop end of the frame `f`, whose next child is a, for `best`.
 
-    Under `sum` the end falls to the first child whose least sum exceeds
-    `best`, found by binary search only when the last child's already does.
+    The end falls to the first child that fails its count, found by binary
+    search only when the last child already fails: its least sum exceeds
+    `best` under `sum`, and under `max` its leaves cannot fit m entries
+    under the cap, counted only at a leaf-level frame.  A sweeping frame's
+    end then falls to the first child whose bound exceeds `best`.
     """
     t, end, _, u, ub, r, q, v = f
+    cap = best - slack
     if v is not None:
-        cap = best - slack
         del v[bisect_right(v, cap) : -1]
-        if _least_sum(v, m + end - 1, q, m, cap) > best:
-            end = a + bisect_left(
-                range(a, end - 1), True, key=lambda b: _least_sum(v, m + b, q, m, cap) > best
-            )
+        fails = lambda b: _least_sum(v, m + b, q, m, cap) > best
+    else:  # under `max` only a leaf-level frame counts here
+        fails = lambda b: q == 1 and _slots(t, m + b, q, cap) < m
+    if fails(end - 1):
+        end = a + bisect_left(range(a, end - 1), True, key=fails)
     if a < end and ub > best:
-        if u is None:
-            u = t.copy()
         while r > a:
             r -= 1
             relax(u, m, m + r)

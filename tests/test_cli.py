@@ -544,7 +544,13 @@ class TestVerify:
         "args, status",
         [
             (("packed", "11", "5"), "partial: sieved 200 of 210 members"),
-            (("info", "5000,5001"), "partial: sieve uncertified for ⟨5000,5001⟩"),
+            (("info", "5000,5001"), "partial: sieve uncertified for member 1 of 1"),
+            # 100 generators: the status names the member by its place, not
+            # by its generators.
+            (
+                ("info", ",".join(map(str, range(4901, 5001)))),
+                "partial: sieve uncertified for member 1 of 1",
+            ),
         ],
     )
     def test_verify_partial_statuses(self, capsys, args, status):

@@ -196,12 +196,12 @@ class TestBranchAndBound:
     @pytest.mark.parametrize(
         "m, e, key, calls",
         [
-            (24, 8, sum, 4893),
-            (24, 8, max, 3790),
-            (20, 10, sum, 25061),
-            (20, 10, max, 5961),
+            (24, 8, sum, 3266),
+            (24, 8, max, 3793),
+            (20, 10, sum, 23983),
+            (20, 10, max, 5963),
             (36, 6, sum, 8426),
-            (36, 6, max, 21712),
+            (36, 6, max, 21731),
             (44, 5, sum, 3795),
             (14, 7, None, 3001),
         ],
@@ -302,9 +302,16 @@ class TestBranchAndBound:
         least = min(key(S.entries) for S in enumerate_packed(m, e))
         worst = key(interval_apery(m, e))
         run = data.draw(st.lists(st.integers(least, worst), max_size=5), label="bests")
-        # The frame as `_frame` documents it, before its first end is set.
+        # The frame as `_frame` documents it, born with U_m = t, before its
+        # first end is set; `_frame` builds it when the prefix sweeps.
         v = [*sorted(table), SENTINEL] if key is sum else None
-        f, a = [table, last + 1, SENTINEL, None, SENTINEL, m, q, v], first
+        f, a = [table, last + 1, SENTINEL, table.copy(), SENTINEL, m, q, v], first
+        n = m - first
+        if comb(n, q) >= _SWEEP_PAYS * n:
+            with pytest.MonkeyPatch.context() as patch:
+                finished = count_tests(patch)
+                assert _frame(table, m, first, last, q, key, worst - slack) == f
+            assert finished == []
         for best in sorted({*run, least}, reverse=True):
             _lower(f, a, best, m, bound, slack)
             over = [b for b, u in zip(range(first, last + 1), bounds) if u > best]
@@ -323,51 +330,67 @@ class TestBranchAndBound:
                 break
             a = data.draw(st.integers(a, f[1] - 1), label="next child")
 
-    @settings(derandomize=True, deadline=None, max_examples=100)
-    @given(st.data())
-    def test_leaf_level_genus_frames_end_at_their_least_sums(self, data):
-        # A leaf-level prefix with `_SWEEP_PAYS` children or more under
-        # `sum`, while its cap is at least the mask width: its end comes from
-        # the least sums alone, and no table is relaxed for it.  Below the
-        # width masks test its leaves, and its end never moves.
-        m = data.draw(st.integers(_SWEEP_PAYS + 2, 14), label="m")
-        residues = st.integers(1, m - 1 - _SWEEP_PAYS)
-        prefix = sorted(data.draw(st.sets(residues, max_size=4), label="prefix"))
+    @staticmethod
+    def check_leaf_level_end(data, key):
+        """A keyed leaf-level frame ends where a linear scan of its count does.
+
+        At a cap of `_MASK_BITS` or more, `_lower` ends its loop at the
+        first child whose count fails: the least sum past `best` under
+        `sum`, fewer than m slots under the cap under `max`.  Neither
+        `_frame` nor `_lower` tests a table for it.  Below the width masks
+        test its leaves, and `_frame` gives the plain frame.
+        """
+        m = data.draw(st.integers(3, 14), label="m")
+        prefix = sorted(data.draw(st.sets(st.integers(1, m - 2), max_size=4), label="prefix"))
         e, first = len(prefix) + 2, (prefix[-1] + 1 if prefix else 1)
-        bound, slack = _bound_and_slack(m, e, sum)
+        bound, slack = _bound_and_slack(m, e, key)
         table = residue_table(m, [m + r for r in prefix])
-        least = min(sum(S.entries) for S in enumerate_packed(m, e))
-        best = data.draw(st.integers(least, sum(interval_apery(m, e))), label="best")
-        assert best - slack < _MASK_BITS
-        assert _frame(table, m, first, m - 1, 1, best, sum, bound, slack) == (table, m, -1)
+        least = min(key(S.entries) for S in enumerate_packed(m, e))
+        best = data.draw(st.integers(least, key(interval_apery(m, e))), label="best")
+        cap = best - slack
+        assert cap < _MASK_BITS
+        assert _frame(table, m, first, m - 1, 1, key, cap) == (table, m, -1)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(packed, "_MASK_BITS", 0)
             finished = count_tests(patch)
-            f = _frame(table, m, first, m - 1, 1, best, sum, bound, slack)
+            f = _frame(table, m, first, m - 1, 1, key, cap)
+            assert f[:3] == [table, m, SENTINEL]
+            _lower(f, first, best, m, bound, slack)
         assert finished == []
         assert f[3] is None, prefix
-        cap = best - slack
-        within = [*sorted(x for x in table if x <= cap), SENTINEL]
-        over = [b for b in range(first, m) if _least_sum(within, m + b, 1, m, cap) > best]
+        if key is sum:
+            within = [*sorted(x for x in table if x <= cap), SENTINEL]
+            assert f[7] == within
+            over = [b for b in range(first, m) if _least_sum(within, m + b, 1, m, cap) > best]
+        else:
+            over = [b for b in range(first, m) if _slots(table, m + b, 1, cap) < m]
         assert f[:3] == [table, min(over, default=m), best], prefix
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(st.data())
+    def test_leaf_level_genus_frames_end_at_their_least_sums(self, data):
+        self.check_leaf_level_end(data, sum)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(st.data())
+    def test_leaf_level_frobenius_frames_end_at_their_slot_count(self, data):
+        self.check_leaf_level_end(data, max)
 
     @pytest.mark.parametrize("key", [None, sum, max], ids=["none", "genus", "frobenius"])
     def test_frames_off_every_gate_never_move(self, key):
         # At (12, 5): the C(8, 2) = 28 residue pairs above ⟨12,13,15⟩ are
-        # fewer than `_SWEEP_PAYS` * 8, so it does not sweep, and the
-        # leaf-level ⟨12,13,14,17⟩ has 6 children.
+        # fewer than `_SWEEP_PAYS` * 8, so it does not sweep.  A leaf-level
+        # prefix bounds its loop only with a key and a cap of `_MASK_BITS`
+        # or more, and every cap at (12, 5) is narrower, so neither
+        # ⟨12,13,14,17⟩ (6 children) nor ⟨12,13,14,15⟩ (8) does.
         m, e = 12, 5
         bound, slack = _bound_and_slack(m, e, key)
-        best = SENTINEL if key is None else key(interval_apery(m, e))
+        cap = SENTINEL if key is None else key(interval_apery(m, e)) - slack
         interior = residue_table(m, [13, 15])
-        assert _frame(interior, m, 4, 10, 2, best, key, bound, slack) == (interior, 11, -1)
-        leaf_level = residue_table(m, [13, 14, 17])
-        assert _frame(leaf_level, m, 6, 11, 1, best, key, bound, slack) == (leaf_level, 12, -1)
-        if key is not sum:
-            # Only the genus search cuts a leaf-level loop with 8 children,
-            # and only at caps of `_MASK_BITS` or more.
-            leaf_level = residue_table(m, [13, 14, 15])
-            assert _frame(leaf_level, m, 4, 11, 1, best, key, bound, slack) == (leaf_level, 12, -1)
+        assert _frame(interior, m, 4, 10, 2, key, cap) == (interior, 11, -1)
+        for prefix, first in (([13, 14, 17], 6), ([13, 14, 15], 4)):
+            leaf_level = residue_table(m, prefix)
+            assert _frame(leaf_level, m, first, 11, 1, key, cap) == (leaf_level, 12, -1)
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(st.data())
@@ -394,14 +417,15 @@ class TestBranchAndBound:
                 assert slots[a - first] >= m, (residues, cap)
 
     def test_slot_count_cuts_the_frobenius_walk(self, monkeypatch):
-        # The leaf-level count runs only at caps of `_MASK_BITS` or more, so
-        # with the width at 0 (40, 3) tests its leaves by `relax` and counts
-        # at every child: 574 cap tests for its one leaf without either
-        # count, 293 with the interior one alone, 131 with both.
+        # The leaf-level count ends a leaf loop only at caps of `_MASK_BITS`
+        # or more, so with the width at 0 (40, 3) tests its leaves by `relax`
+        # and counts at every child: 574 cap tests for its one leaf without
+        # either count, 293 with the interior one alone, 144 with both.  The
+        # leaf-level end is set once, for the incumbent its loop starts with.
         monkeypatch.setattr(packed, "_MASK_BITS", 0)
         finished = count_tests(monkeypatch)
         assert [S.min_gens for S in _minimizers(40, 3, max)] == [(40, 43, 47)]
-        assert len(finished) == 131
+        assert len(finished) == 144
         monkeypatch.undo()
         # Below the width masks pre-filter every leaf: only the interior
         # count cuts, and only the leaves within the incumbent relax.
