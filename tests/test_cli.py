@@ -544,7 +544,12 @@ class TestVerify:
         "args, status",
         [
             (("packed", "11", "5"), "partial: sieved 200 of 210 members"),
-            (("info", "5000,5001"), "partial: sieve uncertified for member 1 of 1"),
+            # The id names the uncertified member; the status names its place.
+            pytest.param(
+                ("info", "5000,5001"),
+                "partial: sieve uncertified for member 1 of 1",
+                id="args1-partial: sieve uncertified for ⟨5000,5001⟩",
+            ),
             # 100 generators: the status names the member by its place, not
             # by its generators.
             (
