@@ -486,12 +486,9 @@ def main(argv=None) -> int:
             "nodes": report.nodes,
             "verify": _verify(ns, report) if ns.verify else None,
         }
-    except _Exit as ex:
+    except (_Exit, SemigroupError) as ex:
         print(f"error: {ex}", file=sys.stderr)
-        return ex.code
-    except SemigroupError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
+        return getattr(ex, "code", 2)  # a domain error exits 2
     if ns.format == "json":
         inputs = {
             k: v for k, v in vars(ns).items() if k not in ("command", "format", "verify")

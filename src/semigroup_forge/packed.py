@@ -25,17 +25,21 @@ members they return.  The class walk wraps every son.
 Both walks mostly ask one question of a table, whether every entry is
 at most a cap.  The capped `relax`, whose sweep stops at the first
 entry above the cap, decides every such test.  While the cap is below
-`_MASK_BITS` a member mask pre-filters it: bit i is set iff i is a
-member, for i in [0, cap], and
-`_close` adjoins a generator g by x |= (x << s) & full for s = g, 2g,
-4g, ... <= cap.  The lemma: a table has every entry <= cap iff bits
-cap-m+1 ... cap of its mask are all set, since each residue has one
-number there, a member iff its entry is at most it.  The keys of such
-a table come off the mask too: its max is the highest clear bit (F)
-plus m, and its sum is m * ((cap+1) - popcount) + m(m-1)/2, since the
-clear bits are the gaps (Selmer's formulas).  A leaf or class son the
-mask fails builds no table.  At wider caps no per-leaf test runs, and
-every keyed leaf loop ends at its counting bound instead.
+`_MASK_BITS` a member mask answers first: bit i is set iff i <= cap is
+a member, and `_close` adjoins a generator g by x |= (x << s) & full
+for s = g, 2g, 4g, ... <= cap.  Its clear bits are the gaps up to the
+cap, so it reads two keys (Selmer's formulas): the highest clear bit
+plus m (max), and m per clear bit plus m(m-1)/2 (sum).  The lemma: a
+read is the key of the table with each entry cut to the least number
+past the cap in its residue class, so it is a lower bound on the key,
+exact when every entry is within the cap, and complete at any
+incumbent's cap, best - slack (`_bound_and_slack`).  An entry past the
+cap lifts a `max` read past best, and under `sum` its class adds more
+than the cap while the other m-2 nonzero classes keep their least
+levels (a cut class lies above every one) and add the slack.  So a
+leaf reads its key and its verdict off its mask, and a leaf or class
+son the mask fails builds no table.  At wider caps no per-leaf test
+runs, and every keyed leaf loop ends at its counting bound instead.
 Every value is made by `NumericalSemigroup(min_gens, tuple(table))`,
 since each walk owns its tables as lists, and keeps only its
 generators and table; F and g are read off the table on demand, and
@@ -46,7 +50,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 from math import comb, gcd
 from typing import Iterator
 
@@ -91,7 +94,7 @@ class PackedFamily:
 # sweeps, and a leaf-level one by its count whenever the cap is wide.
 _SWEEP_PAYS = 8
 
-# Member masks (`_close`) pre-filter a cap test only while the cap is below
+# Member masks (`_close`) answer a cap test first only while the cap is below
 # this many bits, 64 words of 64 bits; wider caps end each leaf loop early.
 # A mask test costs a few operations on (cap+1)-bit integers, `relax` O(m)
 # Python steps, so masks pay at narrow caps and lose at wide ones.  With masks
@@ -110,15 +113,16 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
     system, and a numerical semigroup when gcd(m, a1, a2, ...) is 1.
     The subsets are walked in lexicographic order as a prefix tree, on an
     explicit stack of one frame per prefix: its least-element table, the
-    end of its loop and the incumbent that end was computed for.  `_frame`
-    makes every frame and decides which prefixes bound their children;
-    `_lower`, called at the top of the loop for the frame on top, alone
-    sets their ends, when a frame first comes to the top and whenever the
-    incumbent has fallen since.  Each step copies the prefix's table and
-    adjoins one generator by `relax`; a prefix one residue short of a leaf
-    reads the gcd of its generators once and filters the last step by it.
-    Every yielded table is a fresh list the caller owns.  The third field
-    is the leaf's key, computed once by the walk, or None without a `key`.
+    end of its loop, the incumbent that end was computed for and its
+    member mask.  `_frame` makes every frame and decides which prefixes
+    bound their children; `_lower`, called at the top of the loop for the
+    frame on top, alone sets their ends, when a frame first comes to the
+    top and whenever the incumbent has fallen since.  Each step copies the
+    prefix's table and adjoins one generator by `relax`; a prefix one
+    residue short of a leaf reads the gcd of its generators once and
+    filters the last step by it.  Every yielded table is a fresh list the
+    caller owns.  The third field is the leaf's key, computed once by the
+    walk, or None without a `key`.
 
     With a `key` (`sum` or `max`) the walk is a branch-and-bound for the
     least key, and yields only the leaves whose key is at most the least
@@ -146,17 +150,17 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
       leaves move the incumbent until its loop ends, so best >= lb
       throughout.
     - A leaf loses when an entry of its table exceeds a cap past which the
-      key exceeds the incumbent (`_bound_and_slack`).  A leaf that passes
-      its pre-filter copies its prefix's table, a capped `relax` decides
-      it, and `key` reads its key unless a mask did.  While the cap is
-      below `_MASK_BITS` each keyed frame carries its prefix's member mask,
-      one `_close` from its parent's, cut by `& full` as the cap falls.  A
-      leaf closes it under its last generator and reads its verdict and
-      key off it (the module docstring's lemma), so only a leaf within
-      the incumbent relaxes, and never stops.  When the cap first falls
-      below the width, every prefix on the stack is masked at once.  At
-      wider caps no per-leaf cut runs: the leaf loop's end, set by the
-      counts below, does their work.
+      key exceeds the incumbent (`_bound_and_slack`).  While the cap is
+      below `_MASK_BITS` each keyed frame carries its prefix's member mask
+      up to the cap, one `_close` from its parent's; each new incumbent
+      recloses the masks of every prefix on the stack at the new cap, one
+      `_close` per generator, so every live mask is exact.  A leaf closes
+      its prefix's mask under its last generator and reads its key off it
+      (the module docstring's lemma): a read past the incumbent loses, and
+      any other is the leaf's key, so only a leaf within the incumbent
+      copies and relaxes its table, and never stops.  At wider caps the
+      capped `relax` decides each leaf on a copy of its prefix's table, and
+      the leaf loop's end, set by the counts below, is the only cut.
     - Both keys count what a child can still hold.  Below child a of a
       prefix with table t, q more generators are still to come, each at
       least m+a (q = 1 in a leaf's loop).  Each entry of a leaf below is
@@ -203,20 +207,16 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
     top = m - e + 1  # the largest first residue; position j goes up to top + j
     best = cap = SENTINEL
     k = None  # a leaf's key, set for each leaf when there is a `key`
-    counts = key is max
     bound, slack = _bound_and_slack(m, e, key)
     if key is not None:
         best = key(interval_apery(m, e))
         cap = best - slack
-    full = (1 << cap + 1) - 1 if cap < _MASK_BITS else 0  # bits 0..cap; 0 while too wide for masks
-    ones, half = (1 << m) - 1, m * (m - 1) // 2
+    half = m * (m - 1) // 2
+    full = (1 << cap + 1) - 1 if cap < _MASK_BITS else 0  # bits 0..cap while masks run
     gens = [m]  # m and one generator per residue chosen so far
-    # stack[j]: the frame of gens[:j + 1], which starts with its table, the
-    # end of its loop and the incumbent that end was computed for (-1 when
-    # it never moves); see `_frame` for the rest.  masks[j]: its member
-    # mask, up to the cap it was made for, or None while the cap is too wide.
-    stack = [_frame(residue_table(m, ()), m, 1, top, e - 1, key, cap)]
-    masks = _members(gens, cap) if full else [None]
+    # stack[j]: the frame of gens[:j + 1]; see `_frame`.
+    x = _close(1, m, cap) if cap < _MASK_BITS else None
+    stack = [_frame(residue_table(m, ()), x, m, 1, top, e - 1, key, cap)]
     a = 1
     while stack:
         j = len(stack) - 1
@@ -224,16 +224,13 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
         if best < f[2] and a < f[1]:
             _lower(f, a, best, m, bound, slack)
         if j == e - 2:
-            t = f[0]
+            t, p = f[0], f[8]
             g = gcd(*gens)
-            p = masks[j] & full if full else None
             for r in range(a, f[1]):
                 if gcd(g, r) == 1:
                     if p is not None:
                         x = _close(p, m + r, cap)
-                        if x >> cap - m + 1 != ones:
-                            continue
-                        if counts:  # F + m, F the highest clear bit
+                        if key is max:  # F + m, F the highest clear bit
                             k = (x ^ full).bit_length() - 1 + m
                         else:  # m per gap, the clear bits, plus m(m-1)/2
                             k = m * (cap + 1 - x.bit_count()) + half
@@ -248,22 +245,20 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
                             continue
                     if key is not None and k < best:
                         best, cap = k, k - slack
-                        if cap < _MASK_BITS:
-                            if not full:  # the cap just fell below the width
-                                masks = _members(gens, cap)
-                            full = (1 << cap + 1) - 1
-                            p = masks[j] & full
+                        if cap < _MASK_BITS:  # reclose every prefix's mask at the new cap
+                            full, p = (1 << cap + 1) - 1, 1
+                            for h, n in zip(stack, gens):
+                                p = h[8] = _close(p, n, cap)
                     yield (*gens, m + r), w, k
-        elif a < f[1] and (not counts or _slots(f[0], m + a, e - 1 - j, cap) >= m):
+        elif a < f[1] and (key is not max or _slots(f[0], m + a, e - 1 - j, cap) >= m):
             w = f[0].copy()
             relax(w, m, m + a)
-            masks.append(_close(masks[j] & full, m + a, cap) if full else None)
+            x = None if f[8] is None else _close(f[8], m + a, cap)
             gens.append(m + a)
             a += 1
-            stack.append(_frame(w, m, a, top + j + 1, e - 2 - j, key, cap))
+            stack.append(_frame(w, x, m, a, top + j + 1, e - 2 - j, key, cap))
             continue
         stack.pop()
-        masks.pop()
         a = gens.pop() - m + 1
 
 
@@ -284,29 +279,26 @@ def _close(x: int, g: int, cap: int) -> int:
     return x
 
 
-def _members(gens, cap: int) -> list[int]:
-    """The member masks up to cap of the monoids spanned by gens[:1], gens[:2], ..."""
-    return list(accumulate(gens, lambda x, g: _close(x, g, cap), initial=1))[1:]
+def _frame(t: list[int], x, m: int, first: int, last: int, q: int, key, cap: int) -> list:
+    """The frame of a prefix with table t, mask x, children first..last and q generators to come.
 
-
-def _frame(t: list[int], m: int, first: int, last: int, q: int, key, cap: int):
-    """The frame of a prefix with table t, children first..last and q generators to come.
-
-    A prefix whose end never moves gets (t, last + 1, -1).  A sweeping one,
-    and with a `key` a leaf-level one while the cap is `_MASK_BITS` wide
-    or more, gets [t, end, seen, u, ub, r, q, v]: the end of its loop and
-    the incumbent it was computed for (SENTINEL until `_lower` first sets
-    it); U_r, bound(U_r) and r, where the suffix sweep stands (U_m = t, a
-    copy, and ub = 0 with u None when the prefix does not sweep); q; and
-    under `sum` the entries of t, sorted and closed by SENTINEL, which
-    `_lower` cuts to those within the cap (else None).
+    It is [t, end, seen, u, ub, r, q, v, x]: the end of its loop and the
+    incumbent it was computed for; U_r, bound(U_r) and r, where the
+    suffix sweep stands; q; under `sum` the entries of t, sorted and
+    closed by SENTINEL, which `_lower` cuts to those within the cap; and
+    the prefix's member mask up to the cap, None while the cap is
+    `_MASK_BITS` or more.  A sweeping frame, and with a `key` a leaf-level
+    one at caps of `_MASK_BITS` or more, starts at seen = SENTINEL (and a
+    sweeping one with U_m = t, a copy), so `_lower` sets its end.  Any
+    other ends at last + 1 with seen = -1, below every incumbent, so its
+    end never moves; its u and v are None and ub is 0.
     """
     n = m - first
     sweeps = key is not None and q > 1 and comb(n, q) >= _SWEEP_PAYS * n
-    if not (sweeps or key is not None and q == 1 and cap >= _MASK_BITS):
-        return t, last + 1, -1
-    v = [*sorted(t), SENTINEL] if key is sum else None
-    return [t, last + 1, SENTINEL, t.copy() if sweeps else None, SENTINEL if sweeps else 0, m, q, v]
+    moves = sweeps or key is not None and q == 1 and cap >= _MASK_BITS
+    v = [*sorted(t), SENTINEL] if moves and key is sum else None
+    u = t.copy() if sweeps else None
+    return [t, last + 1, SENTINEL if moves else -1, u, SENTINEL if sweeps else 0, m, q, v, x]
 
 
 def _lower(f: list, a: int, best: int, m: int, bound, slack: int) -> None:
@@ -318,7 +310,7 @@ def _lower(f: list, a: int, best: int, m: int, bound, slack: int) -> None:
     under the cap, counted only at a leaf-level frame.  A sweeping frame's
     end then falls to the first child whose bound exceeds `best`.
     """
-    t, end, _, u, ub, r, q, v = f
+    t, end, _, u, ub, r, q, v, _ = f
     cap = best - slack
     if v is not None:
         del v[bisect_right(v, cap) : -1]
@@ -458,10 +450,11 @@ def class_sons(P: NumericalSemigroup, bound: int | None = None) -> tuple[Numeric
     `_MASK_BITS` the member mask of the remaining generators up to the cap
     pre-filters both tests: n_k + m is redundant iff its bit is set, and
     the son stays within the cap iff its mask, closed under n_k + m, has
-    bits cap-m+1 ... cap all set (the lemma in the module docstring), so
-    only a kept son builds its table.  Every candidate left takes one
-    path: its table, the redundancy read off it, the kernel range check,
-    then `relax`, which checks the cap as it sweeps.
+    bits cap-m+1 ... cap all set, since each residue has one number
+    there, a member iff its entry is at most it.  So only a kept son
+    builds its table.  Every candidate left takes one path: its table, the
+    redundancy read off it, the kernel range check, then `relax`, which
+    checks the cap as it sweeps.
     """
     m = P.multiplicity
     gens = P.min_gens
@@ -477,7 +470,9 @@ def class_sons(P: NumericalSemigroup, bound: int | None = None) -> tuple[Numeric
             continue
         rest = gens[:k] + gens[k + 1 :]
         if cap < _MASK_BITS:
-            x = _members(rest, cap)[-1]
+            x = 1
+            for g in rest:
+                x = _close(x, g, cap)
             if x >> lifted & 1 or _close(x, lifted, cap) >> cap - m + 1 != (1 << m) - 1:
                 continue
         w = residue_table(m, rest)

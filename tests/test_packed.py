@@ -1,4 +1,5 @@
 """Packed families, the packing map, and class-tree search."""
+import hashlib
 import random
 from itertools import combinations
 from math import comb, gcd
@@ -27,7 +28,6 @@ from semigroup_forge.packed import (
     _least_sum,
     _leaves,
     _lower,
-    _members,
     _minimizers,
     _slots,
     class_min_frobenius,
@@ -64,6 +64,22 @@ def count_tests(monkeypatch):
     monkeypatch.setattr(packed, "relax", relaxed)
     monkeypatch.setattr(packed, "_close", closed)
     return finished
+
+
+def mask(gens, cap):
+    """The member mask up to cap of the monoid spanned by gens, one `_close` per generator."""
+    x = 1
+    for g in gens:
+        x = _close(x, g, cap)
+    return x
+
+
+def reads(x, m, cap):
+    """The keys read off a closed mask: {max: F + m, sum: m per clear bit plus m(m-1)/2}."""
+    return {
+        max: (x ^ (1 << cap + 1) - 1).bit_length() - 1 + m,
+        sum: m * (cap + 1 - x.bit_count()) + m * (m - 1) // 2,
+    }
 
 
 def suffix_table(m, prefix, a):
@@ -230,24 +246,26 @@ class TestBranchAndBound:
     @pytest.mark.parametrize(
         "m, e, key, relaxed, closed",
         [
-            pytest.param(24, 8, sum, 1453, 6858, id="24-8-sum"),
-            pytest.param(24, 8, max, 1206, 6113, id="24-8-max"),
-            pytest.param(20, 10, sum, 23844, 23947, id="20-10-sum"),
-            pytest.param(20, 10, max, 4912, 13074, id="20-10-max"),
-            pytest.param(36, 6, sum, 5454, 20874, id="36-6-sum"),
-            pytest.param(36, 6, max, 9368, 52295, id="36-6-max"),
-            pytest.param(44, 5, sum, 2188, 10507, id="44-5-sum"),
+            pytest.param(24, 8, sum, 1453, 6921, id="24-8-sum"),
+            pytest.param(24, 8, max, 1206, 6141, id="24-8-max"),
+            pytest.param(20, 10, sum, 23844, 23956, id="20-10-sum"),
+            pytest.param(20, 10, max, 4912, 13119, id="20-10-max"),
+            pytest.param(36, 6, sum, 5454, 20974, id="36-6-sum"),
+            pytest.param(36, 6, max, 9368, 52355, id="36-6-max"),
+            pytest.param(44, 5, sum, 2188, 10587, id="44-5-sum"),
         ],
     )
     def test_mask_tests_are_pinned(self, m, e, key, relaxed, closed, monkeypatch):
         """The walks of `test_cuts_are_pinned` with masks: exact `relax` and `_close` calls.
 
-        Each frame closes its parent's mask once and relaxes its table once.
-        A leaf closes its prefix's mask, and relaxes a table only when it is
-        within the incumbent, so no `relax` stops early.  Below the width no
-        leaf-level counting cut runs, so every leaf left by the interior cuts
-        closes a mask.  The ids carry no count, so a re-pin keeps them; it
-        still gives its reason in CHANGES.md.
+        Each frame closes its parent's mask once and relaxes its table once,
+        and each new incumbent recloses the mask of every prefix on the
+        stack, one `_close` per generator.  A leaf closes its prefix's mask
+        and relaxes a table only when its key read is within the incumbent,
+        so no `relax` stops early.  Below the width no leaf-level counting
+        cut runs, so every leaf left by the interior cuts closes a mask.
+        The ids carry no count, so a re-pin keeps them; it still gives its
+        reason in CHANGES.md.
         """
         finished = count_tests(monkeypatch)
         _minimizers(m, e, key)
@@ -303,14 +321,17 @@ class TestBranchAndBound:
         worst = key(interval_apery(m, e))
         run = data.draw(st.lists(st.integers(least, worst), max_size=5), label="bests")
         # The frame as `_frame` documents it, born with U_m = t, before its
-        # first end is set; `_frame` builds it when the prefix sweeps.
+        # first end is set; `_frame` builds it when the prefix sweeps, and
+        # keeps the mask it is given.
+        cap = worst - slack
+        x = mask([m, *(m + r for r in prefix)], cap) if cap < _MASK_BITS else None
         v = [*sorted(table), SENTINEL] if key is sum else None
-        f, a = [table, last + 1, SENTINEL, table.copy(), SENTINEL, m, q, v], first
+        f, a = [table, last + 1, SENTINEL, table.copy(), SENTINEL, m, q, v, x], first
         n = m - first
         if comb(n, q) >= _SWEEP_PAYS * n:
             with pytest.MonkeyPatch.context() as patch:
                 finished = count_tests(patch)
-                assert _frame(table, m, first, last, q, key, worst - slack) == f
+                assert _frame(table, x, m, first, last, q, key, cap) == f
             assert finished == []
         for best in sorted({*run, least}, reverse=True):
             _lower(f, a, best, m, bound, slack)
@@ -338,7 +359,8 @@ class TestBranchAndBound:
         first child whose count fails: the least sum past `best` under
         `sum`, fewer than m slots under the cap under `max`.  Neither
         `_frame` nor `_lower` tests a table for it.  Below the width masks
-        test its leaves, and `_frame` gives the plain frame.
+        test its leaves, and `_frame` gives a frame whose end never moves
+        (seen is -1), carrying the prefix's mask.
         """
         m = data.draw(st.integers(3, 14), label="m")
         prefix = sorted(data.draw(st.sets(st.integers(1, m - 2), max_size=4), label="prefix"))
@@ -349,11 +371,13 @@ class TestBranchAndBound:
         best = data.draw(st.integers(least, key(interval_apery(m, e))), label="best")
         cap = best - slack
         assert cap < _MASK_BITS
-        assert _frame(table, m, first, m - 1, 1, key, cap) == (table, m, -1)
+        x = mask([m, *(m + r for r in prefix)], cap)
+        assert _frame(table, x, m, first, m - 1, 1, key, cap)[:3] == [table, m, -1]
+        assert _frame(table, x, m, first, m - 1, 1, key, cap)[8] == x
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(packed, "_MASK_BITS", 0)
             finished = count_tests(patch)
-            f = _frame(table, m, first, m - 1, 1, key, cap)
+            f = _frame(table, None, m, first, m - 1, 1, key, cap)
             assert f[:3] == [table, m, SENTINEL]
             _lower(f, first, best, m, bound, slack)
         assert finished == []
@@ -387,10 +411,11 @@ class TestBranchAndBound:
         bound, slack = _bound_and_slack(m, e, key)
         cap = SENTINEL if key is None else key(interval_apery(m, e)) - slack
         interior = residue_table(m, [13, 15])
-        assert _frame(interior, m, 4, 10, 2, key, cap) == (interior, 11, -1)
+        assert _frame(interior, None, m, 4, 10, 2, key, cap)[:3] == [interior, 11, -1]
         for prefix, first in (([13, 14, 17], 6), ([13, 14, 15], 4)):
             leaf_level = residue_table(m, prefix)
-            assert _frame(leaf_level, m, first, 11, 1, key, cap) == (leaf_level, 12, -1)
+            f = _frame(leaf_level, None, m, first, 11, 1, key, cap)
+            assert f[:3] == [leaf_level, 12, -1]
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(st.data())
@@ -427,11 +452,13 @@ class TestBranchAndBound:
         assert [S.min_gens for S in _minimizers(40, 3, max)] == [(40, 43, 47)]
         assert len(finished) == 144
         monkeypatch.undo()
-        # Below the width masks pre-filter every leaf: only the interior
-        # count cuts, and only the leaves within the incumbent relax.
+        # Below the width masks test every leaf: only the interior count
+        # cuts, and only the leaves within the incumbent relax.  The 298
+        # `_close` calls include two per new incumbent, which recloses the
+        # masks of both prefixes on the stack.
         finished = count_tests(monkeypatch)
         assert [S.min_gens for S in _minimizers(40, 3, max)] == [(40, 43, 47)]
-        assert (finished.count(True), finished.count(None)) == (26, 286)
+        assert (finished.count(True), finished.count(None)) == (26, 298)
         assert False not in finished
         monkeypatch.undo()
         out = min_frobenius_full_set(36, 6)
@@ -503,6 +530,28 @@ class TestBranchAndBound:
 class TestMemberMasks:
     """`_close` masks decide the same cap tests as `relax` and read both keys."""
 
+    def test_leaves_match_their_golden_digest(self, monkeypatch):
+        """Every `_leaves` record for m <= 14, keys None, `sum` and `max`, at two widths.
+
+        The digest is a SHA-256 over `repr` of each (min_gens, table, key)
+        record in walk order, superseded leaves included, so a walk that
+        drops, adds, reorders or mis-keys a leaf at either width changes it.
+        With `_MASK_BITS` at 0 no mask runs.
+        """
+        for width in (_MASK_BITS, 0):
+            monkeypatch.setattr(packed, "_MASK_BITS", width)
+            digest, n = hashlib.sha256(), 0
+            for m in range(2, 15):
+                for e in range(2, m + 1):
+                    for key in (None, sum, max):
+                        for record in _leaves(m, e, key):
+                            digest.update(repr(record).encode())
+                            n += 1
+            assert n == 21570
+            assert digest.hexdigest() == (
+                "98ce7805423b47590c455844bc2c9bee385f412bf480be16caadead150fb73be"
+            ), width
+
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(st.data())
     def test_mask_verdict_and_keys_match_the_table(self, data):
@@ -512,17 +561,35 @@ class TestMemberMasks:
         # A multiple of m adds no member; `relax` then reads the table's max.
         g = data.draw(gens, label="generator")
         cap = data.draw(st.integers(m, 4 * m * m), label="cap")
-        x = _close(_members([m, *prefix], cap)[-1], g, cap)
+        x = _close(mask([m, *prefix], cap), g, cap)
         full = residue_table(m, [*prefix, g])
         # The mask is exactly the members up to the cap.
         assert x == sum(1 << y for y in range(cap + 1) if y >= full[y % m])
         w = residue_table(m, prefix)
+        # The verdict `class_sons` reads: every entry within the cap iff the
+        # top m bits are set.
         fits = x >> cap - m + 1 == (1 << m) - 1
         assert relax(w, m, g, cap) == fits
         if fits:
             assert w == full
-            assert max(full) == (x ^ (1 << cap + 1) - 1).bit_length() - 1 + m
-            assert sum(full) == m * (cap + 1 - x.bit_count()) + m * (m - 1) // 2
+        # Both reads are lower bounds on the finished table's keys, exact when it fits.
+        for key, read in reads(x, m, cap).items():
+            assert read <= key(full), key
+            assert fits <= (read == key(full)), key
+        # At an incumbent's cap, key(M) - slack for a member M of L(n, e), a
+        # leaf whose read is within key(M) fits, so its read is its key.
+        n = data.draw(st.integers(2, 11), label="family m")
+        e = data.draw(st.integers(2, n), label="e")
+        family = enumerate_packed(n, e).members
+        M = data.draw(st.sampled_from(family), label="incumbent")
+        leaf = data.draw(st.sampled_from(family), label="leaf")
+        for key in (max, sum):
+            best = key(M.entries)
+            cap = best - _bound_and_slack(n, e, key)[1]
+            read = reads(mask(leaf.min_gens, cap), n, cap)[key]
+            if read <= best:
+                assert max(leaf.entries) <= cap, key
+                assert read == key(leaf.entries), key
 
     @settings(derandomize=True, deadline=None, max_examples=80)
     @given(st.data())
