@@ -27,18 +27,19 @@ at most a cap.  The capped `relax`, whose sweep stops at the first
 entry above the cap, decides every such test.  While the cap is below
 `_MASK_BITS` a member mask answers first: bit i is set iff i <= cap is
 a member, and `_close` adjoins a generator g by x |= (x << s) & full
-for s = g, 2g, 4g, ... <= cap.  Its clear bits are the gaps up to the
-cap, so it reads two keys (Selmer's formulas): the highest clear bit
-plus m (max), and m per clear bit plus m(m-1)/2 (sum).  The lemma: a
-read is the key of the table with each entry cut to the least number
-past the cap in its residue class, so it is a lower bound on the key,
-exact when every entry is within the cap, and complete at any
-incumbent's cap, best - slack (`_bound_and_slack`).  An entry past the
-cap lifts a `max` read past best, and under `sum` its class adds more
-than the cap while the other m-2 nonzero classes keep their least
-levels (a cut class lies above every one) and add the slack.  So a
-leaf reads its key and its verdict off its mask, and a leaf or class
-son the mask fails builds no table.  At wider caps no per-leaf test
+for s = g, 2g, 4g, ... <= cap, full being the cap's own mask.  Its
+clear bits are the gaps up to the cap, so it reads two keys (Selmer's
+formulas): the highest clear bit plus m (max), and m per clear bit plus
+m(m-1)/2 (sum).  The lemma: a read is the key of the table with each
+entry cut to the least number past the cap in its residue class, so it
+is a lower bound on the key, exact when every entry is within the cap,
+and complete at any incumbent's cap, best - slack (`_bound_and_slack`).
+An entry past the cap lifts a `max` read past best, and under `sum` its
+class adds more than the cap while the other m-2 nonzero classes keep
+their least levels (a cut class lies above every one) and add the
+slack.  So a leaf reads its key and its verdict off its mask, a class
+son its verdict off the `max` read at best = bound + m, and neither
+builds a table when the mask fails it.  At wider caps no per-leaf test
 runs, and every keyed leaf loop ends at its counting bound instead.
 Every value is made by `NumericalSemigroup(min_gens, tuple(table))`,
 since each walk owns its tables as lists, and keeps only its
@@ -48,8 +49,7 @@ counts.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from bisect import bisect_left
 from math import comb, gcd
 from typing import Iterator
 
@@ -73,17 +73,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PackedFamily:
-    """All packed semigroups with the given multiplicity and dimension."""
+class PackedFamily(tuple):
+    """All packed semigroups with the given multiplicity and dimension, in order."""
 
-    members: tuple[NumericalSemigroup, ...]
+    __slots__ = ()
 
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[NumericalSemigroup]:
-        return iter(self.members)
+    @property
+    def members(self) -> tuple[NumericalSemigroup, ...]:
+        return self
 
 
 # A prefix runs its suffix sweep, one relax per residue above it, only when
@@ -112,12 +109,14 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
     generators {m, m+a1, m+a2, ...}, which are automatically a minimal
     system, and a numerical semigroup when gcd(m, a1, a2, ...) is 1.
     The subsets are walked in lexicographic order as a prefix tree, on an
-    explicit stack of one frame per prefix: its least-element table, the
-    end of its loop, the incumbent that end was computed for and its
-    member mask.  `_frame` makes every frame and decides which prefixes
-    bound their children; `_lower`, called at the top of the loop for the
-    frame on top, alone sets their ends, when a frame first comes to the
-    top and whenever the incumbent has fallen since.  Each step copies the
+    explicit stack of one frame per prefix: its generators, its
+    least-element table, the end of its loop, the incumbent that end was
+    computed for and its member mask.  The generators give the depth and
+    the children, and the last one, as its frame pops, the next child
+    below.  `_frame` makes every frame and decides which prefixes bound
+    their children; `_lower`, called at the top of the loop for the frame
+    on top, alone sets their ends, when a frame first comes to the top and
+    whenever the incumbent has fallen since.  Each step copies the
     prefix's table and adjoins one generator by `relax`; a prefix one
     residue short of a leaf reads the gcd of its generators once and
     filters the last step by it.  Every yielded table is a fresh list the
@@ -154,7 +153,7 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
       below `_MASK_BITS` each keyed frame carries its prefix's member mask
       up to the cap, one `_close` from its parent's; each new incumbent
       recloses the masks of every prefix on the stack at the new cap, one
-      `_close` per generator, so every live mask is exact.  A leaf closes
+      `_close` per frame, so every live mask is exact.  A leaf closes
       its prefix's mask under its last generator and reads its key off it
       (the module docstring's lemma): a read past the incumbent loses, and
       any other is the leaf's key, so only a leaf within the incumbent
@@ -182,8 +181,7 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
       to at least that, and a leaf past it loses anyway.  The loop ends at
       the first child past the best, found by binary search, at a sweeping
       prefix, and at every leaf-level one while the cap is `_MASK_BITS`
-      or more.  Such a prefix keeps its entries within the cap, sorted,
-      and cuts them at each lower cap.
+      or more, over the prefix's entries within the cap, sorted anew.
     - When the walk returns to a sweeping prefix with a better incumbent,
       it lowers the prefix's end: the least-sum cut runs again over the
       children still left, then the sweep goes on down if the bound it
@@ -204,7 +202,6 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
     Pruning is strict, so ties survive.
     """
     require_family(m, e)
-    top = m - e + 1  # the largest first residue; position j goes up to top + j
     best = cap = SENTINEL
     k = None  # a leaf's key, set for each leaf when there is a `key`
     bound, slack = _bound_and_slack(m, e, key)
@@ -213,23 +210,20 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
         cap = best - slack
     half = m * (m - 1) // 2
     full = (1 << cap + 1) - 1 if cap < _MASK_BITS else 0  # bits 0..cap while masks run
-    gens = [m]  # m and one generator per residue chosen so far
-    # stack[j]: the frame of gens[:j + 1]; see `_frame`.
-    x = _close(1, m, cap) if cap < _MASK_BITS else None
-    stack = [_frame(residue_table(m, ()), x, m, 1, top, e - 1, key, cap)]
+    x = _close(1, m, full) if full else None
+    stack = [_frame((m,), residue_table(m, ()), x, m, e, key, cap)]
     a = 1
     while stack:
-        j = len(stack) - 1
-        f = stack[j]
-        if best < f[2] and a < f[1]:
-            _lower(f, a, best, m, bound, slack)
-        if j == e - 2:
-            t, p = f[0], f[8]
+        f = stack[-1]
+        gens, t, p = f[0], f[1], f[7]
+        if best < f[3] and a < f[2]:
+            _lower(f, a, best, m, e, key, bound, slack)
+        if len(gens) == e - 1:
             g = gcd(*gens)
-            for r in range(a, f[1]):
+            for r in range(a, f[2]):
                 if gcd(g, r) == 1:
                     if p is not None:
-                        x = _close(p, m + r, cap)
+                        x = _close(p, m + r, full)
                         if key is max:  # F + m, F the highest clear bit
                             k = (x ^ full).bit_length() - 1 + m
                         else:  # m per gap, the clear bits, plus m(m-1)/2
@@ -247,73 +241,75 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
                         best, cap = k, k - slack
                         if cap < _MASK_BITS:  # reclose every prefix's mask at the new cap
                             full, p = (1 << cap + 1) - 1, 1
-                            for h, n in zip(stack, gens):
-                                p = h[8] = _close(p, n, cap)
+                            for h in stack:
+                                p = h[7] = _close(p, h[0][-1], full)
                     yield (*gens, m + r), w, k
-        elif a < f[1] and (key is not max or _slots(f[0], m + a, e - 1 - j, cap) >= m):
-            w = f[0].copy()
+        elif a < f[2] and (key is not max or _slots(t, m + a, e - len(gens), cap) >= m):
+            w = t.copy()
             relax(w, m, m + a)
-            x = None if f[8] is None else _close(f[8], m + a, cap)
-            gens.append(m + a)
+            x = None if p is None else _close(p, m + a, full)
+            stack.append(_frame((*gens, m + a), w, x, m, e, key, cap))
             a += 1
-            stack.append(_frame(w, x, m, a, top + j + 1, e - 2 - j, key, cap))
             continue
-        stack.pop()
-        a = gens.pop() - m + 1
+        a = stack.pop()[0][-1] - m + 1
 
 
-def _close(x: int, g: int, cap: int) -> int:
-    """The member mask x of a monoid, up to cap, closed under adding g.
+def _close(x: int, g: int, full: int) -> int:
+    """The member mask x of a monoid, up to a cap, closed under adding g.
 
-    Bit i of a mask is set iff i is a member.  Shifting by g, 2g, 4g, ...
-    while the shift is at most the cap adds the multiples of g in runs that
-    double, so every member up to the cap of the monoid with g adjoined is
-    some set bit plus j*g with j < 2^(steps), and each step drops only bits
-    above the cap, which no later step brings back below it.
+    Bit i of a mask is set iff i is a member, and `full` is the cap's mask,
+    bits 0 to cap all set.  Shifting by g, 2g, 4g, ... while the shift is
+    at most the cap adds the multiples of g in runs that double, so every
+    member up to the cap of the monoid with g adjoined is some set bit plus
+    j*g with j < 2^(steps), and each step drops only bits above the cap,
+    which no later step brings back below it.
     """
-    full = (1 << cap + 1) - 1
+    n = full.bit_length()  # cap + 1
     s = g
-    while s <= cap:
+    while s < n:
         x |= (x << s) & full
         s += s
     return x
 
 
-def _frame(t: list[int], x, m: int, first: int, last: int, q: int, key, cap: int) -> list:
-    """The frame of a prefix with table t, mask x, children first..last and q generators to come.
+def _frame(gens: tuple[int, ...], t: list[int], x, m: int, e: int, key, cap: int) -> list:
+    """The frame of the prefix `gens`, with table t and member mask x.
 
-    It is [t, end, seen, u, ub, r, q, v, x]: the end of its loop and the
+    It is [gens, t, end, seen, u, ub, r, x]: the end of its loop and the
     incumbent it was computed for; U_r, bound(U_r) and r, where the
-    suffix sweep stands; q; under `sum` the entries of t, sorted and
-    closed by SENTINEL, which `_lower` cuts to those within the cap; and
-    the prefix's member mask up to the cap, None while the cap is
-    `_MASK_BITS` or more.  A sweeping frame, and with a `key` a leaf-level
-    one at caps of `_MASK_BITS` or more, starts at seen = SENTINEL (and a
-    sweeping one with U_m = t, a copy), so `_lower` sets its end.  Any
-    other ends at last + 1 with seen = -1, below every incumbent, so its
-    end never moves; its u and v are None and ub is 0.
+    suffix sweep stands; and the prefix's member mask up to the cap, None
+    while the cap is `_MASK_BITS` or more.  Its children are the residues
+    above its last generator's, up to m - e + len(gens), with
+    q = e - len(gens) generators still to come.  A sweeping frame, and
+    with a `key` a leaf-level one at caps of `_MASK_BITS` or more, starts
+    at seen = SENTINEL (and a sweeping one with U_m = t, a copy), so
+    `_lower` sets its end.  Any other ends past its last child with
+    seen = -1, below every incumbent, so its end never moves; its u is
+    None and ub is 0.
     """
-    n = m - first
+    q = e - len(gens)
+    n = 2 * m - 1 - gens[-1]  # the residues above the last generator's
     sweeps = key is not None and q > 1 and comb(n, q) >= _SWEEP_PAYS * n
     moves = sweeps or key is not None and q == 1 and cap >= _MASK_BITS
-    v = [*sorted(t), SENTINEL] if moves and key is sum else None
     u = t.copy() if sweeps else None
-    return [t, last + 1, SENTINEL if moves else -1, u, SENTINEL if sweeps else 0, m, q, v, x]
+    return [gens, t, m + 1 - q, SENTINEL if moves else -1, u, SENTINEL if sweeps else 0, m, x]
 
 
-def _lower(f: list, a: int, best: int, m: int, bound, slack: int) -> None:
+def _lower(f: list, a: int, best: int, m: int, e: int, key, bound, slack: int) -> None:
     """Set the loop end of the frame `f`, whose next child is a, for `best`.
 
     The end falls to the first child that fails its count, found by binary
     search only when the last child already fails: its least sum exceeds
-    `best` under `sum`, and under `max` its leaves cannot fit m entries
-    under the cap, counted only at a leaf-level frame.  A sweeping frame's
-    end then falls to the first child whose bound exceeds `best`.
+    `best` under `sum`, over the table's entries within the cap, sorted
+    here, and under `max` its leaves cannot fit m entries under the cap,
+    counted only at a leaf-level frame.  A sweeping frame's end then falls
+    to the first child whose bound exceeds `best`.
     """
-    t, end, _, u, ub, r, q, v, _ = f
+    gens, t, end, _, u, ub, r, _ = f
+    q = e - len(gens)
     cap = best - slack
-    if v is not None:
-        del v[bisect_right(v, cap) : -1]
+    if key is sum:
+        v = [*sorted(y for y in t if y <= cap), SENTINEL]
         fails = lambda b: _least_sum(v, m + b, q, m, cap) > best
     else:  # under `max` only a leaf-level frame counts here
         fails = lambda b: q == 1 and _slots(t, m + b, q, cap) < m
@@ -328,7 +324,7 @@ def _lower(f: list, a: int, best: int, m: int, bound, slack: int) -> None:
                 if ub <= best:
                     break
         end = min(end, r + (ub <= best))
-    f[1:6] = end, best, u, ub, r
+    f[2:7] = end, best, u, ub, r
 
 
 def _slots(t: list[int], g: int, q: int, cap: int) -> int:
@@ -394,8 +390,7 @@ def enumerate_packed(m: int, e: int) -> PackedFamily:
     into a value.  Searches that keep only a few members go through
     `_minimizers` instead.
     """
-    members = tuple(NumericalSemigroup(gens, tuple(w)) for gens, w, _ in _leaves(m, e))
-    return PackedFamily(members)
+    return PackedFamily(NumericalSemigroup(gens, tuple(w)) for gens, w, _ in _leaves(m, e))
 
 
 def _minimizers(m: int, e: int, key) -> tuple[NumericalSemigroup, ...]:
@@ -450,15 +445,16 @@ def class_sons(P: NumericalSemigroup, bound: int | None = None) -> tuple[Numeric
     `_MASK_BITS` the member mask of the remaining generators up to the cap
     pre-filters both tests: n_k + m is redundant iff its bit is set, and
     the son stays within the cap iff its mask, closed under n_k + m, has
-    bits cap-m+1 ... cap all set, since each residue has one number
-    there, a member iff its entry is at most it.  So only a kept son
-    builds its table.  Every candidate left takes one path: its table, the
+    no clear bit above bound: its `max` read is within the cap (the
+    module docstring's lemma at best = cap).  So only a kept son builds
+    its table.  Every candidate left takes one path: its table, the
     redundancy read off it, the kernel range check, then `relax`, which
     checks the cap as it sweeps.
     """
     m = P.multiplicity
     gens = P.min_gens
     cap = SENTINEL if bound is None else bound + m
+    full = (1 << cap + 1) - 1 if 0 <= cap < _MASK_BITS else 0  # bits 0..cap while masks run
     out = []
     # Lifting a larger generator gives a lexicographically smaller son,
     # so walking the generators downwards yields the sons sorted.
@@ -469,11 +465,11 @@ def class_sons(P: NumericalSemigroup, bound: int | None = None) -> tuple[Numeric
         if lifted > cap:
             continue
         rest = gens[:k] + gens[k + 1 :]
-        if cap < _MASK_BITS:
+        if full:
             x = 1
             for g in rest:
-                x = _close(x, g, cap)
-            if x >> lifted & 1 or _close(x, lifted, cap) >> cap - m + 1 != (1 << m) - 1:
+                x = _close(x, g, full)
+            if x >> lifted & 1 or (_close(x, lifted, full) ^ full).bit_length() - 1 > bound:
                 continue
         w = residue_table(m, rest)
         if w[lifted % m] <= lifted:

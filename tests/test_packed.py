@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 from semigroup_forge import packed
 from semigroup_forge._backend import SENTINEL, relax, residue_table
-from semigroup_forge.core import interval_apery, make_semigroup, monoid_contains
+from semigroup_forge.core import (
+    NumericalSemigroup,
+    interval_apery,
+    make_semigroup,
+    monoid_contains,
+)
 from semigroup_forge.errors import (
     BadDimension,
     Degenerate,
@@ -66,18 +71,23 @@ def count_tests(monkeypatch):
     return finished
 
 
+def ones(cap):
+    """The cap's bit mask: bits 0 to cap all set."""
+    return (1 << cap + 1) - 1
+
+
 def mask(gens, cap):
     """The member mask up to cap of the monoid spanned by gens, one `_close` per generator."""
     x = 1
     for g in gens:
-        x = _close(x, g, cap)
+        x = _close(x, g, ones(cap))
     return x
 
 
 def reads(x, m, cap):
     """The keys read off a closed mask: {max: F + m, sum: m per clear bit plus m(m-1)/2}."""
     return {
-        max: (x ^ (1 << cap + 1) - 1).bit_length() - 1 + m,
+        max: (x ^ ones(cap)).bit_length() - 1 + m,
         sum: m * (cap + 1 - x.bit_count()) + m * (m - 1) // 2,
     }
 
@@ -178,6 +188,15 @@ class TestEnumeratePacked:
             for e in range(2, m + 1):
                 members = list(enumerate_packed(m, e))
                 assert members == sorted(members), (m, e)
+
+    def test_family_is_the_tuple_of_its_leaves(self):
+        # `perfbench/make_goldens.py` reads `.members`; `perfbench/spans.py` counts `len`.
+        for m, e in ((6, 3), (9, 4), (12, 5), (12, 12)):
+            family = enumerate_packed(m, e)
+            want = tuple(NumericalSemigroup(gens, tuple(w)) for gens, w, _ in _leaves(m, e))
+            assert isinstance(family, tuple)
+            assert family.members == family == want
+            assert [fields(S) for S in family.members] == [fields(S) for S in want]
 
     def test_bad_dimension(self):
         with pytest.raises(BadDimension):
@@ -303,8 +322,7 @@ class TestBranchAndBound:
     @given(st.data())
     def test_lowered_loop_ends_match_the_eager_ones(self, data):
         # A sweeping frame lowers its loop end as the incumbent falls; after
-        # each step it must end where bounds and least sums built anew do,
-        # and under `sum` keep only the entries within the new cap.
+        # each step it must end where bounds and least sums built anew do.
         m = data.draw(st.integers(4, 11), label="m")
         e = data.draw(st.integers(3, m), label="e")
         j = data.draw(st.integers(0, e - 3), label="prefix length")
@@ -314,7 +332,8 @@ class TestBranchAndBound:
         first, last, q = (prefix[-1] + 1 if prefix else 1), m - e + 1 + j, e - 1 - j
         key = data.draw(st.sampled_from([sum, max]), label="key")
         bound, slack = _bound_and_slack(m, e, key)
-        table = residue_table(m, [m + r for r in prefix])
+        gens = (m, *(m + r for r in prefix))
+        table = residue_table(m, gens[1:])
         bounds = [bound(suffix_table(m, prefix, a)) for a in range(first, last + 1)]
         # Every incumbent of the walk is the key of a member, and the last is the least.
         least = min(key(S.entries) for S in enumerate_packed(m, e))
@@ -324,32 +343,30 @@ class TestBranchAndBound:
         # first end is set; `_frame` builds it when the prefix sweeps, and
         # keeps the mask it is given.
         cap = worst - slack
-        x = mask([m, *(m + r for r in prefix)], cap) if cap < _MASK_BITS else None
-        v = [*sorted(table), SENTINEL] if key is sum else None
-        f, a = [table, last + 1, SENTINEL, table.copy(), SENTINEL, m, q, v, x], first
+        x = mask(gens, cap) if cap < _MASK_BITS else None
+        f, a = [gens, table, last + 1, SENTINEL, table.copy(), SENTINEL, m, x], first
         n = m - first
         if comb(n, q) >= _SWEEP_PAYS * n:
             with pytest.MonkeyPatch.context() as patch:
                 finished = count_tests(patch)
-                assert _frame(table, x, m, first, last, q, key, cap) == f
+                assert _frame(gens, table, x, m, e, key, cap) == f
             assert finished == []
         for best in sorted({*run, least}, reverse=True):
-            _lower(f, a, best, m, bound, slack)
+            _lower(f, a, best, m, e, key, bound, slack)
             over = [b for b, u in zip(range(first, last + 1), bounds) if u > best]
             if key is sum:
                 cap = best - slack
                 within = [*sorted(x for x in table if x <= cap), SENTINEL]
-                assert f[7] == within, best
                 # The least sums by a linear scan over every child.
                 over += [
                     b for b in range(first, last + 1) if _least_sum(within, m + b, q, m, cap) > best
                 ]
             end = min(over, default=last + 1)
             # The children before a were met already, so the loop ends no earlier.
-            assert f[1] == max(a, end), (best, a)
-            if f[1] == a:
+            assert f[2] == max(a, end), (best, a)
+            if f[2] == a:
                 break
-            a = data.draw(st.integers(a, f[1] - 1), label="next child")
+            a = data.draw(st.integers(a, f[2] - 1), label="next child")
 
     @staticmethod
     def check_leaf_level_end(data, key):
@@ -366,29 +383,29 @@ class TestBranchAndBound:
         prefix = sorted(data.draw(st.sets(st.integers(1, m - 2), max_size=4), label="prefix"))
         e, first = len(prefix) + 2, (prefix[-1] + 1 if prefix else 1)
         bound, slack = _bound_and_slack(m, e, key)
-        table = residue_table(m, [m + r for r in prefix])
+        gens = (m, *(m + r for r in prefix))
+        table = residue_table(m, gens[1:])
         least = min(key(S.entries) for S in enumerate_packed(m, e))
         best = data.draw(st.integers(least, key(interval_apery(m, e))), label="best")
         cap = best - slack
         assert cap < _MASK_BITS
-        x = mask([m, *(m + r for r in prefix)], cap)
-        assert _frame(table, x, m, first, m - 1, 1, key, cap)[:3] == [table, m, -1]
-        assert _frame(table, x, m, first, m - 1, 1, key, cap)[8] == x
+        x = mask(gens, cap)
+        assert _frame(gens, table, x, m, e, key, cap)[:4] == [gens, table, m, -1]
+        assert _frame(gens, table, x, m, e, key, cap)[7] == x
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(packed, "_MASK_BITS", 0)
             finished = count_tests(patch)
-            f = _frame(table, None, m, first, m - 1, 1, key, cap)
-            assert f[:3] == [table, m, SENTINEL]
-            _lower(f, first, best, m, bound, slack)
+            f = _frame(gens, table, None, m, e, key, cap)
+            assert f[:4] == [gens, table, m, SENTINEL]
+            _lower(f, first, best, m, e, key, bound, slack)
         assert finished == []
-        assert f[3] is None, prefix
+        assert f[4] is None, prefix
         if key is sum:
             within = [*sorted(x for x in table if x <= cap), SENTINEL]
-            assert f[7] == within
             over = [b for b in range(first, m) if _least_sum(within, m + b, 1, m, cap) > best]
         else:
             over = [b for b in range(first, m) if _slots(table, m + b, 1, cap) < m]
-        assert f[:3] == [table, min(over, default=m), best], prefix
+        assert f[:4] == [gens, table, min(over, default=m), best], prefix
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(st.data())
@@ -411,11 +428,13 @@ class TestBranchAndBound:
         bound, slack = _bound_and_slack(m, e, key)
         cap = SENTINEL if key is None else key(interval_apery(m, e)) - slack
         interior = residue_table(m, [13, 15])
-        assert _frame(interior, None, m, 4, 10, 2, key, cap)[:3] == [interior, 11, -1]
-        for prefix, first in (([13, 14, 17], 6), ([13, 14, 15], 4)):
-            leaf_level = residue_table(m, prefix)
-            f = _frame(leaf_level, None, m, first, 11, 1, key, cap)
-            assert f[:3] == [leaf_level, 12, -1]
+        assert _frame((12, 13, 15), interior, None, m, e, key, cap)[:4] == [
+            (12, 13, 15), interior, 11, -1
+        ]
+        for gens in ((12, 13, 14, 17), (12, 13, 14, 15)):
+            leaf_level = residue_table(m, gens[1:])
+            f = _frame(gens, leaf_level, None, m, e, key, cap)
+            assert f[:4] == [gens, leaf_level, 12, -1]
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(st.data())
@@ -440,6 +459,24 @@ class TestBranchAndBound:
             assert _slots(table, m + a, q, max(leaf)) >= m, residues
             if max(leaf) <= cap:
                 assert slots[a - first] >= m, (residues, cap)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.data())
+    def test_slot_count_and_least_sum_agree_on_fitting(self, data):
+        # Both counts draw on the values t[i] + k*g within the cap, each
+        # C(q-1+k, k) times, so m of them fit iff the least sum is finite.
+        m = data.draw(st.integers(3, 14), label="m")
+        e = data.draw(st.integers(2, m), label="e")
+        j = data.draw(st.integers(0, e - 2), label="prefix length")
+        prefix = sorted(data.draw(st.sets(st.integers(1, m - 2), min_size=j, max_size=j)))
+        first = prefix[-1] + 1 if prefix else 1
+        g = m + data.draw(st.integers(first, m - 1), label="child")
+        cap = data.draw(st.integers(0, m * m), label="cap")
+        table = residue_table(m, [m + r for r in prefix])
+        q = e - 1 - j  # generators still to come, the child's included
+        v = [*sorted(x for x in table if x <= cap), SENTINEL]
+        fits = _slots(table, g, q, cap) >= m
+        assert fits == (_least_sum(v, g, q, m, cap) != SENTINEL), (prefix, g, cap)
 
     def test_slot_count_cuts_the_frobenius_walk(self, monkeypatch):
         # The leaf-level count ends a leaf loop only at caps of `_MASK_BITS`
@@ -561,14 +598,14 @@ class TestMemberMasks:
         # A multiple of m adds no member; `relax` then reads the table's max.
         g = data.draw(gens, label="generator")
         cap = data.draw(st.integers(m, 4 * m * m), label="cap")
-        x = _close(mask([m, *prefix], cap), g, cap)
+        x = _close(mask([m, *prefix], cap), g, ones(cap))
         full = residue_table(m, [*prefix, g])
         # The mask is exactly the members up to the cap.
         assert x == sum(1 << y for y in range(cap + 1) if y >= full[y % m])
         w = residue_table(m, prefix)
         # The verdict `class_sons` reads: every entry within the cap iff the
-        # top m bits are set.
-        fits = x >> cap - m + 1 == (1 << m) - 1
+        # `max` read is, the highest clear bit plus m.
+        fits = reads(x, m, cap)[max] <= cap
         assert relax(w, m, g, cap) == fits
         if fits:
             assert w == full
@@ -733,16 +770,24 @@ class TestClassSons:
         for m in range(2, 9):
             assert class_sons(mk(m, m + 1)) == (mk(m, 2 * m + 1),)
 
-    def test_bound_keeps_exactly_the_sons_within_it(self):
+    def test_bound_keeps_exactly_the_sons_within_it(self, monkeypatch):
+        tables = []
+        build = packed.residue_table
+        monkeypatch.setattr(packed, "residue_table", lambda *a: tables.append(a) or build(*a))
         for m in range(3, 10):
             for e in range(2, m + 1):
                 level = list(enumerate_packed(m, e))
                 for _ in range(3):
                     for P in level:
                         sons = class_sons(P)
-                        for b in (P.frobenius, P.frobenius + 1, P.frobenius + m):
+                        # At bound -m-2 the cap bound + m is below 0 and keeps no son.
+                        for b in (P.frobenius, P.frobenius + 1, P.frobenius + m, -m - 2):
                             want = [fields(T) for T in sons if T.frobenius <= b]
+                            tables.clear()
                             assert [fields(T) for T in class_sons(P, b)] == want, (P, b)
+                            # Every cap here is below `_MASK_BITS`, so the mask
+                            # decides both tests and only a kept son builds a table.
+                            assert len(tables) == len(want), (P, b)
                     level = [T for P in level for T in class_sons(P)]
 
     def test_sons_stay_in_class(self):
