@@ -17,8 +17,8 @@ gate on (m, e) that every family-level routine uses.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
+from functools import total_ordering
 from math import comb, gcd
 
 from ._backend import SENTINEL, minimal_residues, residue_table
@@ -46,8 +46,49 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True, repr=False)
-class NumericalSemigroup:
+class _Record:
+    """A frozen record of the fields named in `__slots__`, as a frozen dataclass is.
+
+    Equal to a record of its own class with equal fields, hashed by them,
+    shown as `Name(field=value, ...)`, copied and pickled by its fields,
+    and assigning or deleting a field raises AttributeError.  A plain class, since importing `dataclasses`
+    loads `inspect`, `ast` and `dis`, more than the whole package, and
+    every CLI run pays for it.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__, not setattr
+        return type(self), self._fields()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+
+@total_ordering
+class NumericalSemigroup(_Record):
     """A numerical semigroup: minimal generators and least-element table.
 
     `entries[i]` is the least member congruent to i modulo the
@@ -59,8 +100,26 @@ class NumericalSemigroup:
     testing is `n in S`; it reads `entries`.
     """
 
-    min_gens: tuple[int, ...]
-    entries: tuple[int, ...] = field(compare=False)
+    __slots__ = ("min_gens", "entries")
+
+    def __init__(self, min_gens: tuple[int, ...], entries: tuple[int, ...]):
+        # The slots' own setters: every walk builds its values here, and
+        # they cost two thirds of `object.__setattr__`.
+        _set_min_gens(self, min_gens)
+        _set_entries(self, entries)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.min_gens == other.min_gens
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.min_gens,))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.min_gens < other.min_gens
+        return NotImplemented
 
     @property
     def multiplicity(self) -> int:
@@ -92,6 +151,10 @@ class NumericalSemigroup:
 
     def __repr__(self) -> str:
         return "⟨" + ",".join(str(g) for g in self.min_gens) + "⟩"
+
+
+_set_min_gens = NumericalSemigroup.min_gens.__set__
+_set_entries = NumericalSemigroup.entries.__set__
 
 
 def _check_generators(generators) -> list[int]:

@@ -15,10 +15,9 @@ The enumerator is exhaustive and stays at desk scale; the sieve stops at
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
-from .core import NumericalSemigroup
+from .core import NumericalSemigroup, _Record
 from .errors import EmptyInput, InvalidGenerator, NotNumerical, Uncertified
 
 __all__ = ["SieveResult", "sieve", "enumerate_by_genus", "BOUND_CAP"]
@@ -27,8 +26,7 @@ __all__ = ["SieveResult", "sieve", "enumerate_by_genus", "BOUND_CAP"]
 BOUND_CAP = 1 << 20
 
 
-@dataclass(frozen=True)
-class SieveResult:
+class SieveResult(_Record):
     """Outcome of one reachability sieve.
 
     `reachable[i]` is 1 iff i is a member, exact for all i <= bound.
@@ -36,10 +34,10 @@ class SieveResult:
     down frobenius and genus.
     """
 
-    bound: int
-    reachable: bytes
-    frobenius: int
-    genus: int
+    __slots__ = ("bound", "reachable", "frobenius", "genus")
+
+    def __init__(self, bound: int, reachable: bytes, frobenius: int, genus: int):
+        super().__init__(bound, reachable, frobenius, genus)
 
 
 # The bytes 0 and 1 for the ASCII digits of a binary string.

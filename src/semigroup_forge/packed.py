@@ -39,8 +39,12 @@ class adds more than the cap while the other m-2 nonzero classes keep
 their least levels (a cut class lies above every one) and add the
 slack.  So a leaf reads its key and its verdict off its mask, a class
 son its verdict off the `max` read at best = bound + m, and neither
-builds a table when the mask fails it.  At wider caps no per-leaf test
-runs, and every keyed leaf loop ends at its counting bound instead.
+builds a table when the mask fails it.  Under `max` the masks also do
+the walk's other reads, so while they run no `max` frame builds a
+table: a suffix sweep reads its bounds off masks, and the slot count
+reads the prefix's mask (`_leaves`, `_slots`).  At wider caps no
+per-leaf test runs, and every keyed leaf loop ends at its counting
+bound instead.
 Every value is made by `NumericalSemigroup(min_gens, tuple(table))`,
 since each walk owns its tables as lists, and keeps only its
 generators and table; F and g are read off the table on demand, and
@@ -119,9 +123,17 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
     whenever the incumbent has fallen since.  Each step copies the
     prefix's table and adjoins one generator by `relax`; a prefix one
     residue short of a leaf reads the gcd of its generators once and
-    filters the last step by it.  Every yielded table is a fresh list the
-    caller owns.  The third field is the leaf's key, computed once by the
-    walk, or None without a `key`.
+    filters the last step by it.  A frame holds a table when it is made
+    while the cap is `_MASK_BITS` or more (with no key, always), and the
+    root does; while masks run, only an interior frame under `sum`, whose
+    least sums and sweep read it, is made with one.  A leaf-level frame
+    made without one gets it when its first leaf passes the mask test
+    below: the table of the nearest frame under it that holds one,
+    relaxed with the last generator of each frame above that (one `relax`
+    under `sum`), kept for its later leaves.  So under `max` no table is
+    built but for a leaf within the incumbent.  Every yielded table is a
+    fresh list the caller owns.  The third field is the leaf's key,
+    computed once by the walk, or None without a `key`.
 
     With a `key` (`sum` or `max`) the walk is a branch-and-bound for the
     least key, and yields only the leaves whose key is at most the least
@@ -139,9 +151,20 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
       U_m, a copy of its table, and keeps U_r and its bound; the sweep
       goes on down from there only once the incumbent falls below that
       bound, so no U_r is built twice and a frame never relaxes more than
-      once per residue above it.  Under
+      once per residue above it.  Under `max` a frame made while masks
+      run keeps U_r as a member mask up to the cap instead, made from its
+      prefix's mask with one `_close` per r.  Its `max` read is the
+      bound: a clear bit y in the top m, cap - m < y <= cap, leaves the
+      entry of y's class at y + m or more, past the cap, so the bound is
+      within best = cap iff those m bits are all set, and is then exact,
+      the highest clear bit plus m (the module docstring's lemma).  A
+      mask up to one cap, cut by `& full`, is the mask up to any lower
+      one, so a stored U_r stays exact as the incumbent falls.  A frame
+      made while the cap was wide keeps its table sweep.  Under
       `sum` a bound costs as much as a `relax` or more (it sorts the
-      table), so the sweep reads none past the least-sum cut's end.  Only
+      table), so the sweep reads none past the least-sum cut's end, and
+      none of a U_r with an entry past the cap, whose bound exceeds best
+      (`_bound_and_slack`).  Only
       interior prefixes with enough leaves below them sweep
       (`_SWEEP_PAYS`).  No other frame needs bounds, as its own bound lb
       could cut no child: its parent found lb <= best on entering it (the
@@ -173,7 +196,9 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
     - Under `max` the walk counts those values up to the cap: at most
       `_slots`, the sum over t[i] <= cap of C(q + (cap - t[i]) // (m+a), q),
       leaf entries are at most the cap, and a leaf within it needs m.  The
-      count runs at every interior child, whose subtree no mask tests.  At
+      count runs at every interior child, whose subtree no mask tests,
+      and while masks run it reads the entries within the cap off the
+      prefix's mask, in bands (`_slots`).  At
       caps of `_MASK_BITS` or more a leaf-level prefix's loop ends at the
       first child that fails it (q = 1), found by binary search.
     - Under `sum` the walk adds up the m least of them within the cap
@@ -230,6 +255,13 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
                             k = m * (cap + 1 - x.bit_count()) + half
                         if k > best:
                             continue
+                    if t is None:  # made under masks: its first passing leaf builds it
+                        i = len(stack) - 2
+                        while stack[i][1] is None:
+                            i -= 1
+                        t = f[1] = stack[i][1].copy()
+                        for h in stack[i + 1 :]:
+                            relax(t, m, h[0][-1])
                     w = t.copy()
                     if not relax(w, m, m + r, cap):
                         continue
@@ -244,10 +276,15 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
                             for h in stack:
                                 p = h[7] = _close(p, h[0][-1], full)
                     yield (*gens, m + r), w, k
-        elif a < f[2] and (key is not max or _slots(t, m + a, e - len(gens), cap) >= m):
-            w = t.copy()
-            relax(w, m, m + a)
+        elif a < f[2] and (
+            key is not max
+            or _slots(t if p is None else p & ~(p << m), m + a, e - len(gens), cap) >= m
+        ):
             x = None if p is None else _close(p, m + a, full)
+            w = None  # while masks run, only an interior `sum` frame is made with a table
+            if x is None or key is sum and len(gens) < e - 2:
+                w = t.copy()
+                relax(w, m, m + a)
             stack.append(_frame((*gens, m + a), w, x, m, e, key, cap))
             a += 1
             continue
@@ -275,14 +312,16 @@ def _close(x: int, g: int, full: int) -> int:
 def _frame(gens: tuple[int, ...], t: list[int], x, m: int, e: int, key, cap: int) -> list:
     """The frame of the prefix `gens`, with table t and member mask x.
 
-    It is [gens, t, end, seen, u, ub, r, x]: the end of its loop and the
-    incumbent it was computed for; U_r, bound(U_r) and r, where the
-    suffix sweep stands; and the prefix's member mask up to the cap, None
-    while the cap is `_MASK_BITS` or more.  Its children are the residues
+    It is [gens, t, end, seen, u, ub, r, x]: the table, None until a leaf
+    needs it in a frame made while masks run (see `_leaves`); the end of
+    its loop and the incumbent it was computed for; U_r, bound(U_r) and
+    r, where the suffix sweep stands, U_r a table, or under `max` with a
+    mask x the mask of U_r; and the prefix's member mask up to the cap,
+    None while the cap is `_MASK_BITS` or more.  Its children are the residues
     above its last generator's, up to m - e + len(gens), with
     q = e - len(gens) generators still to come.  A sweeping frame, and
     with a `key` a leaf-level one at caps of `_MASK_BITS` or more, starts
-    at seen = SENTINEL (and a sweeping one with U_m = t, a copy), so
+    at seen = SENTINEL (and a sweeping one with U_m = t, a copy, or x), so
     `_lower` sets its end.  Any other ends past its last child with
     seen = -1, below every incumbent, so its end never moves; its u is
     None and ub is 0.
@@ -291,7 +330,7 @@ def _frame(gens: tuple[int, ...], t: list[int], x, m: int, e: int, key, cap: int
     n = 2 * m - 1 - gens[-1]  # the residues above the last generator's
     sweeps = key is not None and q > 1 and comb(n, q) >= _SWEEP_PAYS * n
     moves = sweeps or key is not None and q == 1 and cap >= _MASK_BITS
-    u = t.copy() if sweeps else None
+    u = (x if key is max and x is not None else t.copy()) if sweeps else None
     return [gens, t, m + 1 - q, SENTINEL if moves else -1, u, SENTINEL if sweeps else 0, m, x]
 
 
@@ -303,7 +342,8 @@ def _lower(f: list, a: int, best: int, m: int, e: int, key, bound, slack: int) -
     `best` under `sum`, over the table's entries within the cap, sorted
     here, and under `max` its leaves cannot fit m entries under the cap,
     counted only at a leaf-level frame.  A sweeping frame's end then falls
-    to the first child whose bound exceeds `best`.
+    to the first child whose bound exceeds `best`, read off the mask of
+    U_r, cut to the cap, when the frame keeps one.
     """
     gens, t, end, _, u, ub, r, _ = f
     q = e - len(gens)
@@ -316,11 +356,21 @@ def _lower(f: list, a: int, best: int, m: int, e: int, key, bound, slack: int) -
     if fails(end - 1):
         end = a + bisect_left(range(a, end - 1), True, key=fails)
     if a < end and ub > best:
+        mask = type(u) is int
+        if mask:
+            full = (1 << cap + 1) - 1
+            u &= full
         while r > a:
             r -= 1
-            relax(u, m, m + r)
+            if mask:
+                u = _close(u, m + r, full)
+            else:
+                relax(u, m, m + r)
             if r < end:
-                ub = bound(u)
+                if mask:
+                    ub = (u ^ full).bit_length() - 1 + m
+                else:  # under `sum` an entry past the cap puts the bound past best
+                    ub = SENTINEL if key is sum and max(u) > cap else bound(u)
                 if ub <= best:
                     break
         end = min(end, r + (ub <= best))
@@ -328,8 +378,27 @@ def _lower(f: list, a: int, best: int, m: int, e: int, key, bound, slack: int) -
 
 
 def _slots(t: list[int], g: int, q: int, cap: int) -> int:
-    """An upper bound on the entries <= cap of a leaf of `t` and q more generators >= g."""
-    return sum(comb(q + (cap - x) // g, q) for x in t if x <= cap)
+    """An upper bound on the entries <= cap of a leaf of `t` and q more generators >= g.
+
+    The sum over the table's entries x <= cap of C(q + (cap - x) // g, q)
+    (see `_leaves`).  `t` is the table, or the bit set of its entries
+    within the cap, y = x & ~(x << m) for the prefix's member mask x up
+    to the cap: a member whose predecessor by m is none is the least of
+    its class.  The entries with (cap - x) // g = k fill the band
+    (cap - (k+1)g, cap - kg], so the sum is that of C(q + k, q) times the
+    bits of y in band k, about cap/g + 1 bands in place of one `comb` per
+    entry.
+    """
+    if type(t) is list:
+        return sum(comb(q + (cap - x) // g, q) for x in t if x <= cap)
+    band = (1 << g) - 1
+    n, c, k, s = 0, 1, 0, cap + 1 - g
+    while s > 0:
+        n += c * (t >> s & band).bit_count()
+        k += 1
+        c = c * (q + k) // k
+        s -= g
+    return n + c * (t & band >> -s).bit_count()
 
 
 def _least_sum(v: list[int], g: int, q: int, m: int, cap: int) -> int:
@@ -369,7 +438,11 @@ def _bound_and_slack(m: int, e: int, key):
     `core.genus_lower_bound`.  Entry i of a table is i plus m times its
     level, and the t-th least level of a leaf is at least that of U_a and
     at least the t-th of `_least_levels`, which lifts the bound.  The
-    slack is the least sum of m-2 nonzero entries.
+    slack is the least sum of m-2 nonzero entries.  So a table whose
+    largest entry y is past best - slack has a bound past best: the bound
+    counts y's level at the top place and at least the least levels below
+    it, so it is at least y - (y mod m) + m(m-1)/2 + m * sum(levels[:-1])
+    = y + slack + (m - 1 - y mod m) > best.
     """
     if key is not sum:
         return key, 0

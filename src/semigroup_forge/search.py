@@ -16,9 +16,7 @@ the packed leaf walk, both gated by `core.require_family`.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-
-from .core import NumericalSemigroup, interval_frobenius, interval_genus
+from .core import NumericalSemigroup, _Record, interval_frobenius, interval_genus
 from .multiplicity_tree import _root_node, _sons
 # `sons` is bound only because the benchmark's tracer self-test checks it.
 from .multiplicity_tree import sons  # noqa: F401
@@ -36,25 +34,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(_Record):
     """Result of one minimization: the value and everything attaining it.
 
     The caller knows what it asked for (genus or Frobenius number, at
     which m and e); a genus minimum sits at tree level value - (m-1).
     """
 
-    value: int
-    minimizers: tuple[NumericalSemigroup, ...]
+    __slots__ = ("value", "minimizers")
+
+    def __init__(self, value: int, minimizers: tuple[NumericalSemigroup, ...]):
+        super().__init__(value, minimizers)
 
 
-@dataclass(frozen=True)
-class WilfViolation:
+class WilfViolation(_Record):
     """A semigroup breaking e(S)*g(S) <= (e(S)-1)*(F(S)+1)."""
 
-    semigroup: NumericalSemigroup
-    lhs: int
-    rhs: int
+    __slots__ = ("semigroup", "lhs", "rhs")
+
+    def __init__(self, semigroup: NumericalSemigroup, lhs: int, rhs: int):
+        super().__init__(semigroup, lhs, rhs)
 
 
 def min_genus(m: int, e: int, stats: dict | None = None) -> SearchOutcome:

@@ -1,5 +1,4 @@
 """Command-line surface: outputs, exit codes, determinism, round-trips."""
-import dataclasses
 import json
 import os
 import subprocess
@@ -12,6 +11,8 @@ from hypothesis import strategies as st
 import semigroup_forge.cli as cli
 from semigroup_forge.cli import _build_parser, _Exit, _json, _Report, _verify, main
 from semigroup_forge.core import NumericalSemigroup, make_semigroup
+from semigroup_forge.oracle import SieveResult
+from semigroup_forge.search import SearchOutcome
 
 
 def run_main(capsys, *args):
@@ -454,7 +455,7 @@ class TestVerify:
 
         def wrong(gens):
             r = sieve(gens)
-            return dataclasses.replace(r, frobenius=r.frobenius + 1)
+            return SieveResult(r.bound, r.reachable, r.frobenius + 1, r.genus)
 
         monkeypatch.setattr(cli, "sieve", wrong)
         code, out, err = run_main(capsys, "min-genus", "5", "3", "--verify")
@@ -468,7 +469,7 @@ class TestVerify:
 
         def wrong(m, e):
             outcome = min_genus_packed(m, e)
-            return dataclasses.replace(outcome, value=outcome.value + 1)
+            return SearchOutcome(outcome.value + 1, outcome.minimizers)
 
         monkeypatch.setattr(cli, "min_genus_packed", wrong)
         code, out, err = run_main(capsys, "min-genus", "5", "3", "--verify")
@@ -481,7 +482,7 @@ class TestVerify:
         from semigroup_forge.search import min_frobenius_full_set
 
         def wrong(m, e):
-            return dataclasses.replace(min_frobenius_full_set(m, e), value=14)
+            return SearchOutcome(14, min_frobenius_full_set(m, e).minimizers)
 
         monkeypatch.setattr(cli, "min_frobenius_full_set", wrong)
         code, out, err = run_main(capsys, "min-frobenius", "7", "4", "--verify")
@@ -496,7 +497,7 @@ class TestVerify:
 
         def short(m, e):
             outcome = min_frobenius_full_set(m, e)
-            return dataclasses.replace(outcome, minimizers=outcome.minimizers[1:])
+            return SearchOutcome(outcome.value, outcome.minimizers[1:])
 
         monkeypatch.setattr(cli, "min_frobenius_full_set", short)
         code, out, err = run_main(capsys, "min-frobenius", "7", "4", "--verify")
@@ -512,7 +513,7 @@ class TestVerify:
 
         def short(m, e):
             outcome = min_genus_packed(m, e)
-            return dataclasses.replace(outcome, minimizers=outcome.minimizers[:-1])
+            return SearchOutcome(outcome.value, outcome.minimizers[:-1])
 
         monkeypatch.setattr(cli, "min_genus_packed", short)
         code, out, err = run_main(capsys, "min-genus", "14", "11", "--verify")
@@ -586,7 +587,7 @@ class TestVerify:
         # A record whose table is wrong must be flagged: the table of
         # <4,5,7> is (0, 5, 10, 7), and moving residue 3 to 11 makes the
         # derived Frobenius number 7 where the sieve finds 6.
-        broken = dataclasses.replace(make_semigroup([4, 5, 7]), entries=(0, 5, 10, 11))
+        broken = NumericalSemigroup((4, 5, 7), (0, 5, 10, 11))
         with pytest.raises(_Exit) as raised:
             _verify(None, _Report({}, [], [broken]))
         assert raised.value.code == 4
@@ -617,6 +618,20 @@ class TestDeterminism:
         proc = run_proc("min-genus", "5", "3")
         assert "elapsed" not in proc.stdout
         assert "elapsed" in proc.stderr
+
+
+class TestImport:
+    def test_cli_import_loads_no_dataclasses(self):
+        # `dataclasses` loads `inspect`, `ast` and `dis`, which cost every CLI
+        # run more than the package's own modules; a fresh process shows
+        # what importing the CLI pulls in.
+        probe = (
+            "import sys, semigroup_forge.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestRoundTrip:

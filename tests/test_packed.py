@@ -265,24 +265,29 @@ class TestBranchAndBound:
     @pytest.mark.parametrize(
         "m, e, key, relaxed, closed",
         [
-            pytest.param(24, 8, sum, 1453, 6921, id="24-8-sum"),
-            pytest.param(24, 8, max, 1206, 6141, id="24-8-max"),
-            pytest.param(20, 10, sum, 23844, 23956, id="20-10-sum"),
-            pytest.param(20, 10, max, 4912, 13119, id="20-10-max"),
-            pytest.param(36, 6, sum, 5454, 20974, id="36-6-sum"),
-            pytest.param(36, 6, max, 9368, 52355, id="36-6-max"),
-            pytest.param(44, 5, sum, 2188, 10587, id="44-5-sum"),
+            pytest.param(24, 8, sum, 696, 6921, id="24-8-sum"),
+            pytest.param(24, 8, max, 328, 6592, id="24-8-max"),
+            pytest.param(20, 10, sum, 23232, 23956, id="20-10-sum"),
+            pytest.param(20, 10, max, 1620, 14260, id="20-10-max"),
+            pytest.param(36, 6, sum, 4586, 20974, id="36-6-sum"),
+            pytest.param(36, 6, max, 62, 58535, id="36-6-max"),
+            pytest.param(44, 5, sum, 1865, 10587, id="44-5-sum"),
         ],
     )
     def test_mask_tests_are_pinned(self, m, e, key, relaxed, closed, monkeypatch):
         """The walks of `test_cuts_are_pinned` with masks: exact `relax` and `_close` calls.
 
-        Each frame closes its parent's mask once and relaxes its table once,
-        and each new incumbent recloses the mask of every prefix on the
-        stack, one `_close` per generator.  A leaf closes its prefix's mask
-        and relaxes a table only when its key read is within the incumbent,
-        so no `relax` stops early.  Below the width no leaf-level counting
-        cut runs, so every leaf left by the interior cuts closes a mask.
+        Each frame closes its parent's mask once, and each new incumbent
+        recloses the mask of every prefix on the stack, one `_close` per
+        generator.  A leaf closes its prefix's mask and relaxes a table only
+        when its key read is within the incumbent, so no `relax` stops
+        early.  Under `sum` an interior frame relaxes its table once, and a
+        leaf-level frame once, when its first leaf passes.  Under `max` a
+        sweeping frame closes its U_r mask once per residue it sweeps, and
+        no frame relaxes a table but for a leaf that passes: a leaf-level
+        frame builds its own then, from the root's, one `relax` per frame
+        above the root.  Below the width no leaf-level counting cut runs,
+        so every leaf left by the interior cuts closes a mask.
         The ids carry no count, so a re-pin keeps them; it still gives its
         reason in CHANGES.md.
         """
@@ -339,12 +344,15 @@ class TestBranchAndBound:
         least = min(key(S.entries) for S in enumerate_packed(m, e))
         worst = key(interval_apery(m, e))
         run = data.draw(st.lists(st.integers(least, worst), max_size=5), label="bests")
-        # The frame as `_frame` documents it, born with U_m = t, before its
-        # first end is set; `_frame` builds it when the prefix sweeps, and
-        # keeps the mask it is given.
+        # The frame as `_frame` documents it, born with U_m = t, or under
+        # `max` with a mask U_m = x, before its first end is set; `_frame`
+        # builds it when the prefix sweeps, and keeps the mask it is given.
+        # A frame made while the cap was wide has no mask and sweeps tables.
         cap = worst - slack
-        x = mask(gens, cap) if cap < _MASK_BITS else None
-        f, a = [gens, table, last + 1, SENTINEL, table.copy(), SENTINEL, m, x], first
+        assert cap < _MASK_BITS
+        x = mask(gens, cap) if data.draw(st.booleans(), label="masks") else None
+        u = x if key is max and x is not None else table.copy()
+        f, a = [gens, table, last + 1, SENTINEL, u, SENTINEL, m, x], first
         n = m - first
         if comb(n, q) >= _SWEEP_PAYS * n:
             with pytest.MonkeyPatch.context() as patch:
@@ -478,6 +486,50 @@ class TestBranchAndBound:
         fits = _slots(table, g, q, cap) >= m
         assert fits == (_least_sum(v, g, q, m, cap) != SENTINEL), (prefix, g, cap)
 
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.data())
+    def test_slot_bands_match_the_comb_sum(self, data):
+        # While masks run `_slots` counts the entries within the cap off the
+        # prefix's mask, band by band; the sum over the table is the reference.
+        m = data.draw(st.integers(2, 24), label="m")
+        j = data.draw(st.integers(0, m - 1), label="prefix length")
+        prefix = sorted(data.draw(st.permutations(range(1, m)), label="residues")[:j])
+        g = data.draw(st.integers(m + 1, 2 * m - 1), label="g")
+        q = data.draw(st.integers(1, m), label="q")
+        cap = data.draw(st.integers(0, 4 * m * m), label="cap")
+        gens = (m, *(m + r for r in prefix))
+        table = residue_table(m, gens[1:])
+        x = mask(gens, cap)
+        y = x & ~(x << m)
+        # A member whose predecessor by m is none is its class's entry.
+        assert y == sum(1 << v for v in table if v <= cap)
+        reference = sum(comb(q + (cap - v) // g, q) for v in table if v <= cap)
+        assert _slots(y, g, q, cap) == reference == _slots(table, g, q, cap)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.data())
+    def test_sweep_masks_read_their_bounds(self, data):
+        # Under `max` a sweep keeps U_r as a mask up to the cap, best: its
+        # top m bits are all set iff max(U_r) <= best, and then its read,
+        # the highest clear bit plus m, is max(U_r).  A mask kept from a
+        # higher cap and cut to the lower one is the same mask.
+        m = data.draw(st.integers(2, 24), label="m")
+        j = data.draw(st.integers(0, m - 2), label="prefix length")
+        prefix = sorted(data.draw(st.permutations(range(1, m - 1)), label="residues")[:j])
+        r = data.draw(st.integers(prefix[-1] + 1 if prefix else 1, m - 1), label="r")
+        u = suffix_table(m, prefix, r)
+        best = data.draw(st.integers(m, max(u) + 2 * m), label="best")
+        higher = best + data.draw(st.integers(0, 3 * m), label="cap drop")
+        gens = (m, *(m + i for i in (*prefix, *range(r, m))))
+        x = mask(gens, higher) & ones(best)
+        assert x == mask(gens, best)
+        passes = x >> best - m + 1 == ones(m - 1)
+        assert passes == (max(u) <= best)
+        if passes:
+            assert reads(x, m, best)[max] == max(u)
+        else:
+            assert reads(x, m, best)[max] > best
+
     def test_slot_count_cuts_the_frobenius_walk(self, monkeypatch):
         # The leaf-level count ends a leaf loop only at caps of `_MASK_BITS`
         # or more, so with the width at 0 (40, 3) tests its leaves by `relax`
@@ -490,12 +542,15 @@ class TestBranchAndBound:
         assert len(finished) == 144
         monkeypatch.undo()
         # Below the width masks test every leaf: only the interior count
-        # cuts, and only the leaves within the incumbent relax.  The 298
-        # `_close` calls include two per new incumbent, which recloses the
-        # masks of both prefixes on the stack.
+        # cuts, and only the leaves within the incumbent relax, two each
+        # for the first of a leaf-level frame (which builds the frame's
+        # table off the root's) and one for each later one.  The root's
+        # sweep closes masks, not tables.  The 306 `_close` calls include
+        # two per new incumbent, which recloses the masks of both prefixes
+        # on the stack.
         finished = count_tests(monkeypatch)
         assert [S.min_gens for S in _minimizers(40, 3, max)] == [(40, 43, 47)]
-        assert (finished.count(True), finished.count(None)) == (26, 298)
+        assert (finished.count(True), finished.count(None)) == (9, 306)
         assert False not in finished
         monkeypatch.undo()
         out = min_frobenius_full_set(36, 6)
