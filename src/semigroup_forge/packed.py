@@ -23,28 +23,32 @@ loop ends, so no cut waits on a stale key.  The searches wrap only the
 members they return.  The class walk wraps every son.
 
 Both walks mostly ask one question of a table, whether every entry is
-at most a cap.  The capped `relax`, whose sweep stops at the first
-entry above the cap, decides every such test.  While the cap is below
-`_MASK_BITS` a member mask answers first: bit i is set iff i <= cap is
-a member, and `_close` adjoins a generator g by x |= (x << s) & full
-for s = g, 2g, 4g, ... <= cap, full being the cap's own mask.  Its
-clear bits are the gaps up to the cap, so it reads two keys (Selmer's
-formulas): the highest clear bit plus m (max), and m per clear bit plus
-m(m-1)/2 (sum).  The lemma: a read is the key of the table with each
-entry cut to the least number past the cap in its residue class, so it
-is a lower bound on the key, exact when every entry is within the cap,
-and complete at any incumbent's cap, best - slack (`_bound_and_slack`).
-An entry past the cap lifts a `max` read past best, and under `sum` its
-class adds more than the cap while the other m-2 nonzero classes keep
-their least levels (a cut class lies above every one) and add the
-slack.  So a leaf reads its key and its verdict off its mask, a class
-son its verdict off the `max` read at best = bound + m, and neither
-builds a table when the mask fails it.  Under `max` the masks also do
-the walk's other reads, so while they run no `max` frame builds a
-table: a suffix sweep reads its bounds off masks, and the slot count
-reads the prefix's mask (`_leaves`, `_slots`).  At wider caps no
-per-leaf test runs, and every keyed leaf loop ends at its counting
-bound instead.
+at most a cap.  While the cap is below `_MASK_BITS` a member mask
+answers it, and every table is read off a member mask: bit i is set
+iff i <= cap is a member, and `_close` adjoins a generator g by
+x |= (x << s) & full for s = g, 2g, 4g, ... <= cap, full being the
+cap's own mask.  Its clear bits are the gaps up to the cap, so it reads
+two keys (Selmer's formulas): the highest clear bit plus m (max), and m
+per clear bit plus m(m-1)/2 (sum).  The least set bit of each residue
+class is that class's entry, so `_table` reads the table up to the cap
+off the mask, SENTINEL for a class with no member up to it.  The lemma:
+a read is the key of the table with each entry cut to the least number
+past the cap in its residue class, so it is a lower bound on the key,
+exact when every entry is within the cap, and complete at any
+incumbent's cap, best - slack (`_bound_and_slack`).  An entry past the
+cap lifts a `max` read past best, and under `sum` its class adds more
+than the cap while the other m-2 nonzero classes keep their least
+levels (a cut class lies above every one) and add the slack.  So a leaf
+reads its key and its verdict off its mask, and a class son its verdict
+off the `max` read at best = bound + m; one that passes has every entry
+within the cap, so `_table` of that mask is its whole table, and no
+`relax` runs.  Nor does any frame made while masks run hold a table,
+under either key: a suffix sweep keeps U_r as a mask and reads its
+bound off it, the slot count reads the prefix's mask, and the least
+sums read the prefix's table off it (`_leaves`, `_slots`, `_lower`).
+At caps of `_MASK_BITS` or more the capped `relax`, whose sweep stops
+at the first entry above the cap, decides each test on a table, and
+every keyed leaf loop ends at its counting bound.
 Every value is made by `NumericalSemigroup(min_gens, tuple(table))`,
 since each walk owns its tables as lists, and keeps only its
 generators and table; F and g are read off the table on demand, and
@@ -95,8 +99,9 @@ class PackedFamily(tuple):
 # sweeps, and a leaf-level one by its count whenever the cap is wide.
 _SWEEP_PAYS = 8
 
-# Member masks (`_close`) answer a cap test first only while the cap is below
-# this many bits, 64 words of 64 bits; wider caps end each leaf loop early.
+# Member masks (`_close`) answer every cap test and give every table
+# (`_table`) only while the cap is below this many bits, 64 words of 64 bits;
+# wider caps build tables by `relax` and end each leaf loop early.
 # A mask test costs a few operations on (cap+1)-bit integers, `relax` O(m)
 # Python steps, so masks pay at narrow caps and lose at wide ones.  With masks
 # at every width the genus search at (1000, 3), whose cap never falls below
@@ -114,26 +119,22 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
     system, and a numerical semigroup when gcd(m, a1, a2, ...) is 1.
     The subsets are walked in lexicographic order as a prefix tree, on an
     explicit stack of one frame per prefix: its generators, its
-    least-element table, the end of its loop, the incumbent that end was
+    least-element table or None, the end of its loop, the incumbent that end was
     computed for and its member mask.  The generators give the depth and
     the children, and the last one, as its frame pops, the next child
     below.  `_frame` makes every frame and decides which prefixes bound
     their children; `_lower`, called at the top of the loop for the frame
     on top, alone sets their ends, when a frame first comes to the top and
-    whenever the incumbent has fallen since.  Each step copies the
-    prefix's table and adjoins one generator by `relax`; a prefix one
-    residue short of a leaf reads the gcd of its generators once and
-    filters the last step by it.  A frame holds a table when it is made
-    while the cap is `_MASK_BITS` or more (with no key, always), and the
-    root does; while masks run, only an interior frame under `sum`, whose
-    least sums and sweep read it, is made with one.  A leaf-level frame
-    made without one gets it when its first leaf passes the mask test
-    below: the table of the nearest frame under it that holds one,
-    relaxed with the last generator of each frame above that (one `relax`
-    under `sum`), kept for its later leaves.  So under `max` no table is
-    built but for a leaf within the incumbent.  Every yielded table is a
-    fresh list the caller owns.  The third field is the leaf's key,
-    computed once by the walk, or None without a `key`.
+    whenever the incumbent has fallen since.  While the cap is
+    `_MASK_BITS` or more (with no key, always) each step copies the
+    prefix's table and adjoins one generator by `relax`, and every frame
+    holds its table.  While masks run each step closes the prefix's
+    member mask under one generator instead, and no frame made then
+    holds a table, the root included: whatever needs a table reads it
+    off a mask (`_table`).  A prefix one residue short of a leaf reads
+    the gcd of its generators once and filters the last step by it.
+    Every yielded table is a fresh list the caller owns.  The third field
+    is the leaf's key, computed once by the walk, or None without a `key`.
 
     With a `key` (`sum` or `max`) the walk is a branch-and-bound for the
     least key, and yields only the leaves whose key is at most the least
@@ -151,20 +152,21 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
       U_m, a copy of its table, and keeps U_r and its bound; the sweep
       goes on down from there only once the incumbent falls below that
       bound, so no U_r is built twice and a frame never relaxes more than
-      once per residue above it.  Under `max` a frame made while masks
-      run keeps U_r as a member mask up to the cap instead, made from its
-      prefix's mask with one `_close` per r.  Its `max` read is the
-      bound: a clear bit y in the top m, cap - m < y <= cap, leaves the
-      entry of y's class at y + m or more, past the cap, so the bound is
-      within best = cap iff those m bits are all set, and is then exact,
-      the highest clear bit plus m (the module docstring's lemma).  A
-      mask up to one cap, cut by `& full`, is the mask up to any lower
-      one, so a stored U_r stays exact as the incumbent falls.  A frame
-      made while the cap was wide keeps its table sweep.  Under
+      once per residue above it.  A frame made while masks run, under
+      either key, keeps U_r as a member mask up to the cap instead, made
+      from its prefix's mask with one `_close` per r.  Its `max` read,
+      the highest clear bit plus m, is within the cap iff every entry of
+      U_r is, and is then max(U_r): a clear bit y in the top m,
+      cap - m < y <= cap, leaves the entry of y's class at y + m or more
+      (the module docstring's lemma).  Under `max`, where best = cap,
+      that read is the bound.  Under `sum` a read past the cap puts the
+      bound past best (`_bound_and_slack`), and any other bound is read
+      off the table of U_r, `_table` of the mask.  A mask up to one cap,
+      cut by `& full`, is the mask up to any lower one, so a stored U_r
+      stays exact as the incumbent falls.  A frame made while the cap
+      was wide keeps its table sweep, with max(U_r) for the read.  Under
       `sum` a bound costs as much as a `relax` or more (it sorts the
-      table), so the sweep reads none past the least-sum cut's end, and
-      none of a U_r with an entry past the cap, whose bound exceeds best
-      (`_bound_and_slack`).  Only
+      table), so the sweep reads none past the least-sum cut's end.  Only
       interior prefixes with enough leaves below them sweep
       (`_SWEEP_PAYS`).  No other frame needs bounds, as its own bound lb
       could cut no child: its parent found lb <= best on entering it (the
@@ -179,10 +181,11 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
       `_close` per frame, so every live mask is exact.  A leaf closes
       its prefix's mask under its last generator and reads its key off it
       (the module docstring's lemma): a read past the incumbent loses, and
-      any other is the leaf's key, so only a leaf within the incumbent
-      copies and relaxes its table, and never stops.  At wider caps the
-      capped `relax` decides each leaf on a copy of its prefix's table, and
-      the leaf loop's end, set by the counts below, is the only cut.
+      any other is the leaf's key, with every entry within the cap, so the
+      leaf reads its table off the same mask (`_table`).  At wider caps
+      the capped `relax` decides each leaf on a copy of its prefix's
+      table, and the leaf loop's end, set by the counts below, is the only
+      cut.
     - Both keys count what a child can still hold.  Below child a of a
       prefix with table t, q more generators are still to come, each at
       least m+a (q = 1 in a leaf's loop).  Each entry of a leaf below is
@@ -206,7 +209,8 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
       to at least that, and a leaf past it loses anyway.  The loop ends at
       the first child past the best, found by binary search, at a sweeping
       prefix, and at every leaf-level one while the cap is `_MASK_BITS`
-      or more, over the prefix's entries within the cap, sorted anew.
+      or more, over the prefix's entries within the cap, sorted anew and,
+      while masks run, read off the prefix's mask.
     - When the walk returns to a sweeping prefix with a better incumbent,
       it lowers the prefix's end: the least-sum cut runs again over the
       children still left, then the sweep goes on down if the bound it
@@ -236,7 +240,7 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
     half = m * (m - 1) // 2
     full = (1 << cap + 1) - 1 if cap < _MASK_BITS else 0  # bits 0..cap while masks run
     x = _close(1, m, full) if full else None
-    stack = [_frame((m,), residue_table(m, ()), x, m, e, key, cap)]
+    stack = [_frame((m,), None if x else residue_table(m, ()), x, m, e, key, cap)]
     a = 1
     while stack:
         f = stack[-1]
@@ -255,20 +259,15 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
                             k = m * (cap + 1 - x.bit_count()) + half
                         if k > best:
                             continue
-                    if t is None:  # made under masks: its first passing leaf builds it
-                        i = len(stack) - 2
-                        while stack[i][1] is None:
-                            i -= 1
-                        t = f[1] = stack[i][1].copy()
-                        for h in stack[i + 1 :]:
-                            relax(t, m, h[0][-1])
-                    w = t.copy()
-                    if not relax(w, m, m + r, cap):
-                        continue
-                    if p is None and key is not None:
-                        k = key(w)
-                        if k > best:
+                        w = _table(x, m)
+                    else:
+                        w = t.copy()
+                        if not relax(w, m, m + r, cap):
                             continue
+                        if key is not None:
+                            k = key(w)
+                            if k > best:
+                                continue
                     if key is not None and k < best:
                         best, cap = k, k - slack
                         if cap < _MASK_BITS:  # reclose every prefix's mask at the new cap
@@ -280,11 +279,11 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
             key is not max
             or _slots(t if p is None else p & ~(p << m), m + a, e - len(gens), cap) >= m
         ):
-            x = None if p is None else _close(p, m + a, full)
-            w = None  # while masks run, only an interior `sum` frame is made with a table
-            if x is None or key is sum and len(gens) < e - 2:
-                w = t.copy()
+            if p is None:
+                x, w = None, t.copy()
                 relax(w, m, m + a)
+            else:  # a frame made while masks run holds no table
+                x, w = _close(p, m + a, full), None
             stack.append(_frame((*gens, m + a), w, x, m, e, key, cap))
             a += 1
             continue
@@ -309,19 +308,35 @@ def _close(x: int, g: int, full: int) -> int:
     return x
 
 
-def _frame(gens: tuple[int, ...], t: list[int], x, m: int, e: int, key, cap: int) -> list:
+def _table(x: int, m: int) -> list[int]:
+    """The least-element table read off the member mask x of a monoid up to a cap.
+
+    y = x & ~(x << m) keeps each member whose predecessor by m is none,
+    the least of its class, so entry i is the set bit of y in class i,
+    and SENTINEL for a class with no member up to the cap.
+    """
+    w = [SENTINEL] * m
+    y = x & ~(x << m)
+    while y:
+        i = y.bit_length() - 1
+        w[i % m] = i
+        y ^= 1 << i
+    return w
+
+
+def _frame(gens: tuple[int, ...], t: list[int] | None, x, m: int, e: int, key, cap: int) -> list:
     """The frame of the prefix `gens`, with table t and member mask x.
 
-    It is [gens, t, end, seen, u, ub, r, x]: the table, None until a leaf
-    needs it in a frame made while masks run (see `_leaves`); the end of
-    its loop and the incumbent it was computed for; U_r, bound(U_r) and
-    r, where the suffix sweep stands, U_r a table, or under `max` with a
-    mask x the mask of U_r; and the prefix's member mask up to the cap,
-    None while the cap is `_MASK_BITS` or more.  Its children are the residues
+    It is [gens, t, end, seen, u, ub, r, x]: the table, None in a frame
+    made while masks run (see `_leaves`); the end of its loop and the
+    incumbent it was computed for; U_r, bound(U_r) and r, where the
+    suffix sweep stands, U_r the mask of U_r when there is a mask x and a
+    table otherwise; and the prefix's member mask up to the cap, None
+    while the cap is `_MASK_BITS` or more.  Its children are the residues
     above its last generator's, up to m - e + len(gens), with
     q = e - len(gens) generators still to come.  A sweeping frame, and
     with a `key` a leaf-level one at caps of `_MASK_BITS` or more, starts
-    at seen = SENTINEL (and a sweeping one with U_m = t, a copy, or x), so
+    at seen = SENTINEL (and a sweeping one with U_m = x, or t, a copy), so
     `_lower` sets its end.  Any other ends past its last child with
     seen = -1, below every incumbent, so its end never moves; its u is
     None and ub is 0.
@@ -330,7 +345,7 @@ def _frame(gens: tuple[int, ...], t: list[int], x, m: int, e: int, key, cap: int
     n = 2 * m - 1 - gens[-1]  # the residues above the last generator's
     sweeps = key is not None and q > 1 and comb(n, q) >= _SWEEP_PAYS * n
     moves = sweeps or key is not None and q == 1 and cap >= _MASK_BITS
-    u = (x if key is max and x is not None else t.copy()) if sweeps else None
+    u = (t.copy() if x is None else x) if sweeps else None
     return [gens, t, m + 1 - q, SENTINEL if moves else -1, u, SENTINEL if sweeps else 0, m, x]
 
 
@@ -339,17 +354,20 @@ def _lower(f: list, a: int, best: int, m: int, e: int, key, bound, slack: int) -
 
     The end falls to the first child that fails its count, found by binary
     search only when the last child already fails: its least sum exceeds
-    `best` under `sum`, over the table's entries within the cap, sorted
-    here, and under `max` its leaves cannot fit m entries under the cap,
-    counted only at a leaf-level frame.  A sweeping frame's end then falls
-    to the first child whose bound exceeds `best`, read off the mask of
-    U_r, cut to the cap, when the frame keeps one.
+    `best` under `sum`, over the prefix's entries within the cap, sorted
+    here and read off its mask while masks run, and under `max` its leaves
+    cannot fit m entries under the cap, counted only at a leaf-level
+    frame.  A sweeping frame's end then falls to the first child whose
+    bound exceeds `best`.  U_r's read, the highest clear bit plus m of its
+    mask cut to the cap or the largest entry of its table, is the bound
+    under `max`; under `sum` a read past the cap puts the bound past best,
+    and any other bound is read off U_r's table, `_table` of a mask.
     """
-    gens, t, end, _, u, ub, r, _ = f
+    gens, t, end, _, u, ub, r, x = f
     q = e - len(gens)
     cap = best - slack
     if key is sum:
-        v = [*sorted(y for y in t if y <= cap), SENTINEL]
+        v = [*sorted(y for y in (t if x is None else _table(x, m)) if y <= cap), SENTINEL]
         fails = lambda b: _least_sum(v, m + b, q, m, cap) > best
     else:  # under `max` only a leaf-level frame counts here
         fails = lambda b: q == 1 and _slots(t, m + b, q, cap) < m
@@ -367,10 +385,9 @@ def _lower(f: list, a: int, best: int, m: int, e: int, key, bound, slack: int) -
             else:
                 relax(u, m, m + r)
             if r < end:
-                if mask:
-                    ub = (u ^ full).bit_length() - 1 + m
-                else:  # under `sum` an entry past the cap puts the bound past best
-                    ub = SENTINEL if key is sum and max(u) > cap else bound(u)
+                ub = (u ^ full).bit_length() - 1 + m if mask else max(u)
+                if key is sum:  # an entry past the cap puts the bound past best
+                    ub = SENTINEL if ub > cap else bound(_table(u, m) if mask else u)
                 if ub <= best:
                     break
         end = min(end, r + (ub <= best))
@@ -516,13 +533,15 @@ def class_sons(P: NumericalSemigroup, bound: int | None = None) -> tuple[Numeric
     table stays within cap = bound + m.  The son of n_k misses n_k, so
     n_k + m > cap skips it before its table.  While the cap is below
     `_MASK_BITS` the member mask of the remaining generators up to the cap
-    pre-filters both tests: n_k + m is redundant iff its bit is set, and
-    the son stays within the cap iff its mask, closed under n_k + m, has
-    no clear bit above bound: its `max` read is within the cap (the
-    module docstring's lemma at best = cap).  So only a kept son builds
-    its table.  Every candidate left takes one path: its table, the
-    redundancy read off it, the kernel range check, then `relax`, which
-    checks the cap as it sweeps.
+    decides both tests, each once: n_k + m is redundant iff its bit is
+    set, and the son stays within the cap iff its mask, closed under
+    n_k + m, has no clear bit above bound: its `max` read is within the
+    cap (the module docstring's lemma at best = cap).  A kept son reads
+    its table off that mask (`_table`), and since n_k + m <= cap, no son
+    there can leave the kernel range.  At wider caps, and without a
+    bound, each candidate takes the table path: the table of the
+    remaining generators, the redundancy read off it, the kernel range
+    check, then `relax`, which checks the cap as it sweeps.
     """
     m = P.multiplicity
     gens = P.min_gens
@@ -542,15 +561,21 @@ def class_sons(P: NumericalSemigroup, bound: int | None = None) -> tuple[Numeric
             x = 1
             for g in rest:
                 x = _close(x, g, full)
-            if x >> lifted & 1 or (_close(x, lifted, full) ^ full).bit_length() - 1 > bound:
+            if x >> lifted & 1:
                 continue
-        w = residue_table(m, rest)
-        if w[lifted % m] <= lifted:
-            continue
-        if m * lifted >= SENTINEL:
-            raise InvalidGenerator(f"generator {lifted} exceeds the 62-bit kernel range")
-        if relax(w, m, lifted, cap):
-            out.append(NumericalSemigroup((*rest, lifted), tuple(w)))
+            x = _close(x, lifted, full)
+            if (x ^ full).bit_length() - 1 > bound:
+                continue
+            w = _table(x, m)
+        else:
+            w = residue_table(m, rest)
+            if w[lifted % m] <= lifted:
+                continue
+            if m * lifted >= SENTINEL:
+                raise InvalidGenerator(f"generator {lifted} exceeds the 62-bit kernel range")
+            if not relax(w, m, lifted, cap):
+                continue
+        out.append(NumericalSemigroup((*rest, lifted), tuple(w)))
     return tuple(out)
 
 

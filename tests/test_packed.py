@@ -35,6 +35,7 @@ from semigroup_forge.packed import (
     _lower,
     _minimizers,
     _slots,
+    _table,
     class_min_frobenius,
     class_sons,
     enumerate_packed,
@@ -265,13 +266,13 @@ class TestBranchAndBound:
     @pytest.mark.parametrize(
         "m, e, key, relaxed, closed",
         [
-            pytest.param(24, 8, sum, 696, 6921, id="24-8-sum"),
-            pytest.param(24, 8, max, 328, 6592, id="24-8-max"),
-            pytest.param(20, 10, sum, 23232, 23956, id="20-10-sum"),
-            pytest.param(20, 10, max, 1620, 14260, id="20-10-max"),
-            pytest.param(36, 6, sum, 4586, 20974, id="36-6-sum"),
-            pytest.param(36, 6, max, 62, 58535, id="36-6-max"),
-            pytest.param(44, 5, sum, 1865, 10587, id="44-5-sum"),
+            pytest.param(24, 8, sum, 0, 7373, id="24-8-sum"),
+            pytest.param(24, 8, max, 0, 6592, id="24-8-max"),
+            pytest.param(20, 10, sum, 0, 25088, id="20-10-sum"),
+            pytest.param(20, 10, max, 0, 14260, id="20-10-max"),
+            pytest.param(36, 6, sum, 0, 25221, id="36-6-sum"),
+            pytest.param(36, 6, max, 0, 58535, id="36-6-max"),
+            pytest.param(44, 5, sum, 97, 12252, id="44-5-sum"),
         ],
     )
     def test_mask_tests_are_pinned(self, m, e, key, relaxed, closed, monkeypatch):
@@ -279,15 +280,16 @@ class TestBranchAndBound:
 
         Each frame closes its parent's mask once, and each new incumbent
         recloses the mask of every prefix on the stack, one `_close` per
-        generator.  A leaf closes its prefix's mask and relaxes a table only
-        when its key read is within the incumbent, so no `relax` stops
-        early.  Under `sum` an interior frame relaxes its table once, and a
-        leaf-level frame once, when its first leaf passes.  Under `max` a
-        sweeping frame closes its U_r mask once per residue it sweeps, and
-        no frame relaxes a table but for a leaf that passes: a leaf-level
-        frame builds its own then, from the root's, one `relax` per frame
-        above the root.  Below the width no leaf-level counting cut runs,
-        so every leaf left by the interior cuts closes a mask.
+        generator.  A leaf closes its prefix's mask, and one whose key read
+        is within the incumbent reads its table off that mask.  A sweeping
+        frame closes its U_r mask once per residue it sweeps, under either
+        key.  So while masks run no table is relaxed: every walk here but
+        one starts below the width and relaxes none.  The genus walk at
+        (44, 5) starts with a cap of 6,071 bits, and its 97 relaxes belong
+        to the frames and leaves met before the cap fell below the width,
+        and to the table sweeps of those frames.  Below the width no
+        leaf-level counting cut runs, so every leaf left by the interior
+        cuts closes a mask.
         The ids carry no count, so a re-pin keeps them; it still gives its
         reason in CHANGES.md.
         """
@@ -351,7 +353,7 @@ class TestBranchAndBound:
         cap = worst - slack
         assert cap < _MASK_BITS
         x = mask(gens, cap) if data.draw(st.booleans(), label="masks") else None
-        u = x if key is max and x is not None else table.copy()
+        u = table.copy() if x is None else x
         f, a = [gens, table, last + 1, SENTINEL, u, SENTINEL, m, x], first
         n = m - first
         if comb(n, q) >= _SWEEP_PAYS * n:
@@ -542,15 +544,13 @@ class TestBranchAndBound:
         assert len(finished) == 144
         monkeypatch.undo()
         # Below the width masks test every leaf: only the interior count
-        # cuts, and only the leaves within the incumbent relax, two each
-        # for the first of a leaf-level frame (which builds the frame's
-        # table off the root's) and one for each later one.  The root's
-        # sweep closes masks, not tables.  The 306 `_close` calls include
-        # two per new incumbent, which recloses the masks of both prefixes
-        # on the stack.
+        # cuts, and a leaf within the incumbent reads its table off its
+        # mask, so nothing relaxes.  The root's sweep closes masks, not
+        # tables.  The 306 `_close` calls include two per new incumbent,
+        # which recloses the masks of both prefixes on the stack.
         finished = count_tests(monkeypatch)
         assert [S.min_gens for S in _minimizers(40, 3, max)] == [(40, 43, 47)]
-        assert (finished.count(True), finished.count(None)) == (9, 306)
+        assert (finished.count(True), finished.count(None)) == (0, 306)
         assert False not in finished
         monkeypatch.undo()
         out = min_frobenius_full_set(36, 6)
@@ -682,6 +682,64 @@ class TestMemberMasks:
             if read <= best:
                 assert max(leaf.entries) <= cap, key
                 assert read == key(leaf.entries), key
+
+    def test_class_walks_match_their_golden_digest(self, monkeypatch):
+        """Every class walk from the packed roots with m <= 10, at two widths.
+
+        The digest is a SHA-256 over `repr` of each son's (min_gens,
+        entries), in walk order: for each root in family order, its
+        `class_sons` at F + 3, its `class_sons` unbounded, then its
+        `class_min_frobenius`.  With `_MASK_BITS` at 0 no mask runs.
+        """
+        for width in (_MASK_BITS, 0):
+            monkeypatch.setattr(packed, "_MASK_BITS", width)
+            digest, n = hashlib.sha256(), 0
+            for m in range(2, 11):
+                for e in range(2, m + 1):
+                    for P in enumerate_packed(m, e):
+                        bounded, sons = class_sons(P, P.frobenius + 3), class_sons(P)
+                        for T in (*bounded, *sons, *class_min_frobenius(P)):
+                            digest.update(repr((T.min_gens, T.entries)).encode())
+                            n += 1
+            assert n == 5523
+            assert digest.hexdigest() == (
+                "9f29247a0bc5cef446b9d33db64d76cf2c937f2f282f1c44501b7fb607cc855f"
+            ), width
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.data())
+    def test_tables_read_off_masks(self, data):
+        # `_table` reads a monoid's table off its member mask up to a cap: a
+        # class with no member up to the cap reads SENTINEL.  A multiple of
+        # m adds no member, and below a cap under m only generators below
+        # the cap fill a class.
+        m = data.draw(st.integers(1, 24), label="m")
+        gen = st.integers(1, 3 * m) | st.integers(1, 3).map(m.__mul__)
+        gens = data.draw(st.lists(gen, max_size=5), label="gens")
+        cap = data.draw(st.integers(0, 4 * m * m) | st.integers(0, m - 1), label="cap")
+        want = [y if y <= cap else SENTINEL for y in residue_table(m, gens)]
+        assert _table(mask([m, *gens], cap), m) == want
+
+    @pytest.mark.parametrize("key", [sum, max], ids=["genus", "frobenius"])
+    def test_narrow_walks_read_every_table_off_a_mask(self, key, monkeypatch):
+        # Every cap at m <= 12 is below `_MASK_BITS` from the interval
+        # semigroup's on, so each frame and each passing leaf reads its
+        # table off its member mask: neither `relax` nor `residue_table`
+        # runs, and the walk keeps the table path's answer.  The genus walk
+        # at (44, 5), whose cap starts wide, is pinned in
+        # `test_mask_tests_are_pinned`.
+        def refuse(*args):
+            raise AssertionError("a table was built while masks run")
+
+        cells = [(m, e) for m in range(2, 13) for e in range(2, m + 1)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(packed, "_MASK_BITS", 0)
+            want = [[fields(S) for S in _minimizers(m, e, key)] for m, e in cells]
+        monkeypatch.setattr(packed, "relax", refuse)
+        monkeypatch.setattr(packed, "residue_table", refuse)
+        for (m, e), hits in zip(cells, want):
+            assert key(interval_apery(m, e)) - _bound_and_slack(m, e, key)[1] < _MASK_BITS
+            assert [fields(S) for S in _minimizers(m, e, key)] == hits, (m, e)
 
     @settings(derandomize=True, deadline=None, max_examples=80)
     @given(st.data())
@@ -827,8 +885,9 @@ class TestClassSons:
 
     def test_bound_keeps_exactly_the_sons_within_it(self, monkeypatch):
         tables = []
-        build = packed.residue_table
+        build, relax = packed.residue_table, packed.relax
         monkeypatch.setattr(packed, "residue_table", lambda *a: tables.append(a) or build(*a))
+        monkeypatch.setattr(packed, "relax", lambda *a: tables.append(a) or relax(*a))
         for m in range(3, 10):
             for e in range(2, m + 1):
                 level = list(enumerate_packed(m, e))
@@ -841,8 +900,9 @@ class TestClassSons:
                             tables.clear()
                             assert [fields(T) for T in class_sons(P, b)] == want, (P, b)
                             # Every cap here is below `_MASK_BITS`, so the mask
-                            # decides both tests and only a kept son builds a table.
-                            assert len(tables) == len(want), (P, b)
+                            # decides both tests and gives each kept son its
+                            # table: neither `residue_table` nor `relax` runs.
+                            assert tables == [], (P, b)
                     level = [T for P in level for T in class_sons(P)]
 
     def test_sons_stay_in_class(self):
