@@ -26,34 +26,39 @@ Both walks mostly ask one question of a table, whether every entry is
 at most a cap.  While the cap is below `_MASK_BITS` a member mask
 answers it, and every table is read off a member mask: bit i is set
 iff i <= cap is a member, and `_close` adjoins a generator g by
-x |= (x << s) & full for s = g, 2g, 4g, ... <= cap, full being the
-cap's own mask.  Its clear bits are the gaps up to the cap, so it reads
-two keys (Selmer's formulas): the highest clear bit plus m (max), and m
-per clear bit plus m(m-1)/2 (sum).  The least set bit of each residue
-class is that class's entry, so `_table` reads the table up to the cap
-off the mask, SENTINEL for a class with no member up to it.  The lemma:
-a read is the key of the table with each entry cut to the least number
-past the cap in its residue class, so it is a lower bound on the key,
-exact when every entry is within the cap, and complete at any
-incumbent's cap, best - slack (`_bound_and_slack`).  An entry past the
-cap lifts a `max` read past best, and under `sum` its class adds more
-than the cap while the other m-2 nonzero classes keep their least
-levels (a cut class lies above every one) and add the slack.  So a leaf
-reads its key and its verdict off its mask, and a class son its verdict
-off the `max` read at best = bound + m; one that passes has every entry
-within the cap, so `_table` of that mask is its whole table, and no
-`relax` runs.  Nor does any frame made while masks run hold a table,
-under either key: a suffix sweep keeps U_r as a mask and reads its
-bound off it, the slot count reads the prefix's mask, and the least
-sums read the prefix's table off it (`_leaves`, `_slots`, `_lower`).
-At caps of `_MASK_BITS` or more the capped `relax`, whose sweep stops
-at the first entry above the cap, decides each test on a table, and
-every keyed leaf loop ends at its counting bound.
+x |= x << s for s = g, 2g, 4g, ... <= cap, then cuts x & full once,
+full being the cap's own mask.  Its clear bits are the gaps up to the
+cap, so it reads two keys (Selmer's formulas): the highest clear bit
+plus m (max), and m per clear bit plus m(m-1)/2 (sum).  The least set
+bit of each residue class is that class's entry, so `_table` reads the
+table up to the cap off the mask, SENTINEL for a class with no member
+up to it.  The lemma: a read is the key of the table with each entry
+cut to the least number past the cap in its residue class, so it is a
+lower bound on the key, exact when every entry is within the cap, and
+complete at any incumbent's cap, best - slack (`_bound_and_slack`).  An
+entry past the cap lifts a `max` read past best, and under `sum` its
+class adds more than the cap while the other m-2 nonzero classes keep
+their least levels (a cut class lies above every one) and add the
+slack.  So a leaf reads its key and its verdict off its mask, and a
+class son its verdict off the `max` read at best = bound + m; one that
+passes has every entry within the cap, so `_table` of that mask is its
+whole table, and no `relax` runs.  The `max` read is within the cap
+iff the cap's top m bits are all set, so that verdict is one
+comparison, x >= top for top = full ^ full >> m, and only a leaf that
+passes reads its key.  A passing leaf comes out of the walk with its
+mask, and the searches read a table only for each member they return.
+Nor does any frame made while masks run hold a table, under either
+key: a suffix sweep keeps U_r as a mask and reads its bound off it, the
+slot count reads the prefix's mask, and the least sums read the
+prefix's table off it (`_leaves`, `_slots`, `_lower`).  At caps of
+`_MASK_BITS` or more the capped `relax`, whose sweep stops at the first
+entry above the cap, decides each test on a table, and every keyed leaf
+loop ends at its counting bound.
 Every value is made by `NumericalSemigroup(min_gens, tuple(table))`,
-since each walk owns its tables as lists, and keeps only its
-generators and table; F and g are read off the table on demand, and
-the oracle's enumerator checks those reads against brute-force gap
-counts.
+since each walk owns its tables as lists (or reads them off masks),
+and keeps only its generators and table; F and g are read off the
+table on demand, and the oracle's enumerator checks those reads against
+brute-force gap counts.
 """
 from __future__ import annotations
 
@@ -110,8 +115,10 @@ _SWEEP_PAYS = 8
 _MASK_BITS = 4096
 
 
-def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[int], int | None]]:
-    """Each packed member at (m, e) as (min_gens, table, key), in family order.
+def _leaves(
+    m: int, e: int, key=None
+) -> Iterator[tuple[tuple[int, ...], list[int] | int, int | None]]:
+    """Each packed member at (m, e) as (min_gens, table or mask, key), in family order.
 
     Each one is determined by the e-1 nonzero residues of its larger
     generators: the subset {a1 < a2 < ...} of {1, ..., m-1} yields the
@@ -132,9 +139,13 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
     member mask under one generator instead, and no frame made then
     holds a table, the root included: whatever needs a table reads it
     off a mask (`_table`).  A prefix one residue short of a leaf reads
-    the gcd of its generators once and filters the last step by it.
-    Every yielded table is a fresh list the caller owns.  The third field
-    is the leaf's key, computed once by the walk, or None without a `key`.
+    the gcd of its generators once and filters the last step by it,
+    skipping the per-leaf `gcd` when that one is 1.  The second field is
+    the leaf's table, a fresh list the caller owns, or, for a leaf tested
+    while masks run (only with a `key`), its member mask up to the cap
+    of that moment, which holds every entry: `_table` of it is a fresh
+    list, read only by a caller that keeps the leaf.  The third field is
+    the leaf's key, computed once by the walk, or None without a `key`.
 
     With a `key` (`sum` or `max`) the walk is a branch-and-bound for the
     least key, and yields only the leaves whose key is at most the least
@@ -162,9 +173,10 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
       that read is the bound.  Under `sum` a read past the cap puts the
       bound past best (`_bound_and_slack`), and any other bound is read
       off the table of U_r, `_table` of the mask.  A mask up to one cap,
-      cut by `& full`, is the mask up to any lower one, so a stored U_r
-      stays exact as the incumbent falls.  A frame made while the cap
-      was wide keeps its table sweep, with max(U_r) for the read.  Under
+      cut to a lower one, is the mask up to it, and `_close` makes that
+      cut, so a stored U_r stays exact as the incumbent falls.  A frame
+      made while the cap was wide keeps its table sweep, with max(U_r)
+      for the read.  Under
       `sum` a bound costs as much as a `relax` or more (it sorts the
       table), so the sweep reads none past the least-sum cut's end.  Only
       interior prefixes with enough leaves below them sweep
@@ -182,10 +194,14 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
       its prefix's mask under its last generator and reads its key off it
       (the module docstring's lemma): a read past the incumbent loses, and
       any other is the leaf's key, with every entry within the cap, so the
-      leaf reads its table off the same mask (`_table`).  At wider caps
-      the capped `relax` decides each leaf on a copy of its prefix's
-      table, and the leaf loop's end, set by the counts below, is the only
-      cut.
+      leaf's table is `_table` of the same mask, and the leaf is yielded
+      with that mask.  Under `max`, where best = cap, the read F + m is
+      within the cap iff no bit above cap - m is clear, iff x >= top for
+      top = full ^ full >> m, the cap's top m bits, kept beside full and
+      rebuilt with it; so a leaf with x < top loses on one comparison,
+      and only one that passes reads its key.  At wider caps the capped
+      `relax` decides each leaf on a copy of its prefix's table, and the
+      leaf loop's end, set by the counts below, is the only cut.
     - Both keys count what a child can still hold.  Below child a of a
       prefix with table t, q more generators are still to come, each at
       least m+a (q = 1 in a leaf's loop).  Each entry of a leaf below is
@@ -239,6 +255,7 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
         cap = best - slack
     half = m * (m - 1) // 2
     full = (1 << cap + 1) - 1 if cap < _MASK_BITS else 0  # bits 0..cap while masks run
+    top = full ^ full >> m  # the top m bits, all set iff the `max` read is within the cap
     x = _close(1, m, full) if full else None
     stack = [_frame((m,), None if x else residue_table(m, ()), x, m, e, key, cap)]
     a = 1
@@ -250,16 +267,17 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
         if len(gens) == e - 1:
             g = gcd(*gens)
             for r in range(a, f[2]):
-                if gcd(g, r) == 1:
-                    if p is not None:
-                        x = _close(p, m + r, full)
+                if g == 1 or gcd(g, r) == 1:
+                    if p is not None:  # yield the mask; the caller reads its table
+                        w = x = _close(p, m + r, full)
                         if key is max:  # F + m, F the highest clear bit
+                            if x < top:
+                                continue
                             k = (x ^ full).bit_length() - 1 + m
                         else:  # m per gap, the clear bits, plus m(m-1)/2
                             k = m * (cap + 1 - x.bit_count()) + half
-                        if k > best:
-                            continue
-                        w = _table(x, m)
+                            if k > best:
+                                continue
                     else:
                         w = t.copy()
                         if not relax(w, m, m + r, cap):
@@ -272,6 +290,7 @@ def _leaves(m: int, e: int, key=None) -> Iterator[tuple[tuple[int, ...], list[in
                         best, cap = k, k - slack
                         if cap < _MASK_BITS:  # reclose every prefix's mask at the new cap
                             full, p = (1 << cap + 1) - 1, 1
+                            top = full ^ full >> m
                             for h in stack:
                                 p = h[7] = _close(p, h[0][-1], full)
                     yield (*gens, m + r), w, k
@@ -297,15 +316,16 @@ def _close(x: int, g: int, full: int) -> int:
     bits 0 to cap all set.  Shifting by g, 2g, 4g, ... while the shift is
     at most the cap adds the multiples of g in runs that double, so every
     member up to the cap of the monoid with g adjoined is some set bit plus
-    j*g with j < 2^(steps), and each step drops only bits above the cap,
-    which no later step brings back below it.
+    j*g with j < 2^(steps).  A bit above the cap only moves further up, so
+    no step brings one back below it, and one `& full` at the end cuts
+    them all, those of x included.
     """
     n = full.bit_length()  # cap + 1
     s = g
     while s < n:
-        x |= (x << s) & full
+        x |= x << s
         s += s
-    return x
+    return x & full
 
 
 def _table(x: int, m: int) -> list[int]:
@@ -375,9 +395,8 @@ def _lower(f: list, a: int, best: int, m: int, e: int, key, bound, slack: int) -
         end = a + bisect_left(range(a, end - 1), True, key=fails)
     if a < end and ub > best:
         mask = type(u) is int
-        if mask:
+        if mask:  # `_close` cuts the stored U_r to the new cap
             full = (1 << cap + 1) - 1
-            u &= full
         while r > a:
             r -= 1
             if mask:
@@ -490,7 +509,9 @@ def _minimizers(m: int, e: int, key) -> tuple[NumericalSemigroup, ...]:
     increasing functions of them.  The family is searched by the
     branch-and-bound of `_leaves`, whose leaves come with their keys and
     no worse than the best before them; only the members attaining the
-    minimum are wrapped into values.
+    minimum are wrapped into values.  A leaf the walk tested on a mask
+    comes with that mask, and its table is read off it (`_table`) only
+    here, once the leaf is among those members.
     """
     best, hits = None, []
     for gens, w, k in _leaves(m, e, key):
@@ -498,7 +519,9 @@ def _minimizers(m: int, e: int, key) -> tuple[NumericalSemigroup, ...]:
             best, hits = k, [(gens, w)]
         else:
             hits.append((gens, w))
-    return tuple(NumericalSemigroup(gens, tuple(w)) for gens, w in hits)
+    return tuple(
+        NumericalSemigroup(gens, tuple(w if type(w) is list else _table(w, m))) for gens, w in hits
+    )
 
 
 def is_packed(S: NumericalSemigroup) -> bool:
@@ -536,7 +559,9 @@ def class_sons(P: NumericalSemigroup, bound: int | None = None) -> tuple[Numeric
     decides both tests, each once: n_k + m is redundant iff its bit is
     set, and the son stays within the cap iff its mask, closed under
     n_k + m, has no clear bit above bound: its `max` read is within the
-    cap (the module docstring's lemma at best = cap).  A kept son reads
+    cap (the module docstring's lemma at best = cap).  That is one
+    comparison, x >= top for top = full ^ full >> m, bits bound + 1 to
+    the cap, as for a `max` leaf in `_leaves`.  A kept son reads
     its table off that mask (`_table`), and since n_k + m <= cap, no son
     there can leave the kernel range.  At wider caps, and without a
     bound, each candidate takes the table path: the table of the
@@ -547,6 +572,7 @@ def class_sons(P: NumericalSemigroup, bound: int | None = None) -> tuple[Numeric
     gens = P.min_gens
     cap = SENTINEL if bound is None else bound + m
     full = (1 << cap + 1) - 1 if 0 <= cap < _MASK_BITS else 0  # bits 0..cap while masks run
+    top = full ^ full >> m  # bits bound+1..cap, all set iff the son's F is within bound
     out = []
     # Lifting a larger generator gives a lexicographically smaller son,
     # so walking the generators downwards yields the sons sorted.
@@ -564,7 +590,7 @@ def class_sons(P: NumericalSemigroup, bound: int | None = None) -> tuple[Numeric
             if x >> lifted & 1:
                 continue
             x = _close(x, lifted, full)
-            if (x ^ full).bit_length() - 1 > bound:
+            if x < top:
                 continue
             w = _table(x, m)
         else:

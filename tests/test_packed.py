@@ -93,6 +93,11 @@ def reads(x, m, cap):
     }
 
 
+def records(m, e, key):
+    """The `_leaves` records with each table, where a leaf comes with its mask, read off it."""
+    return [(gens, w if type(w) is list else _table(w, m), k) for gens, w, k in _leaves(m, e, key)]
+
+
 def suffix_table(m, prefix, a):
     """U_a: the table of the prefix's generators and every m+r, r >= a."""
     return residue_table(m, [m + r for r in (*prefix, *range(a, m))])
@@ -628,7 +633,8 @@ class TestMemberMasks:
         The digest is a SHA-256 over `repr` of each (min_gens, table, key)
         record in walk order, superseded leaves included, so a walk that
         drops, adds, reorders or mis-keys a leaf at either width changes it.
-        With `_MASK_BITS` at 0 no mask runs.
+        A leaf that comes with its mask is hashed with the table read off
+        it (`records`).  With `_MASK_BITS` at 0 no mask runs.
         """
         for width in (_MASK_BITS, 0):
             monkeypatch.setattr(packed, "_MASK_BITS", width)
@@ -636,7 +642,7 @@ class TestMemberMasks:
             for m in range(2, 15):
                 for e in range(2, m + 1):
                     for key in (None, sum, max):
-                        for record in _leaves(m, e, key):
+                        for record in records(m, e, key):
                             digest.update(repr(record).encode())
                             n += 1
             assert n == 21570
@@ -652,7 +658,8 @@ class TestMemberMasks:
         prefix = data.draw(st.lists(gens, max_size=5), label="prefix")
         # A multiple of m adds no member; `relax` then reads the table's max.
         g = data.draw(gens, label="generator")
-        cap = data.draw(st.integers(m, 4 * m * m), label="cap")
+        # A cap below g closes under g with no shift, by the final cut alone.
+        cap = data.draw(st.integers(m, 4 * m * m) | st.integers(m, g - 1), label="cap")
         x = _close(mask([m, *prefix], cap), g, ones(cap))
         full = residue_table(m, [*prefix, g])
         # The mask is exactly the members up to the cap.
@@ -682,6 +689,40 @@ class TestMemberMasks:
             if read <= best:
                 assert max(leaf.entries) <= cap, key
                 assert read == key(leaf.entries), key
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.data())
+    def test_top_bits_decide_the_max_read(self, data):
+        # The one comparison a `max` leaf and a class son pay: x < top, top
+        # the cap's top m bits (all bits up to a cap below m), iff the `max`
+        # read, the highest clear bit plus m, exceeds the cap.  A monoid of
+        # multiplicity m has no member in 1..m-1, so below a cap of m - 1
+        # both hold; cap 0, which no walk tests, is left out, as its mask
+        # is full while the read, m - 1, exceeds it.
+        m = data.draw(st.integers(2, 24), label="m")
+        gen = st.integers(m + 1, 3 * m) | st.integers(1, 3).map(m.__mul__)
+        prefix = data.draw(st.lists(gen, max_size=5), label="prefix")
+        g = data.draw(gen, label="generator")
+        cap = data.draw(
+            st.integers(1, 4 * m * m) | st.integers(1, m - 1) | st.integers(1, g - 1), label="cap"
+        )
+        full = ones(cap)
+        x = _close(mask([m, *prefix], cap), g, full)
+        top = full >> max(cap - m + 1, 0) << max(cap - m + 1, 0)
+        assert top == full ^ full >> m
+        assert (x < top) == (reads(x, m, cap)[max] > cap)
+
+    def test_max_walks_read_a_table_per_member_returned(self, monkeypatch):
+        # Under `max` every cap at m <= 12 is below `_MASK_BITS`, so a
+        # passing leaf comes with its mask, and `_minimizers` reads a table
+        # only for each member it returns.  A walk that reads a table for
+        # every passing leaf makes 443 calls here.
+        calls = []
+        table = packed._table
+        monkeypatch.setattr(packed, "_table", lambda *a: calls.append(a) or table(*a))
+        cells = [(m, e) for m in range(2, 13) for e in range(2, m + 1)]
+        members = sum(len(_minimizers(m, e, max)) for m, e in cells)
+        assert len(calls) == members == 120
 
     def test_class_walks_match_their_golden_digest(self, monkeypatch):
         """Every class walk from the packed roots with m <= 10, at two widths.
@@ -751,11 +792,11 @@ class TestMemberMasks:
         e = data.draw(st.integers(2, min(m, 8)), label="e")
         key = data.draw(st.sampled_from([sum, max]), label="key")
         bits = data.draw(st.integers(0, key(interval_apery(m, e)) + 1), label="width")
-        want = list(_leaves(m, e, key))
+        want = records(m, e, key)
         with pytest.MonkeyPatch.context() as patch:
             for width in (0, bits):
                 patch.setattr(packed, "_MASK_BITS", width)
-                assert list(_leaves(m, e, key)) == want, width
+                assert records(m, e, key) == want, width
 
     @pytest.mark.parametrize("m", [39, 40])
     def test_genus_caps_narrow_partway(self, m, monkeypatch):
