@@ -47,13 +47,16 @@ iff the cap's top m bits are all set, so that verdict is one
 comparison, x >= top for top = full ^ full >> m, and only a leaf that
 passes reads its key.  A passing leaf comes out of the walk with its
 mask, and the searches read a table only for each member they return.
-Nor does any frame made while masks run hold a table, under either
-key: a suffix sweep keeps U_r as a mask and reads its bound off it, the
-slot count reads the prefix's mask, and the least sums read the
-prefix's table off it (`_leaves`, `_slots`, `_lower`).  At caps of
-`_MASK_BITS` or more the capped `relax`, whose sweep stops at the first
-entry above the cap, decides each test on a table, and every keyed leaf
-loop ends at its counting bound.
+A frame holds its prefix once, under either key: its table while the
+cap is wide, and its member mask while masks run, written over the
+table by the incumbent that narrows the cap.  Only masks sweep: a
+suffix sweep keeps U_r as a mask and reads its bound off it, and a frame
+made at a wide cap builds no U_r.  The slot count reads the prefix's
+mask, and the least sums read the prefix's table off it (`_leaves`,
+`_slots`, `_lower`).  At caps of `_MASK_BITS` or more the capped
+`relax`, whose sweep stops at the first entry above the cap, decides
+each test on a table, and every keyed leaf loop ends at its counting
+bound.
 Every value is made by `NumericalSemigroup(min_gens, tuple(table))`,
 since each walk owns its tables as lists (or reads them off masks),
 and keeps only its generators and table; F and g are read off the
@@ -96,17 +99,19 @@ class PackedFamily(tuple):
         return self
 
 
-# A prefix runs its suffix sweep, one relax per residue above it, only when
-# it has at least this many times as many leaves below it.  Without the rule
-# the sweeps cost up to 16 times a full scan at large e, where most prefixes
-# lead to one or two leaves; 4, 8 and 16 measured alike.  Only the sweep
-# reads it: an interior genus prefix ends its loop by least sums where it
-# sweeps, and a leaf-level one by its count whenever the cap is wide.
+# A prefix runs its suffix sweep, one mask closure per residue above it, only
+# when it has at least this many times as many leaves below it, and only when
+# its frame is made while masks run.  Without the rule the sweeps cost up to
+# 16 times a full scan at large e, where most prefixes lead to one or two
+# leaves; 4, 8 and 16 measured alike.  An interior genus prefix that passes
+# it ends its loop by least sums, swept or not, and a leaf-level one by its
+# count whenever its frame is made while the cap is wide.
 _SWEEP_PAYS = 8
 
-# Member masks (`_close`) answer every cap test and give every table
-# (`_table`) only while the cap is below this many bits, 64 words of 64 bits;
-# wider caps build tables by `relax` and end each leaf loop early.
+# Member masks (`_close`) answer every cap test, give every table (`_table`)
+# and run every suffix sweep only while the cap is below this many bits, 64
+# words of 64 bits; wider caps build tables by `relax`, sweep none and end
+# each leaf loop early.
 # A mask test costs a few operations on (cap+1)-bit integers, `relax` O(m)
 # Python steps, so masks pay at narrow caps and lose at wide ones.  With masks
 # at every width the genus search at (1000, 3), whose cap never falls below
@@ -126,9 +131,9 @@ def _leaves(
     system, and a numerical semigroup when gcd(m, a1, a2, ...) is 1.
     The subsets are walked in lexicographic order as a prefix tree, on an
     explicit stack of one frame per prefix: its generators, its
-    least-element table or None, the end of its loop, the incumbent that end was
-    computed for and its member mask.  The generators give the depth and
-    the children, and the last one, as its frame pops, the next child
+    least-element table or its member mask, the end of its loop and the
+    incumbent that end was computed for.  The generators give the depth
+    and the children, and the last one, as its frame pops, the next child
     below.  `_frame` makes every frame and decides which prefixes bound
     their children; `_lower`, called at the top of the loop for the frame
     on top, alone sets their ends, when a frame first comes to the top and
@@ -136,11 +141,13 @@ def _leaves(
     `_MASK_BITS` or more (with no key, always) each step copies the
     prefix's table and adjoins one generator by `relax`, and every frame
     holds its table.  While masks run each step closes the prefix's
-    member mask under one generator instead, and no frame made then
-    holds a table, the root included: whatever needs a table reads it
-    off a mask (`_table`).  A prefix one residue short of a leaf reads
-    the gcd of its generators once and filters the last step by it,
-    skipping the per-leaf `gcd` when that one is 1.  The second field is
+    member mask under one generator instead, and every frame holds its
+    mask, the root included: the incumbent that narrows the cap writes
+    the mask of each frame on the stack over its table, so no frame holds
+    both, and whatever needs a table reads it off a mask (`_table`).  A
+    prefix one residue short of a leaf reads the gcd of its generators
+    once and filters the last step by it, skipping the per-leaf `gcd`
+    when that one is 1.  The second field is
     the leaf's table, a fresh list the caller owns, or, for a leaf tested
     while masks run (only with a `key`), its member mask up to the cap
     of that moment, which holds every entry: `_table` of it is a fresh
@@ -152,56 +159,58 @@ def _leaves(
     one met so far, starting from the interval semigroup's, so every
     member attaining the minimum comes out, in family order, after any
     worse ones that were yielded.
-    - A prefix bounds its children by a suffix sweep: U_a, its table
-      relaxed with m+r for every r >= a, lies pointwise below every leaf
-      under child a, so bound(U_a) bounds the key below it, and the bound
-      does not decrease as a grows.  The sweep builds U_r from r = m-1
-      downwards, one `relax` per r, reads the bound only at children that
-      the least-sum cut below left (all of them under `max`), and stops
-      at the first whose bound is within the incumbent: every child up to
-      it passes, and the ones above it are cut.  The frame is made with
-      U_m, a copy of its table, and keeps U_r and its bound; the sweep
-      goes on down from there only once the incumbent falls below that
-      bound, so no U_r is built twice and a frame never relaxes more than
-      once per residue above it.  A frame made while masks run, under
-      either key, keeps U_r as a member mask up to the cap instead, made
-      from its prefix's mask with one `_close` per r.  Its `max` read,
-      the highest clear bit plus m, is within the cap iff every entry of
-      U_r is, and is then max(U_r): a clear bit y in the top m,
-      cap - m < y <= cap, leaves the entry of y's class at y + m or more
-      (the module docstring's lemma).  Under `max`, where best = cap,
-      that read is the bound.  Under `sum` a read past the cap puts the
-      bound past best (`_bound_and_slack`), and any other bound is read
-      off the table of U_r, `_table` of the mask.  A mask up to one cap,
-      cut to a lower one, is the mask up to it, and `_close` makes that
-      cut, so a stored U_r stays exact as the incumbent falls.  A frame
-      made while the cap was wide keeps its table sweep, with max(U_r)
-      for the read.  Under
-      `sum` a bound costs as much as a `relax` or more (it sorts the
-      table), so the sweep reads none past the least-sum cut's end.  Only
-      interior prefixes with enough leaves below them sweep
-      (`_SWEEP_PAYS`).  No other frame needs bounds, as its own bound lb
-      could cut no child: its parent found lb <= best on entering it (the
-      root has lb = 0), lb lies below every leaf under it, and only those
-      leaves move the incumbent until its loop ends, so best >= lb
-      throughout.
+    - A prefix bounds its children by a suffix sweep: U_a, the monoid of
+      its generators and m+r for every r >= a, has a table that lies
+      pointwise below every leaf under child a, so bound(U_a) bounds the
+      key below it, and the bound does not decrease as a grows.  The
+      sweep keeps U_r as a member mask up to the cap, built from r = m-1
+      downwards from the prefix's mask, one `_close` per r; it reads the
+      bound only at children that the least-sum cut below left (all of
+      them under `max`), and stops at the first whose bound is within the
+      incumbent: every child up to it passes, and the ones above it are
+      cut.  The frame is made with U_m, its own mask, and keeps U_r and
+      its bound; the sweep goes on down from there only once the
+      incumbent falls below that bound, so no U_r is built twice and a
+      frame never closes more than once per residue above it.  U_r's
+      `max` read, the highest clear bit plus m, is within the cap iff
+      every entry of U_r is, and is then max(U_r): a clear bit y in the
+      top m, cap - m < y <= cap, leaves the entry of y's class at y + m
+      or more (the module docstring's lemma).  Under `max`, where
+      best = cap, that read is the bound.  Under `sum` a read past the cap
+      puts the bound past best (`_bound_and_slack`), and any other bound
+      is read off the table of U_r, `_table` of the mask.  A mask up to
+      one cap, cut to a lower one, is the mask up to it, and `_close`
+      makes that cut, so a stored U_r stays exact as the incumbent falls.
+      Under `sum` a bound costs more than a closure (it reads and sorts
+      the table), so the sweep reads none past the least-sum cut's end.
+      Only interior prefixes with enough leaves below them sweep
+      (`_SWEEP_PAYS`), and only those made while masks run: a frame made
+      at a wide cap builds no U_r, as a sweep on its table would cost one
+      `relax` per residue, and on every cell measured whose cap starts
+      wide such sweeps removed no frame.  No other frame needs bounds, as
+      its own bound lb could cut no child: its parent found lb <= best on
+      entering it (the root has lb = 0), lb lies below every leaf under
+      it, and only those leaves move the incumbent until its loop ends,
+      so best >= lb throughout.
     - A leaf loses when an entry of its table exceeds a cap past which the
       key exceeds the incumbent (`_bound_and_slack`).  While the cap is
-      below `_MASK_BITS` each keyed frame carries its prefix's member mask
+      below `_MASK_BITS` each keyed frame holds its prefix's member mask
       up to the cap, one `_close` from its parent's; each new incumbent
       recloses the masks of every prefix on the stack at the new cap, one
-      `_close` per frame, so every live mask is exact.  A leaf closes
-      its prefix's mask under its last generator and reads its key off it
-      (the module docstring's lemma): a read past the incumbent loses, and
-      any other is the leaf's key, with every entry within the cap, so the
-      leaf's table is `_table` of the same mask, and the leaf is yielded
-      with that mask.  Under `max`, where best = cap, the read F + m is
-      within the cap iff no bit above cap - m is clear, iff x >= top for
-      top = full ^ full >> m, the cap's top m bits, kept beside full and
-      rebuilt with it; so a leaf with x < top loses on one comparison,
-      and only one that passes reads its key.  At wider caps the capped
-      `relax` decides each leaf on a copy of its prefix's table, and the
-      leaf loop's end, set by the counts below, is the only cut.
+      `_close` per frame, so every live mask is exact; the first one
+      below the width writes each mask over its frame's table.  A leaf
+      closes its prefix's mask under its last generator and reads its key
+      off it (the module docstring's lemma): a read past the incumbent
+      loses, and any other is the leaf's key, with every entry within the
+      cap, so the leaf's table is `_table` of the same mask, and the leaf
+      is yielded with that mask.  Under `max`, where best = cap, the read
+      F + m is within the cap iff no bit above cap - m is clear, iff
+      x >= top for top = full ^ full >> m, the cap's top m bits, kept
+      beside full and rebuilt with it; so a leaf with x < top loses on one
+      comparison, and only one that passes reads its key.  At wider caps
+      the capped `relax` decides each leaf on a copy of its prefix's
+      table, and the leaf loop's end, set by the counts below, is the only
+      cut.
     - Both keys count what a child can still hold.  Below child a of a
       prefix with table t, q more generators are still to come, each at
       least m+a (q = 1 in a leaf's loop).  Each entry of a leaf below is
@@ -223,18 +232,20 @@ def _leaves(
     - Under `sum` the walk adds up the m least of them within the cap
       (`_least_sum`, SENTINEL when fewer fit): a leaf within the cap sums
       to at least that, and a leaf past it loses anyway.  The loop ends at
-      the first child past the best, found by binary search, at a sweeping
-      prefix, and at every leaf-level one while the cap is `_MASK_BITS`
-      or more, over the prefix's entries within the cap, sorted anew and,
-      while masks run, read off the prefix's mask.
-    - When the walk returns to a sweeping prefix with a better incumbent,
-      it lowers the prefix's end: the least-sum cut runs again over the
-      children still left, then the sweep goes on down if the bound it
-      stopped at is past the new incumbent; a cut that leaves no child
-      starts no sweep.  This is exact.  Each test compares a lower bound
-      that does not depend on the incumbent with it strictly, so a child
-      cut once stays cut as the incumbent falls, and the new end is the
-      first child left that fails either test at the new incumbent.  Every
+      the first child past the best, found by binary search, at every
+      interior prefix that passes `_SWEEP_PAYS`, made wide or not, and at
+      every leaf-level one made while the cap is `_MASK_BITS` or more,
+      over the prefix's entries within the cap, sorted anew and, while
+      masks run, read off the prefix's mask.
+    - When the walk returns to a prefix whose end moves with a better
+      incumbent, it lowers the prefix's end: the least-sum cut runs again
+      over the children still left, then, at a sweeping prefix, the sweep
+      goes on down if the bound it stopped at is past the new incumbent;
+      a cut that leaves no child starts no sweep.  This is exact.  Each
+      test compares a lower bound that does not depend on the incumbent
+      with it strictly, so a child cut once stays cut as the incumbent
+      falls, and the new end is the first child left that fails either
+      test at the new incumbent.  Every
       leaf below a cut child has a key above the incumbent of that moment,
       which is no lower than the final minimum, so no minimizer is cut.
       Nor is any leaf the walk yields: the incumbent only falls, so each
@@ -256,20 +267,20 @@ def _leaves(
     half = m * (m - 1) // 2
     full = (1 << cap + 1) - 1 if cap < _MASK_BITS else 0  # bits 0..cap while masks run
     top = full ^ full >> m  # the top m bits, all set iff the `max` read is within the cap
-    x = _close(1, m, full) if full else None
-    stack = [_frame((m,), None if x else residue_table(m, ()), x, m, e, key, cap)]
+    s = _close(1, m, full) if full else residue_table(m, ())
+    stack = [_frame((m,), s, m, e, key, cap)]
     a = 1
     while stack:
         f = stack[-1]
-        gens, t, p = f[0], f[1], f[7]
+        gens, s = f[0], f[1]  # every frame on the stack holds its mask iff `full`
         if best < f[3] and a < f[2]:
             _lower(f, a, best, m, e, key, bound, slack)
         if len(gens) == e - 1:
             g = gcd(*gens)
             for r in range(a, f[2]):
                 if g == 1 or gcd(g, r) == 1:
-                    if p is not None:  # yield the mask; the caller reads its table
-                        w = x = _close(p, m + r, full)
+                    if full:  # yield the mask; the caller reads its table
+                        w = x = _close(s, m + r, full)
                         if key is max:  # F + m, F the highest clear bit
                             if x < top:
                                 continue
@@ -279,7 +290,7 @@ def _leaves(
                             if k > best:
                                 continue
                     else:
-                        w = t.copy()
+                        w = s.copy()
                         if not relax(w, m, m + r, cap):
                             continue
                         if key is not None:
@@ -288,22 +299,21 @@ def _leaves(
                                 continue
                     if key is not None and k < best:
                         best, cap = k, k - slack
-                        if cap < _MASK_BITS:  # reclose every prefix's mask at the new cap
-                            full, p = (1 << cap + 1) - 1, 1
+                        if cap < _MASK_BITS:  # write every prefix's mask at the new cap
+                            full, s = (1 << cap + 1) - 1, 1
                             top = full ^ full >> m
                             for h in stack:
-                                p = h[7] = _close(p, h[0][-1], full)
+                                s = h[1] = _close(s, h[0][-1], full)
                     yield (*gens, m + r), w, k
         elif a < f[2] and (
-            key is not max
-            or _slots(t if p is None else p & ~(p << m), m + a, e - len(gens), cap) >= m
+            key is not max or _slots(s & ~(s << m) if full else s, m + a, e - len(gens), cap) >= m
         ):
-            if p is None:
-                x, w = None, t.copy()
+            if full:
+                w = _close(s, m + a, full)
+            else:
+                w = s.copy()
                 relax(w, m, m + a)
-            else:  # a frame made while masks run holds no table
-                x, w = _close(p, m + a, full), None
-            stack.append(_frame((*gens, m + a), w, x, m, e, key, cap))
+            stack.append(_frame((*gens, m + a), w, m, e, key, cap))
             a += 1
             continue
         a = stack.pop()[0][-1] - m + 1
@@ -344,29 +354,29 @@ def _table(x: int, m: int) -> list[int]:
     return w
 
 
-def _frame(gens: tuple[int, ...], t: list[int] | None, x, m: int, e: int, key, cap: int) -> list:
-    """The frame of the prefix `gens`, with table t and member mask x.
+def _frame(gens: tuple[int, ...], s, m: int, e: int, key, cap: int) -> list:
+    """The frame of the prefix `gens`, holding s, its table or its member mask.
 
-    It is [gens, t, end, seen, u, ub, r, x]: the table, None in a frame
-    made while masks run (see `_leaves`); the end of its loop and the
-    incumbent it was computed for; U_r, bound(U_r) and r, where the
-    suffix sweep stands, U_r the mask of U_r when there is a mask x and a
-    table otherwise; and the prefix's member mask up to the cap, None
-    while the cap is `_MASK_BITS` or more.  Its children are the residues
-    above its last generator's, up to m - e + len(gens), with
-    q = e - len(gens) generators still to come.  A sweeping frame, and
-    with a `key` a leaf-level one at caps of `_MASK_BITS` or more, starts
-    at seen = SENTINEL (and a sweeping one with U_m = x, or t, a copy), so
-    `_lower` sets its end.  Any other ends past its last child with
-    seen = -1, below every incumbent, so its end never moves; its u is
-    None and ub is 0.
+    It is [gens, s, end, seen, u, ub, r]: the prefix's table while the cap
+    is `_MASK_BITS` or more, and its member mask up to the cap while masks
+    run (see `_leaves`); the end of its loop and the incumbent it was
+    computed for; and U_r, as a mask, bound(U_r) and r, where the suffix
+    sweep stands.  Its children are the residues above its last
+    generator's, up to m - e + len(gens), with q = e - len(gens)
+    generators still to come.  With a `key`, an interior prefix with
+    enough leaves below it (`_SWEEP_PAYS`), and a leaf-level one at caps
+    of `_MASK_BITS` or more, starts at seen = SENTINEL, so `_lower` sets
+    its end; of those, one made while masks run sweeps, with U_m = s and
+    ub = SENTINEL.  Any other ends past its last child with seen = -1,
+    below every incumbent, so its end never moves.  A frame that does not
+    sweep has u None and ub 0.
     """
     q = e - len(gens)
     n = 2 * m - 1 - gens[-1]  # the residues above the last generator's
-    sweeps = key is not None and q > 1 and comb(n, q) >= _SWEEP_PAYS * n
-    moves = sweeps or key is not None and q == 1 and cap >= _MASK_BITS
-    u = (t.copy() if x is None else x) if sweeps else None
-    return [gens, t, m + 1 - q, SENTINEL if moves else -1, u, SENTINEL if sweeps else 0, m, x]
+    pays = key is not None and q > 1 and comb(n, q) >= _SWEEP_PAYS * n
+    moves = pays or key is not None and q == 1 and cap >= _MASK_BITS
+    u, ub = (s, SENTINEL) if pays and type(s) is int else (None, 0)
+    return [gens, s, m + 1 - q, SENTINEL if moves else -1, u, ub, m]
 
 
 def _lower(f: list, a: int, best: int, m: int, e: int, key, bound, slack: int) -> None:
@@ -379,34 +389,30 @@ def _lower(f: list, a: int, best: int, m: int, e: int, key, bound, slack: int) -
     cannot fit m entries under the cap, counted only at a leaf-level
     frame.  A sweeping frame's end then falls to the first child whose
     bound exceeds `best`.  U_r's read, the highest clear bit plus m of its
-    mask cut to the cap or the largest entry of its table, is the bound
-    under `max`; under `sum` a read past the cap puts the bound past best,
-    and any other bound is read off U_r's table, `_table` of a mask.
+    mask cut to the cap, is the bound under `max`; under `sum` a read past
+    the cap puts the bound past best, and any other bound is read off
+    U_r's table, `_table` of the mask.
     """
-    gens, t, end, _, u, ub, r, x = f
+    gens, s, end, _, u, ub, r = f
     q = e - len(gens)
     cap = best - slack
     if key is sum:
-        v = [*sorted(y for y in (t if x is None else _table(x, m)) if y <= cap), SENTINEL]
+        v = [*sorted(y for y in (_table(s, m) if type(s) is int else s) if y <= cap), SENTINEL]
         fails = lambda b: _least_sum(v, m + b, q, m, cap) > best
     else:  # under `max` only a leaf-level frame counts here
-        fails = lambda b: q == 1 and _slots(t, m + b, q, cap) < m
+        y = s & ~(s << m) if type(s) is int else s
+        fails = lambda b: q == 1 and _slots(y, m + b, q, cap) < m
     if fails(end - 1):
         end = a + bisect_left(range(a, end - 1), True, key=fails)
     if a < end and ub > best:
-        mask = type(u) is int
-        if mask:  # `_close` cuts the stored U_r to the new cap
-            full = (1 << cap + 1) - 1
+        full = (1 << cap + 1) - 1  # `_close` cuts the stored U_r to the new cap
         while r > a:
             r -= 1
-            if mask:
-                u = _close(u, m + r, full)
-            else:
-                relax(u, m, m + r)
+            u = _close(u, m + r, full)
             if r < end:
-                ub = (u ^ full).bit_length() - 1 + m if mask else max(u)
+                ub = (u ^ full).bit_length() - 1 + m
                 if key is sum:  # an entry past the cap puts the bound past best
-                    ub = SENTINEL if ub > cap else bound(_table(u, m) if mask else u)
+                    ub = SENTINEL if ub > cap else bound(_table(u, m))
                 if ub <= best:
                     break
         end = min(end, r + (ub <= best))

@@ -237,14 +237,14 @@ class TestBranchAndBound:
     @pytest.mark.parametrize(
         "m, e, key, calls",
         [
-            (24, 8, sum, 3266),
-            (24, 8, max, 3793),
-            (20, 10, sum, 23983),
-            (20, 10, max, 5963),
-            (36, 6, sum, 8426),
-            (36, 6, max, 21731),
-            (44, 5, sum, 3795),
-            (14, 7, None, 3001),
+            pytest.param(24, 8, sum, 10902, id="24-8-sum"),
+            pytest.param(24, 8, max, 20027, id="24-8-max"),
+            pytest.param(20, 10, sum, 45890, id="20-10-sum"),
+            pytest.param(20, 10, max, 10102, id="20-10-max"),
+            pytest.param(36, 6, sum, 4179, id="36-6-sum"),
+            pytest.param(36, 6, max, 15877, id="36-6-max"),
+            pytest.param(44, 5, sum, 2039, id="44-5-sum"),
+            pytest.param(14, 7, None, 3001, id="14-7-none"),
         ],
     )
     def test_cuts_are_pinned(self, m, e, key, calls, monkeypatch):
@@ -253,12 +253,12 @@ class TestBranchAndBound:
         The other tests bound these counts from above only, so a cut that
         moves while staying under them would go unseen.  A change that
         moves a cut re-pins this table and gives the reason in CHANGES.md.
-        At (36, 6) under `sum` a sweeping prefix whose least-sum cut leaves
-        no child must start no sweep (9,770 calls when it sweeps anyway).
         With no key the walk visits every member (`enumerate_packed`).
         Every cap here is narrow enough for masks, so with `_MASK_BITS` at 0
-        this pins the table path that wider caps take, and
+        this pins the table path that wider caps take, where no prefix
+        sweeps and the counting cuts alone end the loops, and
         `test_mask_tests_are_pinned` pins the same walks with masks.
+        The ids carry no count, so a re-pin keeps them.
         """
         monkeypatch.setattr(packed, "_MASK_BITS", 0)
         finished = count_tests(monkeypatch)
@@ -277,7 +277,7 @@ class TestBranchAndBound:
             pytest.param(20, 10, max, 0, 14260, id="20-10-max"),
             pytest.param(36, 6, sum, 0, 25221, id="36-6-sum"),
             pytest.param(36, 6, max, 0, 58535, id="36-6-max"),
-            pytest.param(44, 5, sum, 97, 12252, id="44-5-sum"),
+            pytest.param(44, 5, sum, 6, 12252, id="44-5-sum"),
         ],
     )
     def test_mask_tests_are_pinned(self, m, e, key, relaxed, closed, monkeypatch):
@@ -290,11 +290,12 @@ class TestBranchAndBound:
         frame closes its U_r mask once per residue it sweeps, under either
         key.  So while masks run no table is relaxed: every walk here but
         one starts below the width and relaxes none.  The genus walk at
-        (44, 5) starts with a cap of 6,071 bits, and its 97 relaxes belong
-        to the frames and leaves met before the cap fell below the width,
-        and to the table sweeps of those frames.  Below the width no
-        leaf-level counting cut runs, so every leaf left by the interior
-        cuts closes a mask.
+        (44, 5) starts with a cap of 6,071 bits, and its 6 relaxes belong
+        to the frames and leaves met before the cap fell below the width.
+        Below the width no leaf-level counting cut runs, so every leaf left
+        by the interior cuts closes a mask.  At (36, 6) under `sum` a
+        sweeping prefix whose least-sum cut leaves no child must start no
+        sweep (26,565 `_close` calls when it sweeps anyway).
         The ids carry no count, so a re-pin keeps them; it still gives its
         reason in CHANGES.md.
         """
@@ -302,6 +303,34 @@ class TestBranchAndBound:
         _minimizers(m, e, key)
         assert (finished.count(True), finished.count(None)) == (relaxed, closed)
         assert False not in finished
+
+    @pytest.mark.parametrize(
+        "m, e, key, counts",
+        [
+            pytest.param(150, 4, sum, (4955, 0, 0), id="150-4-sum"),
+            pytest.param(150, 4, max, (7, 0, 180959), id="150-4-max"),
+            pytest.param(400, 3, sum, (895, 0, 0), id="400-3-sum"),
+            pytest.param(400, 3, max, (143, 9928, 0), id="400-3-max"),
+        ],
+    )
+    def test_wide_tables_are_pinned(self, m, e, key, counts, monkeypatch):
+        """Walks whose caps start at `_MASK_BITS` or more: finished, stopped and `_close` calls.
+
+        A frame made while the cap is wide holds its table and builds no
+        U_r, so no sweep relaxes; its children and leaves relax tables, and
+        its loop ends at its counts.  The genus caps here stay wide, and the
+        Frobenius caps fall below the width partway, after which masks run.
+        A wide frame that swept on tables would finish 7,363, 65, 1,263 and
+        166 tables here.
+        """
+        finished = count_tests(monkeypatch)
+        _minimizers(m, e, key)
+        assert (finished.count(True), finished.count(False), finished.count(None)) == counts
+        q, table = e - 1, residue_table(m, ())
+        assert comb(m - 1, q) >= _SWEEP_PAYS * (m - 1)
+        cap = key(interval_apery(m, e)) - _bound_and_slack(m, e, key)[1]
+        assert cap >= _MASK_BITS
+        assert _frame((m,), table, m, e, key, cap) == [(m,), table, m + 1 - q, SENTINEL, None, 0, m]
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(st.data())
@@ -351,24 +380,26 @@ class TestBranchAndBound:
         least = min(key(S.entries) for S in enumerate_packed(m, e))
         worst = key(interval_apery(m, e))
         run = data.draw(st.lists(st.integers(least, worst), max_size=5), label="bests")
-        # The frame as `_frame` documents it, born with U_m = t, or under
-        # `max` with a mask U_m = x, before its first end is set; `_frame`
-        # builds it when the prefix sweeps, and keeps the mask it is given.
-        # A frame made while the cap was wide has no mask and sweeps tables.
+        # The frame as `_frame` documents it, before its first end is set:
+        # one made while masks run holds the prefix's mask s and sweeps from
+        # U_m = s; one made while the cap was wide holds its table and
+        # builds no U_r, so it ends at its least sums alone.  `_frame`
+        # builds it when the prefix passes `_SWEEP_PAYS`, and copies nothing.
         cap = worst - slack
         assert cap < _MASK_BITS
-        x = mask(gens, cap) if data.draw(st.booleans(), label="masks") else None
-        u = table.copy() if x is None else x
-        f, a = [gens, table, last + 1, SENTINEL, u, SENTINEL, m, x], first
+        sweeps = data.draw(st.booleans(), label="masks")
+        s = mask(gens, cap) if sweeps else table
+        u, ub = (s, SENTINEL) if sweeps else (None, 0)
+        f, a = [gens, s, last + 1, SENTINEL, u, ub, m], first
         n = m - first
         if comb(n, q) >= _SWEEP_PAYS * n:
             with pytest.MonkeyPatch.context() as patch:
                 finished = count_tests(patch)
-                assert _frame(gens, table, x, m, e, key, cap) == f
+                assert _frame(gens, s, m, e, key, cap) == f
             assert finished == []
         for best in sorted({*run, least}, reverse=True):
             _lower(f, a, best, m, e, key, bound, slack)
-            over = [b for b, u in zip(range(first, last + 1), bounds) if u > best]
+            over = [b for b, u in zip(range(first, last + 1), bounds) if sweeps and u > best]
             if key is sum:
                 cap = best - slack
                 within = [*sorted(x for x in table if x <= cap), SENTINEL]
@@ -390,9 +421,11 @@ class TestBranchAndBound:
         At a cap of `_MASK_BITS` or more, `_lower` ends its loop at the
         first child whose count fails: the least sum past `best` under
         `sum`, fewer than m slots under the cap under `max`.  Neither
-        `_frame` nor `_lower` tests a table for it.  Below the width masks
-        test its leaves, and `_frame` gives a frame whose end never moves
-        (seen is -1), carrying the prefix's mask.
+        `_frame` nor `_lower` tests a table for it.  Once the cap narrows
+        the frame holds the prefix's mask in place of its table, and the
+        same count read off the mask ends it at the same child.  Below the
+        width masks test its leaves, and `_frame` gives a frame whose end
+        never moves (seen is -1), holding the prefix's mask.
         """
         m = data.draw(st.integers(3, 14), label="m")
         prefix = sorted(data.draw(st.sets(st.integers(1, m - 2), max_size=4), label="prefix"))
@@ -405,22 +438,22 @@ class TestBranchAndBound:
         cap = best - slack
         assert cap < _MASK_BITS
         x = mask(gens, cap)
-        assert _frame(gens, table, x, m, e, key, cap)[:4] == [gens, table, m, -1]
-        assert _frame(gens, table, x, m, e, key, cap)[7] == x
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(packed, "_MASK_BITS", 0)
-            finished = count_tests(patch)
-            f = _frame(gens, table, None, m, e, key, cap)
-            assert f[:4] == [gens, table, m, SENTINEL]
-            _lower(f, first, best, m, e, key, bound, slack)
-        assert finished == []
-        assert f[4] is None, prefix
+        assert _frame(gens, x, m, e, key, cap) == [gens, x, m, -1, None, 0, m]
         if key is sum:
-            within = [*sorted(x for x in table if x <= cap), SENTINEL]
+            within = [*sorted(v for v in table if v <= cap), SENTINEL]
             over = [b for b in range(first, m) if _least_sum(within, m + b, 1, m, cap) > best]
         else:
             over = [b for b in range(first, m) if _slots(table, m + b, 1, cap) < m]
-        assert f[:4] == [gens, table, min(over, default=m), best], prefix
+        for s in (table, x):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(packed, "_MASK_BITS", 0)
+                finished = count_tests(patch)
+                f = _frame(gens, table, m, e, key, cap)
+                assert f == [gens, table, m, SENTINEL, None, 0, m]
+                f[1] = s  # the mask a new incumbent writes over the table
+                _lower(f, first, best, m, e, key, bound, slack)
+            assert finished == []
+            assert f == [gens, s, min(over, default=m), best, None, 0, m], prefix
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(st.data())
@@ -442,14 +475,11 @@ class TestBranchAndBound:
         m, e = 12, 5
         bound, slack = _bound_and_slack(m, e, key)
         cap = SENTINEL if key is None else key(interval_apery(m, e)) - slack
-        interior = residue_table(m, [13, 15])
-        assert _frame((12, 13, 15), interior, None, m, e, key, cap)[:4] == [
-            (12, 13, 15), interior, 11, -1
-        ]
-        for gens in ((12, 13, 14, 17), (12, 13, 14, 15)):
-            leaf_level = residue_table(m, gens[1:])
-            f = _frame(gens, leaf_level, None, m, e, key, cap)
-            assert f[:4] == [gens, leaf_level, 12, -1]
+        # Each frame holds what the walk gives it: a table with no key, the
+        # prefix's mask at these caps with one.
+        for gens, end in (((12, 13, 15), 11), ((12, 13, 14, 17), 12), ((12, 13, 14, 15), 12)):
+            s = residue_table(m, gens[1:]) if key is None else mask(gens, cap)
+            assert _frame(gens, s, m, e, key, cap) == [gens, s, end, -1, None, 0, m]
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(st.data())
@@ -540,13 +570,14 @@ class TestBranchAndBound:
     def test_slot_count_cuts_the_frobenius_walk(self, monkeypatch):
         # The leaf-level count ends a leaf loop only at caps of `_MASK_BITS`
         # or more, so with the width at 0 (40, 3) tests its leaves by `relax`
-        # and counts at every child: 574 cap tests for its one leaf without
-        # either count, 293 with the interior one alone, 144 with both.  The
-        # leaf-level end is set once, for the incumbent its loop starts with.
+        # and counts at every child: 590 cap tests for its one leaf without
+        # either count, 285 with the interior one alone, 136 with both.  No
+        # prefix sweeps there.  The leaf-level end is set once, for the
+        # incumbent its loop starts with.
         monkeypatch.setattr(packed, "_MASK_BITS", 0)
         finished = count_tests(monkeypatch)
         assert [S.min_gens for S in _minimizers(40, 3, max)] == [(40, 43, 47)]
-        assert len(finished) == 144
+        assert len(finished) == 136
         monkeypatch.undo()
         # Below the width masks test every leaf: only the interior count
         # cuts, and a leaf within the incumbent reads its table off its
