@@ -36,11 +36,14 @@ bare nodes into values by `NumericalSemigroup(min_gens, entries)`, passing
 the node's own tuples; a value keeps only those two, reads F and g off the
 table, and the oracle checks those reads.  The searches wrap only what
 they return.
+`_count_nodes(m, k)` counts the nodes at levels 0..k depth-first, holding
+one path; `search.min_genus` prunes its walk and reports this count.
 No walk calls `make_semigroup`, the class walk of `packed` included, and
 no tree walk calls a kernel.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterator
 
 # `make_semigroup` is bound only because the benchmark's tracer self-test
@@ -108,6 +111,33 @@ def _sons(m: int, node: tuple, bound: int | None = None) -> list[tuple]:
             gens = rest + (top,)
         out.append((gens, table, x))
     return out
+
+
+def _count_nodes(m: int, k: int) -> int:
+    """Nodes of the multiplicity-m tree at levels 0..k; level k is not built.
+
+    A depth-first walk with `_sons` builds levels 1..k-1, and each node at
+    level k-1 adds its son count, `len(gens) - bisect_right(gens, F, 1)`,
+    read off its generators.  It holds one son list per level of its path,
+    never a whole level.
+    """
+    gens, _, F = node = _root_node(m)
+    if k < 2:
+        return 1 + k * (len(gens) - bisect_right(gens, F, 1))
+    nodes = 1
+    path = [[node]]
+    while path:
+        family = path[-1]
+        if not family:
+            path.pop()
+            continue
+        family = _sons(m, family.pop())
+        nodes += len(family)
+        if len(path) < k - 1:
+            path.append(family)
+        else:
+            nodes += sum([len(gens) - bisect_right(gens, F, 1) for gens, _, F in family])
+    return nodes
 
 
 def root(m: int) -> NumericalSemigroup:

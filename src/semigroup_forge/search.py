@@ -3,10 +3,18 @@
 Two independent routes exist for each minimum.  The tree route walks
 the multiplicity-m tree: breadth-first by genus until the first level
 containing dimension-e members (minimal genus), or pruned by a shrinking
-Frobenius bound (minimal Frobenius).  The packed route reads the same
-minima off the tables of the finite packed family, builds values only
-for the members attaining them, and recovers the full Frobenius
-minimizer set by searching each minimizing packing class.  Every route
+Frobenius bound (minimal Frobenius).  The genus walk keeps no node that
+cannot reach dimension e by the interval semigroup's level: the
+dimension falls by at most one per edge (the deficit cut), and a node's
+generators below its Frobenius number stay minimal in all its
+descendants (the permanent-generator cut); `min_genus` proves both.  Its
+`stats["nodes"]` still counts every node up to the minimum, by a
+separate depth-first count that runs only when `stats` is passed.
+
+The packed route reads the same minima off the tables of the finite
+packed family, builds values only for the members attaining them, and
+recovers the full Frobenius minimizer set by searching each minimizing
+packing class.  Every route
 returns a `SearchOutcome`, the minimum and its minimizers, except
 `min_frobenius_value_packed`, which returns the minimum alone as an int.
 The routes cross-check each other in the test suite.  Each route refuses
@@ -17,7 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from .core import NumericalSemigroup, _Record, interval_frobenius, interval_genus
-from .multiplicity_tree import _root_node, _sons
+from .multiplicity_tree import _count_nodes, _root_node, _sons
 # `sons` is bound only because the benchmark's tracer self-test checks it.
 from .multiplicity_tree import sons  # noqa: F401
 from .packed import _minimizers, class_min_frobenius
@@ -62,7 +70,7 @@ def min_genus(m: int, e: int, stats: dict | None = None) -> SearchOutcome:
     Walks tree levels from the root; genus is constant on a level and
     grows by one per level, so the first level containing dimension-e
     members consists exactly of the minimizers.  The interval semigroup
-    sits at a known level and has dimension e, which bounds the walk.
+    sits at a known level L and has dimension e, which bounds the walk.
 
     Along an edge the dimension falls by at most one, and every level
     above the first hit has dimension above e; so the hits are sons of
@@ -71,14 +79,28 @@ def min_genus(m: int, e: int, stats: dict | None = None) -> SearchOutcome:
     the near sons' hits are the minimizers and the other nodes' sons are
     never built; otherwise the next level is built parent by parent, from
     the near families and the rest's sons.  So every level, and the hits,
-    come out sorted (see `multiplicity_tree`).  `stats["nodes"]` counts
-    every node of genus up to the minimum: each built level by its length,
-    and the last, built only in part, from its parents' generators (see
-    `_sons`).
+    come out sorted (see `multiplicity_tree`).
+
+    A son T at level k, of dimension d and Frobenius number F, is kept
+    only if some descendant of it can have dimension e by level L:
+    - deficit: k + d - e <= L.  The dimension falls by at most one per
+      edge, so T's dimension-e descendants lie at level k + d - e or
+      deeper, and the minimum lies at level L or above;
+    - permanent generators: at most e generators of T are <= F.  A son
+      removes only a generator above its parent's F, and F grows along
+      every edge, so those generators are never removed; each descendant
+      lies inside T, so they stay minimal in it, and its dimension is at
+      least their number.
+    Every ancestor of a minimizer passes both, so no minimizer is lost,
+    and a kept level is still built parent by parent from a sorted one.
+
+    `stats["nodes"]` counts every node of genus up to the minimum, cut or
+    not, by a separate depth-first count (see `multiplicity_tree`); it
+    runs only when `stats` is passed.
     """
     last_level = interval_genus(m, e) - (m - 1)
+    top = last_level + e
     level = [_root_node(m)]
-    nodes = 1
     hits = level if e == m else []  # the root has dimension m
     k = 0
     while not hits:
@@ -89,13 +111,13 @@ def min_genus(m: int, e: int, stats: dict | None = None) -> SearchOutcome:
         hits = [T for fam in near if fam for T in fam if len(T[0]) == e]
         if not hits:
             level = [
-                T for S, fam in zip(level, near) for T in (_sons(m, S) if fam is None else fam)
+                T
+                for S, fam in zip(level, near)
+                for T in (_sons(m, S) if fam is None else fam)
+                if k + len(T[0]) <= top and bisect_right(T[0], T[2]) <= e
             ]
-            nodes += len(level)
     if stats is not None:
-        if k:  # the sons of the last parents, counted without building them
-            nodes += sum(len(gens) - bisect_right(gens, F, 1) for gens, _, F in level)
-        stats["nodes"] = nodes
+        stats["nodes"] = _count_nodes(m, k)
     return SearchOutcome((m - 1) + k, tuple(NumericalSemigroup(gens, w) for gens, w, _ in hits))
 
 

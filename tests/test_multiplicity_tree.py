@@ -7,7 +7,7 @@ import pytest
 from semigroup_forge import cli, core
 from semigroup_forge.core import make_semigroup
 from semigroup_forge.errors import InvalidGenerator
-from semigroup_forge.multiplicity_tree import bfs_levels, root, sons
+from semigroup_forge.multiplicity_tree import _count_nodes, bfs_levels, root, sons
 from semigroup_forge.oracle import enumerate_by_genus
 
 
@@ -155,6 +155,13 @@ class TestLevels:
     def test_stream_matches_level(self):
         stream = list(islice(bfs_levels(4), 4))
         assert [set(lv) for lv in stream] == LEVELS_M4
+
+    def test_node_count_sums_the_levels(self):
+        # The depth-first count builds no level k; it must still count it.
+        for m in range(1, 11):
+            lengths = [len(lv) for lv in islice(bfs_levels(m), 9)]
+            for k in range(len(lengths)):
+                assert _count_nodes(m, k) == sum(lengths[: k + 1]), (m, k)
 
     def test_multiplicity_one_dries_up(self):
         first, second = islice(bfs_levels(1), 2)

@@ -80,6 +80,35 @@ def test_dimension_falls_by_at_most_one(cell):
         assert len(gens) in (len(node[0]), len(node[0]) - 1)
 
 
+def _descendants(m, node, depth):
+    """(j, T) for every descendant T of node at most depth levels below it."""
+    family = [node]
+    for j in range(1, depth + 1):
+        family = [T for S in family for T in _sons(m, S)]
+        yield from ((j, T) for T in family)
+
+
+@PROPERTY
+@given(st.integers(2, 9), st.lists(st.integers(0, 50), max_size=8))
+def test_dimension_bounds_behind_the_genus_cuts(m, path):
+    # The two cuts of `search.min_genus`, checked below each node of a
+    # random son path: a descendant j levels down has dimension at least
+    # d - j (the deficit cut), and keeps every generator <= F as a minimal
+    # generator (the permanent-generator cut).
+    node = _root_node(m)
+    for step in (*path, None):
+        gens, _, F = node
+        permanent = bisect_right(gens, F)
+        for j, (low, _, _) in _descendants(m, node, 3):
+            assert len(low) >= len(gens) - j
+            assert low[:permanent] == gens[:permanent]
+            assert len(low) >= permanent
+        family = _sons(m, node)
+        if step is None or not family:
+            break
+        node = family[step % len(family)]
+
+
 @PROPERTY
 @given(semigroups())
 def test_pack_never_raises_frobenius_or_genus(S):
