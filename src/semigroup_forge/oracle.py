@@ -73,9 +73,7 @@ def sieve(generators, bound: int | None = None) -> SieveResult:
         raise EmptyInput("at least one generator is required")
     if gens[0] < 1:
         raise InvalidGenerator(f"generator {gens[0]} is not positive")
-    g = 0
-    for x in gens:
-        g = gcd(g, x)
+    g = gcd(*gens)
     if g != 1:
         raise NotNumerical(f"gcd of generators is {g}, not 1")
     m = gens[0]

@@ -2,14 +2,9 @@
 
 Two independent routes exist for each minimum.  The tree route walks
 the multiplicity-m tree: breadth-first by genus until the first level
-containing dimension-e members (minimal genus), or pruned by a shrinking
-Frobenius bound (minimal Frobenius).  The genus walk keeps no node that
-cannot reach dimension e by the interval semigroup's level: the
-dimension falls by at most one per edge (the deficit cut), and a node's
-generators below its Frobenius number stay minimal in all its
-descendants (the permanent-generator cut); `min_genus` proves both.  Its
-`stats["nodes"]` still counts every node up to the minimum, by a
-separate depth-first count that runs only when `stats` is passed.
+containing dimension-e members (minimal genus, whose cuts and node
+count `min_genus` states and proves), or pruned by a shrinking
+Frobenius bound (minimal Frobenius).
 
 The packed route reads the same minima off the tables of the finite
 packed family, builds values only for the members attaining them, and

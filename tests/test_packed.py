@@ -330,7 +330,7 @@ class TestBranchAndBound:
         assert comb(m - 1, q) >= _SWEEP_PAYS * (m - 1)
         cap = key(interval_apery(m, e)) - _bound_and_slack(m, e, key)[1]
         assert cap >= _MASK_BITS
-        assert _frame((m,), table, m, e, key, cap) == [(m,), table, m + 1 - q, SENTINEL, None, 0, m]
+        assert _frame((m,), table, m, e, key, 0) == [(m,), table, m + 1 - q, SENTINEL, None, 0, m]
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(st.data())
@@ -395,10 +395,10 @@ class TestBranchAndBound:
         if comb(n, q) >= _SWEEP_PAYS * n:
             with pytest.MonkeyPatch.context() as patch:
                 finished = count_tests(patch)
-                assert _frame(gens, s, m, e, key, cap) == f
+                assert _frame(gens, s, m, e, key, ones(cap) if sweeps else 0) == f
             assert finished == []
         for best in sorted({*run, least}, reverse=True):
-            _lower(f, a, best, m, e, key, bound, slack)
+            _lower(f, a, best, m, e, key, bound, slack, ones(best - slack) if sweeps else 0)
             over = [b for b, u in zip(range(first, last + 1), bounds) if sweeps and u > best]
             if key is sum:
                 cap = best - slack
@@ -438,20 +438,20 @@ class TestBranchAndBound:
         cap = best - slack
         assert cap < _MASK_BITS
         x = mask(gens, cap)
-        assert _frame(gens, x, m, e, key, cap) == [gens, x, m, -1, None, 0, m]
+        assert _frame(gens, x, m, e, key, ones(cap)) == [gens, x, m, -1, None, 0, m]
         if key is sum:
             within = [*sorted(v for v in table if v <= cap), SENTINEL]
             over = [b for b in range(first, m) if _least_sum(within, m + b, 1, m, cap) > best]
         else:
-            over = [b for b in range(first, m) if _slots(table, m + b, 1, cap) < m]
+            over = [b for b in range(first, m) if _slots(table, m + b, 1, m, cap, 0) < m]
         for s in (table, x):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(packed, "_MASK_BITS", 0)
                 finished = count_tests(patch)
-                f = _frame(gens, table, m, e, key, cap)
+                f = _frame(gens, table, m, e, key, 0)
                 assert f == [gens, table, m, SENTINEL, None, 0, m]
                 f[1] = s  # the mask a new incumbent writes over the table
-                _lower(f, first, best, m, e, key, bound, slack)
+                _lower(f, first, best, m, e, key, bound, slack, ones(cap) if s is x else 0)
             assert finished == []
             assert f == [gens, s, min(over, default=m), best, None, 0, m], prefix
 
@@ -479,7 +479,8 @@ class TestBranchAndBound:
         # prefix's mask at these caps with one.
         for gens, end in (((12, 13, 15), 11), ((12, 13, 14, 17), 12), ((12, 13, 14, 15), 12)):
             s = residue_table(m, gens[1:]) if key is None else mask(gens, cap)
-            assert _frame(gens, s, m, e, key, cap) == [gens, s, end, -1, None, 0, m]
+            full = 0 if key is None else ones(cap)
+            assert _frame(gens, s, m, e, key, full) == [gens, s, end, -1, None, 0, m]
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(st.data())
@@ -493,7 +494,7 @@ class TestBranchAndBound:
         cap = data.draw(st.integers(m, m * m), label="cap")
         table = residue_table(m, [m + r for r in prefix])
         q = e - 1 - j  # generators still to come, the child's included
-        slots = [_slots(table, m + b, q, cap) for b in range(first, m)]
+        slots = [_slots(table, m + b, q, m, cap, 0) for b in range(first, m)]
         assert slots == sorted(slots, reverse=True)
         for rest in combinations(range(a + 1, m), e - 2 - j):
             residues = (*prefix, a, *rest)
@@ -501,7 +502,7 @@ class TestBranchAndBound:
                 continue
             leaf = residue_table(m, [m + r for r in residues])
             # All m entries of a leaf fit under its own largest one.
-            assert _slots(table, m + a, q, max(leaf)) >= m, residues
+            assert _slots(table, m + a, q, m, max(leaf), 0) >= m, residues
             if max(leaf) <= cap:
                 assert slots[a - first] >= m, (residues, cap)
 
@@ -520,7 +521,7 @@ class TestBranchAndBound:
         table = residue_table(m, [m + r for r in prefix])
         q = e - 1 - j  # generators still to come, the child's included
         v = [*sorted(x for x in table if x <= cap), SENTINEL]
-        fits = _slots(table, g, q, cap) >= m
+        fits = _slots(table, g, q, m, cap, 0) >= m
         assert fits == (_least_sum(v, g, q, m, cap) != SENTINEL), (prefix, g, cap)
 
     @settings(derandomize=True, deadline=None, max_examples=300)
@@ -541,7 +542,7 @@ class TestBranchAndBound:
         # A member whose predecessor by m is none is its class's entry.
         assert y == sum(1 << v for v in table if v <= cap)
         reference = sum(comb(q + (cap - v) // g, q) for v in table if v <= cap)
-        assert _slots(y, g, q, cap) == reference == _slots(table, g, q, cap)
+        assert _slots(x, g, q, m, cap, ones(cap)) == reference == _slots(table, g, q, m, cap, 0)
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(st.data())
@@ -838,6 +839,37 @@ class TestMemberMasks:
         assert sum(interval_apery(m, 3)) - slack >= _MASK_BITS > sum(hits[0].entries) - slack
         monkeypatch.setattr(packed, "_MASK_BITS", 0)
         assert [fields(S) for S in hits] == [fields(S) for S in _minimizers(m, 3, sum)]
+
+    @pytest.mark.parametrize("width", [_MASK_BITS, 0], ids=["default", "zero"])
+    def test_frames_hold_a_mask_iff_full(self, width, monkeypatch):
+        # The walk's `full` carries the width decision: `_frame` and `_lower`
+        # get a nonzero `full` exactly when the frame holds a member mask,
+        # not a table.  At the default width these caps start wide and end
+        # narrow (genus (39, 3) and (40, 3), Frobenius (150, 4): 7,649 to
+        # 1,645 bits), so both kinds of frame meet; at width 0 only tables.
+        cells = [(39, 3, sum), (40, 3, sum), (150, 4, max)]
+        for m, e, key in cells:
+            slack = _bound_and_slack(m, e, key)[1]
+            hits = _minimizers(m, e, key)
+            assert key(interval_apery(m, e)) - slack >= _MASK_BITS > key(hits[0].entries) - slack
+        monkeypatch.setattr(packed, "_MASK_BITS", width)
+        calls = []
+        frame, lower = packed._frame, packed._lower
+
+        def framed(*args):
+            calls.append((type(args[1]) is int, args[-1] != 0))
+            return frame(*args)
+
+        def lowered(*args):
+            calls.append((type(args[0][1]) is int, args[-1] != 0))
+            return lower(*args)
+
+        monkeypatch.setattr(packed, "_frame", framed)
+        monkeypatch.setattr(packed, "_lower", lowered)
+        for m, e, key in cells:
+            _minimizers(m, e, key)
+        assert all(holds == full for holds, full in calls)
+        assert {holds for holds, _ in calls} == ({False, True} if width else {False})
 
     @settings(derandomize=True, deadline=None, max_examples=80)
     @given(st.data())
