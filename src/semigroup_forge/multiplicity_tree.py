@@ -36,8 +36,10 @@ bare nodes into values by `NumericalSemigroup(min_gens, entries)`, passing
 the node's own tuples; a value keeps only those two, reads F and g off the
 table, and the oracle checks those reads.  The searches wrap only what
 they return.
-`_count_nodes(m, k)` counts the nodes at levels 0..k depth-first, holding
-one path; `search.min_genus` prunes its walk and reports this count.
+`_count_nodes(m, k, bounds)` counts the nodes at levels 0..k depth-first,
+holding one path, optionally under a Frobenius bound per level;
+`search.min_genus` and `search.min_frobenius` prune their walks and
+report this count.
 No walk calls `make_semigroup`, the class walk of `packed` included, and
 no tree walk calls a kernel.
 """
@@ -67,7 +69,7 @@ def _root_node(m: int) -> tuple:
     return tuple(range(m, 2 * m)), entries, max(entries) - m
 
 
-def _sons(m: int, node: tuple, bound: int | None = None) -> list[tuple]:
+def _sons(m: int, node: tuple, bound: int | None = None, e: int | None = None) -> list[tuple]:
     """Bare sons of a bare node of the multiplicity-m tree, sorted.
 
     Deleting a minimal generator x leaves a semigroup exactly when
@@ -86,17 +88,29 @@ def _sons(m: int, node: tuple, bound: int | None = None) -> list[tuple]:
     dimension is its parent's or one less.
 
     With `bound`, only the sons with Frobenius number <= bound are built.
+    With a target dimension e too, only the sons that can still have a
+    descendant of dimension e, themselves included, with Frobenius number
+    <= bound: for a node of dimension d, the son removing msg[i] is built
+    only if i <= e and msg[i + shift] <= bound, shift = max(0, d - 1 - e)
+    (the cuts are proved in `search.min_frobenius`).  With e alone, only
+    i <= e is tested.  Each test holds for every i up to some index, so
+    the loop starts at the lesser: min(e, d - 1), or, when the largest
+    generator msg[d - 1] is over the bound, the last i that passes the
+    second, found by one bisection.
     """
     msg, entries, floor = node
+    start, shift = len(msg) - 1, 0
+    if e is not None and e < start:
+        start, shift = e, start - e
+    if bound is not None and msg[-1] > bound:
+        start = bisect_right(msg, bound) - 1 - shift
     out = []
     # Removing a larger generator gives a lexicographically smaller son,
     # so walking the generators downwards yields the sons sorted.
-    for i in range(len(msg) - 1, 0, -1):
+    for i in range(start, 0, -1):
         x = msg[i]
         if x <= floor:
             break
-        if bound is not None and x > bound:
-            continue
         top = x + m
         table = list(entries)
         table[x % m] = top
@@ -113,17 +127,20 @@ def _sons(m: int, node: tuple, bound: int | None = None) -> list[tuple]:
     return out
 
 
-def _count_nodes(m: int, k: int) -> int:
+def _count_nodes(m: int, k: int, bounds: list | None = None) -> int:
     """Nodes of the multiplicity-m tree at levels 0..k; level k is not built.
 
-    A depth-first walk with `_sons` builds levels 1..k-1, and each node at
-    level k-1 adds its son count, `len(gens) - bisect_right(gens, F, 1)`,
-    read off its generators.  It holds one son list per level of its path,
-    never a whole level.
+    With `bounds`, a node at level j < k keeps only its sons with Frobenius
+    number <= bounds[j], as `_sons` does with that bound.  A depth-first
+    walk with `_sons` builds levels 1..k-1, and each node at level k-1
+    adds its son count read off its generators: those above F, other than
+    m, and at most the bound.  It holds one son list per level of its
+    path, never a whole level.
     """
-    gens, _, F = node = _root_node(m)
+    bounds = bounds or [None] * k
+    node = _root_node(m)
     if k < 2:
-        return 1 + k * (len(gens) - bisect_right(gens, F, 1))
+        return 1 + (k and len(_sons(m, node, bounds[0])))
     nodes = 1
     path = [[node]]
     while path:
@@ -131,12 +148,16 @@ def _count_nodes(m: int, k: int) -> int:
         if not family:
             path.pop()
             continue
-        family = _sons(m, family.pop())
+        family = _sons(m, family.pop(), bounds[len(path) - 1])
         nodes += len(family)
         if len(path) < k - 1:
             path.append(family)
-        else:
+        elif (b := bounds[k - 1]) is None:
             nodes += sum([len(gens) - bisect_right(gens, F, 1) for gens, _, F in family])
+        else:
+            nodes += sum([
+                max(0, bisect_right(gens, b) - bisect_right(gens, F, 1)) for gens, _, F in family
+            ])
     return nodes
 
 

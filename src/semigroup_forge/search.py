@@ -2,9 +2,10 @@
 
 Two independent routes exist for each minimum.  The tree route walks
 the multiplicity-m tree: breadth-first by genus until the first level
-containing dimension-e members (minimal genus, whose cuts and node
-count `min_genus` states and proves), or pruned by a shrinking
-Frobenius bound (minimal Frobenius).
+containing dimension-e members (minimal genus), or under a shrinking
+Frobenius bound (minimal Frobenius).  Each prunes its walk, and
+`min_genus` and `min_frobenius` state and prove their cuts and node
+counts.
 
 The packed route reads the same minima off the tables of the finite
 packed family, builds values only for the members attaining them, and
@@ -18,7 +19,6 @@ the packed leaf walk, both gated by `core.require_family`.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from .core import NumericalSemigroup, _Record, interval_frobenius, interval_genus
 from .multiplicity_tree import _count_nodes, _root_node, _sons
 # `sons` is bound only because the benchmark's tracer self-test checks it.
@@ -81,11 +81,8 @@ def min_genus(m: int, e: int, stats: dict | None = None) -> SearchOutcome:
     - deficit: k + d - e <= L.  The dimension falls by at most one per
       edge, so T's dimension-e descendants lie at level k + d - e or
       deeper, and the minimum lies at level L or above;
-    - permanent generators: at most e generators of T are <= F.  A son
-      removes only a generator above its parent's F, and F grows along
-      every edge, so those generators are never removed; each descendant
-      lies inside T, so they stay minimal in it, and its dimension is at
-      least their number.
+    - permanent generators: at most e generators of T are <= F, the cut
+      `_sons(m, S, None, e)` makes (proved in `min_frobenius`).
     Every ancestor of a minimizer passes both, so no minimizer is lost,
     and a kept level is still built parent by parent from a sorted one.
 
@@ -102,14 +99,14 @@ def min_genus(m: int, e: int, stats: dict | None = None) -> SearchOutcome:
         if k == last_level:
             raise AssertionError("unreachable: the interval semigroup bounds the walk")
         k += 1
-        near = [_sons(m, S) if len(S[0]) == e + 1 else None for S in level]
+        near = [_sons(m, S, None, e) if len(S[0]) == e + 1 else None for S in level]
         hits = [T for fam in near if fam for T in fam if len(T[0]) == e]
         if not hits:
             level = [
                 T
                 for S, fam in zip(level, near)
-                for T in (_sons(m, S) if fam is None else fam)
-                if k + len(T[0]) <= top and bisect_right(T[0], T[2]) <= e
+                for T in (_sons(m, S, None, e) if fam is None else fam)
+                if k + len(T[0]) <= top
             ]
     if stats is not None:
         stats["nodes"] = _count_nodes(m, k)
@@ -132,26 +129,54 @@ def min_genus_packed(m: int, e: int) -> SearchOutcome:
 def min_frobenius(m: int, e: int, stats: dict | None = None) -> SearchOutcome:
     """Least Frobenius number at (m, e), with every semigroup attaining it.
 
-    Pruned walk of the multiplicity-m tree.  The Frobenius number grows
-    strictly along edges, so sons above the current bound are never
-    built; the dimension never grows along edges, so nodes below
-    dimension e are dead too.  The bound starts at the interval-semigroup
-    value and shrinks as dimension-e nodes appear.
+    Breadth-first walk of the multiplicity-m tree under a bound alpha: it
+    starts at the interval-semigroup value, and once a level is read it
+    falls to the least F of that level's dimension-e nodes.  A son of a
+    level's node is built only if some descendant D of it, itself
+    included, can have dimension e and F(D) <= alpha (`_sons(m, S, alpha,
+    e)`).  Let S have generators s_0 < ... < s_(d-1), and let T be the son
+    that removes s_i, so F(T) = s_i; F grows along every edge, and every
+    descendant of T lies inside it.  A minimal generator n of T above F(D)
+    is still minimal in D: n lies in D, and a sum of two nonzero elements
+    of D would be one of T.
+    - permanent generators: s_0..s_(i-1) lie below F(T), and a son removes
+      only a generator above its parent's F, so they are never removed and
+      stay minimal in D.  So e >= i.
+    - reach: of s_(i+1) < ... < s_(d-1), those above F(D) stay minimal in
+      D next to s_0..s_(i-1), so at most e - i of them exceed F(D), and at
+      least d - 1 - e are <= F(D).  With F(D) >= F(T), that gives F(D) >=
+      s_(i + max(0, d - 1 - e)), an index at most d - 1 since i <= e.
+    A dimension-e node D that the walk without the cuts (every son with F
+    <= alpha) finds has F(D) <= alpha at every level above it, since alpha
+    only falls; so each ancestor of D builds the next son on the path to
+    D, and D is found at the same level.  So alpha moves level by level as
+    it does there, and the value and minimizers are the same.  No son of
+    dimension below e is built: a node of dimension above e has sons of
+    dimension e or more, and a dimension-e node has F >= alpha once its
+    level is read, while its sons have F above its own.
+
+    `stats["nodes"]` counts the nodes the walk without the cuts visits, by
+    the depth-first `multiplicity_tree._count_nodes` with the recorded
+    alpha of each level, and alpha's final value below the last: no node
+    there has dimension e, or the walk would reach it.  A node with F <=
+    alpha has genus at most F, so levels 0..alpha - (m-1) hold them all.
+    The count runs only when `stats` is passed.
     """
     alpha = interval_frobenius(m, e)
     # Bare nodes; only these are wrapped into values at the end.
     best: list = []
+    alphas = []
     level = [_root_node(m)]
-    visited = 0
     while level:
-        visited += len(level)
         hits = [T for T in level if len(T[0]) == e]
         if hits:
             alpha = min(alpha, min(T[2] for T in hits))
             best = [T for T in best + hits if T[2] == alpha]
-        level = [T for S in level for T in _sons(m, S, alpha) if len(T[0]) >= e]
+        alphas.append(alpha)
+        level = [T for S in level for T in _sons(m, S, alpha, e)]
     if stats is not None:
-        stats["nodes"] = visited
+        k = alpha - (m - 1)
+        stats["nodes"] = _count_nodes(m, k, alphas + [alpha] * k)
     assert best, "a minimizer always survives the pruning"
     return SearchOutcome(
         alpha, tuple(NumericalSemigroup(gens, w) for gens, w, _ in sorted(best))

@@ -418,14 +418,15 @@ class TestBranchAndBound:
     def check_leaf_level_end(data, key):
         """A keyed leaf-level frame ends where a linear scan of its count does.
 
-        At a cap of `_MASK_BITS` or more, `_lower` ends its loop at the
-        first child whose count fails: the least sum past `best` under
-        `sum`, fewer than m slots under the cap under `max`.  Neither
-        `_frame` nor `_lower` tests a table for it.  Once the cap narrows
-        the frame holds the prefix's mask in place of its table, and the
-        same count read off the mask ends it at the same child.  Below the
-        width masks test its leaves, and `_frame` gives a frame whose end
-        never moves (seen is -1), holding the prefix's mask.
+        Made with `full` 0, as at a wide cap, the frame holds its table and
+        `_lower` ends its loop at the first child whose count fails: the
+        least sum past `best` under `sum`, fewer than m slots under the cap
+        under `max`.  Neither `_frame` nor `_lower` tests a table for it.
+        Once the cap narrows the frame holds the prefix's mask in place of
+        its table, and the same count read off the mask, with `full` the
+        cap's mask, ends it at the same child.  Made with that `full`,
+        masks test its leaves, and `_frame` gives a frame whose end never
+        moves (seen is -1), holding the prefix's mask.
         """
         m = data.draw(st.integers(3, 14), label="m")
         prefix = sorted(data.draw(st.sets(st.integers(1, m - 2), max_size=4), label="prefix"))
@@ -446,7 +447,6 @@ class TestBranchAndBound:
             over = [b for b in range(first, m) if _slots(table, m + b, 1, m, cap, 0) < m]
         for s in (table, x):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(packed, "_MASK_BITS", 0)
                 finished = count_tests(patch)
                 f = _frame(gens, table, m, e, key, 0)
                 assert f == [gens, table, m, SENTINEL, None, 0, m]

@@ -192,8 +192,12 @@ class TestMinGenus:
             assert _count_nodes(m, value - (m - 1)) == nodes, m
 
     # Sons the walk builds without `stats`, pinned exactly.  The deficit and
-    # permanent-generator cuts took them from 33,957 and 521,647.
-    @pytest.mark.parametrize("cell, pinned", [((14, 5), 7270), ((20, 10), 120783)])
+    # permanent-generator cuts took them from 33,957 and 521,647 to 7,270
+    # and 120,783; the son rule then stopped building the sons the
+    # permanent-generator cut drops.
+    @pytest.mark.parametrize(
+        "cell, pinned", [((14, 5), 1759), ((20, 10), 62582)], ids=["14-5", "20-10"]
+    )
     def test_sons_built_are_pinned(self, cell, pinned, monkeypatch):
         built = count_sons(monkeypatch)
         min_genus(*cell)
@@ -250,9 +254,10 @@ class TestMinFrobenius:
         assert mk(7, 8, 10, 19) in out.minimizers
 
     def test_two_generators(self):
-        # The pruning bound is m*m-m-1 here, which admits the whole tree,
-        # so the tree route is only reasonable for small m.
-        for m in range(2, 8):
+        # The pruning bound is m*m-m-1 here, which admits the whole tree;
+        # the son rule builds only the sons that can still reach dimension
+        # 2 within it, so the tree route is cheap for these m too.
+        for m in range(2, 14):
             out = min_frobenius(m, 2)
             assert out.value == m * m - m - 1
             assert out.minimizers == (mk(m, m + 1),)
@@ -275,6 +280,17 @@ class TestMinFrobenius:
         assert stats["nodes"] == FROBENIUS_NODES[cell]
         assert_constructed(out.minimizers)
 
+    # Sons the walk builds without `stats`, pinned exactly: it builds only
+    # the sons that can still reach dimension e within the bound, where it
+    # built 1,260 and 1,923, every son within the bound.
+    @pytest.mark.parametrize(
+        "cell, pinned", [((8, 3), 144), ((11, 5), 462)], ids=["8-3", "11-5"]
+    )
+    def test_sons_built_are_pinned(self, cell, pinned, monkeypatch):
+        built = count_sons(monkeypatch)
+        min_frobenius(*cell)
+        assert sum(built) == pinned
+
 
 class TestPackedRoutes:
     def test_value_examples(self):
@@ -291,7 +307,7 @@ class TestPackedRoutes:
         assert min_frobenius_full_set(4, 3).minimizers == (mk(4, 5, 7),)
 
     def test_routes_agree_at_desk_scale(self):
-        for m in range(2, 8):
+        for m in range(2, 15):
             for e in range(2, m + 1):
                 tree_out = min_frobenius(m, e)
                 assert tree_out.value == min_frobenius_value_packed(m, e)

@@ -109,6 +109,45 @@ def test_dimension_bounds_behind_the_genus_cuts(m, path):
         node = family[step % len(family)]
 
 
+def _subtree(m, node, bound):
+    """node and every descendant of it with Frobenius number <= bound."""
+    family = [node]
+    while family:
+        yield from family
+        family = [T for S in family for T in _sons(m, S, bound)]
+
+
+@PROPERTY
+@given(
+    st.integers(2, 7).flatmap(lambda m: st.tuples(st.just(m), st.integers(2, m))),
+    st.lists(st.integers(0, 50), max_size=8),
+    st.one_of(st.none(), st.integers(0, 12)),
+)
+def test_sons_toward_dimension_e_drop_only_dead_sons(cell, path, reach):
+    # The son rule of `search.min_frobenius`, and without a bound that of
+    # `search.min_genus`, checked at each node of a random son path: with
+    # a target dimension e it builds an in-order sublist of the sons within
+    # the bound, and no son it drops has a descendant of dimension e with
+    # F <= bound, itself included.  Without a bound the subtree is walked
+    # up to F + 12.
+    m, e = cell
+    node = _root_node(m)
+    for step in (*path, None):
+        bound = None if reach is None else node[2] + reach
+        family = _sons(m, node, bound)
+        kept = _sons(m, node, bound, e)
+        rest = iter(family)
+        assert all(T in rest for T in kept)
+        for T in family:
+            if T not in kept:
+                limit = node[2] + 12 if bound is None else bound
+                assert all(len(D[0]) != e for D in _subtree(m, T, limit)), T
+        family = _sons(m, node)
+        if step is None or not family:
+            break
+        node = family[step % len(family)]
+
+
 @PROPERTY
 @given(semigroups())
 def test_pack_never_raises_frobenius_or_genus(S):
