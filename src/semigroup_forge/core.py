@@ -8,7 +8,8 @@ dimension, Frobenius number and genus are read off them.  An Apery table
 is a plain tuple, entry i the least member congruent to i modulo its
 length.  Construction from generators goes through `make_semigroup`;
 the walks, which already hold each node's table, call the class
-directly.  All values are immutable and hashable.
+directly.  All values are immutable and hashable, and so is
+`SearchOutcome`, the record a search returns.
 
 The closed formulas for interval-generated semigroups (generators
 m, m+1, ..., m+e-1) live here too, since they double as search bounds,
@@ -33,6 +34,7 @@ from .errors import (
 __all__ = [
     "Existence",
     "NumericalSemigroup",
+    "SearchOutcome",
     "make_semigroup",
     "apery_set",
     "existence",
@@ -155,6 +157,19 @@ class NumericalSemigroup(_Record):
 
 _set_min_gens = NumericalSemigroup.min_gens.__set__
 _set_entries = NumericalSemigroup.entries.__set__
+
+
+class SearchOutcome(_Record):
+    """Result of one minimization: the value and everything attaining it.
+
+    The caller knows what it asked for (genus or Frobenius number, at
+    which m and e); a genus minimum sits at tree level value - (m-1).
+    """
+
+    __slots__ = ("value", "minimizers")
+
+    def __init__(self, value: int, minimizers: tuple[NumericalSemigroup, ...]):
+        super().__init__(value, minimizers)
 
 
 def _check_generators(generators) -> list[int]:

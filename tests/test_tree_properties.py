@@ -1,4 +1,4 @@
-"""Property tests of the tree son rule and the packing map."""
+"""Property tests of the tree son rule, its node count and the packing map."""
 from bisect import bisect_right
 from functools import lru_cache
 from math import gcd
@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semigroup_forge.core import make_semigroup
-from semigroup_forge.multiplicity_tree import _root_node, _sons, root, sons
+from semigroup_forge.multiplicity_tree import _count_nodes, _root_node, _sons, root, sons
 from semigroup_forge.packed import pack
 
 # Derandomized and bounded, so the suite stays deterministic and quick.
@@ -91,10 +91,11 @@ def _descendants(m, node, depth):
 @PROPERTY
 @given(st.integers(2, 9), st.lists(st.integers(0, 50), max_size=8))
 def test_dimension_bounds_behind_the_genus_cuts(m, path):
-    # The two cuts of `search.min_genus`, checked below each node of a
-    # random son path: a descendant j levels down has dimension at least
-    # d - j (the deficit cut), and keeps every generator <= F as a minimal
-    # generator (the permanent-generator cut).
+    # The two cuts of `min_genus` (part 3 of the `multiplicity_tree`
+    # docstring), checked below each node of a random son path: a
+    # descendant j levels down has dimension at least d - j (the deficit
+    # cut), and keeps every generator <= F as a minimal generator (the
+    # permanent-generator cut).
     node = _root_node(m)
     for step in (*path, None):
         gens, _, F = node
@@ -124,12 +125,12 @@ def _subtree(m, node, bound):
     st.one_of(st.none(), st.integers(0, 12)),
 )
 def test_sons_toward_dimension_e_drop_only_dead_sons(cell, path, reach):
-    # The son rule of `search.min_frobenius`, and without a bound that of
-    # `search.min_genus`, checked at each node of a random son path: with
-    # a target dimension e it builds an in-order sublist of the sons within
-    # the bound, and no son it drops has a descendant of dimension e with
-    # F <= bound, itself included.  Without a bound the subtree is walked
-    # up to F + 12.
+    # The son rule of `min_frobenius`, and without a bound that of
+    # `min_genus` (part 3 of the `multiplicity_tree` docstring), checked at
+    # each node of a random son path: with a target dimension e it builds
+    # an in-order sublist of the sons within the bound, and no son it drops
+    # has a descendant of dimension e with F <= bound, itself included.
+    # Without a bound the subtree is walked up to F + 12.
     m, e = cell
     node = _root_node(m)
     for step in (*path, None):
@@ -182,7 +183,7 @@ def level_pairs(draw):
 @PROPERTY
 @given(level_pairs())
 def test_sons_of_a_lesser_node_come_first(cell):
-    # The index lemma of `multiplicity_tree`, which keeps levels sorted.
+    # Part 2 of the `multiplicity_tree` docstring, which keeps levels sorted.
     m, S, T = cell
     gens, other = S[0], T[0]
     # Neither tuple is a prefix of the other, so they differ at some index d.
@@ -192,3 +193,22 @@ def test_sons_of_a_lesser_node_come_first(cell):
     assert all(gens.index(U[2]) > d for U in low)
     assert all(other.index(U[2]) >= d for U in high)
     assert all(U[0] < V[0] for U in low for V in high)
+
+
+@PROPERTY
+@given(
+    st.integers(1, 7).flatmap(
+        lambda m: st.tuples(st.just(m), st.lists(st.integers(-1, 3 * m), max_size=8))
+    )
+)
+def test_bounded_count_matches_a_breadth_first_count(cell):
+    # The depth-first count under a Frobenius bound per level against
+    # whole levels built breadth-first: level j+1 holds the sons with
+    # F <= bounds[j] of the nodes at level j.  A bound may lie below a
+    # node's own F, so that node counts no son.
+    m, bounds = cell
+    family, nodes = [_root_node(m)], 1
+    for bound in bounds:
+        family = [T for S in family for T in _sons(m, S, bound)]
+        nodes += len(family)
+    assert _count_nodes(m, len(bounds), bounds) == nodes
