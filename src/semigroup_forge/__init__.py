@@ -2,11 +2,10 @@
 with fixed multiplicity and embedding dimension.
 
 Public surface: the value types and constructors in `core`, the
-multiplicity tree and its two searches in `multiplicity_tree`, packed
-families and class search in `packed`, every minimization route in
-`search` (the tree searches re-exported from `multiplicity_tree`), and
-the brute-force cross-check in `oracle`.  The `semigroup-forge` command
-wraps all of it.
+multiplicity tree and its two searches in `multiplicity_tree`, the
+packed families, classes and four searches in `packed`, every route
+re-exported in `search`, and the brute-force cross-check in `oracle`.
+The `semigroup-forge` command wraps all of it.
 """
 from ._backend import backend_name
 from .core import (

@@ -27,14 +27,15 @@ from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 from ._backend import backend_name
-from .core import Existence, NumericalSemigroup, existence, make_semigroup
+from .core import Existence, NumericalSemigroup, SearchOutcome, existence, make_semigroup
 from .errors import SemigroupError, Uncertified
 from .multiplicity_tree import bfs_levels
 from .oracle import sieve
-from .packed import _minimizers, class_min_frobenius, enumerate_packed
+from .packed import class_min_frobenius, enumerate_packed
 from .search import (
     min_frobenius,
     min_frobenius_full_set,
+    min_frobenius_packed,
     min_genus,
     min_genus_packed,
     wilf_audit,
@@ -271,14 +272,12 @@ def _first_levels(ns) -> list[tuple[NumericalSemigroup, ...]]:
 
 def _cmd_min_genus(ns) -> _Report:
     naturals = _classify(ns.m, ns.e)
-    nodes = None
+    stats: dict = {}
     if naturals is not None:
-        value, minimizers = 0, [naturals]
+        outcome = SearchOutcome(naturals.genus, (naturals,))
     else:
-        stats: dict = {}
         outcome = min_genus(ns.m, ns.e, stats=stats)
-        value, minimizers = outcome.value, list(outcome.minimizers)
-        nodes = stats["nodes"]
+    value, minimizers = outcome.value, list(outcome.minimizers)
     level_index = value - (ns.m - 1)
     result = {
         "value": value,
@@ -293,25 +292,20 @@ def _cmd_min_genus(ns) -> _Report:
         *_member_lines(minimizers),
     ]
     route = min_genus_packed if naturals is None else None
-    return _Report(result, lines, minimizers, nodes, route)
+    return _Report(result, lines, minimizers, stats.get("nodes"), route)
 
 
 def _cmd_min_frobenius(ns) -> _Report:
     naturals = _classify(ns.m, ns.e)
-    nodes, complete = None, True
+    stats: dict = {}
     if naturals is not None:
-        value, minimizers = -1, [naturals]
+        outcome = SearchOutcome(naturals.frobenius, (naturals,))
     elif ns.via == "tree":
-        stats: dict = {}
         outcome = min_frobenius(ns.m, ns.e, stats=stats)
-        value, minimizers = outcome.value, list(outcome.minimizers)
-        nodes = stats["nodes"]
-    elif ns.full_set:
-        outcome = min_frobenius_full_set(ns.m, ns.e)
-        value, minimizers = outcome.value, list(outcome.minimizers)
     else:
-        minimizers = list(_minimizers(ns.m, ns.e, max))
-        value, complete = minimizers[0].frobenius, False
+        outcome = (min_frobenius_full_set if ns.full_set else min_frobenius_packed)(ns.m, ns.e)
+    value, minimizers = outcome.value, list(outcome.minimizers)
+    complete = naturals is not None or ns.via == "tree" or ns.full_set
     result = {
         "value": value,
         "complete": complete,
@@ -326,7 +320,7 @@ def _cmd_min_frobenius(ns) -> _Report:
     ]
     # Under --via packed the answer already is the packed route.
     route = min_frobenius_full_set if naturals is None and ns.via == "tree" else None
-    return _Report(result, lines, minimizers, nodes, route)
+    return _Report(result, lines, minimizers, stats.get("nodes"), route)
 
 
 def _cmd_packed(ns) -> _Report:
@@ -508,7 +502,6 @@ def main(argv=None) -> int:
         _emit(report.alarm, sys.stderr)
     _emit(f"elapsed: {time.perf_counter() - started:.3f}s", sys.stderr)
     return 4 if report.alarm else 0
-
 
 
 if __name__ == "__main__":

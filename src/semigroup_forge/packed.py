@@ -1,13 +1,10 @@
-"""Packed semigroups and their equivalence classes.
+"""Packed semigroups, their packing classes, and the packed route.
 
 A semigroup is packed when all minimal generators fit in [m, 2m-1].
-Packed semigroups with fixed multiplicity m and embedding dimension e
-are few and easy to enumerate, and the packing map (reduce every
-generator mod m, then add m) sends each member of L(m,e) to one of
-them without ever raising genus or Frobenius number.  That makes the
-packed family a complete set of class representatives on which both
-minima can be read off, and each class can then be searched separately
-for the full minimizing set.
+`pack` maps the family at (m, e) onto its few packed members without
+raising g or F (part 5): `min_genus_packed` and `min_frobenius_packed`
+read the minima and the packed minimizers off them, and
+`min_frobenius_full_set` walks their classes.
 
 `_leaves` walks the family as a prefix tree of residue subsets, on a
 stack of one frame per prefix (`_frame`).  `enumerate_packed` wraps
@@ -109,6 +106,28 @@ so the walk yields the same leaves, in the same order, as one that
 fixes each end when its frame is made.  A leaf-level end is not lowered
 while its loop runs: a leaf past a newer best loses its own cap test.
 
+5. Packing.  For S with e >= 2, P = pack(S) is generated by m and the
+m + r_i, r_i the residues mod m of S's minimal generators n_i > m,
+nonzero and distinct (of two with one residue, one is not minimal).
+- S lies in P (n_i is m + r_i plus multiples of m), so g(P) <= g(S)
+  and F(P) <= F(S).  P's e generators lie in [m, 2m-1], below every sum
+  of two nonzero members, so P has S's (m, e), and P = S if S is packed.
+- For a minimal generator n >= 2m of S, n - m >= m is a member of P and
+  a gap of S, as n = (n - m) + m is minimal.  So an unpacked S has
+  g(P) < g(S), and every genus minimizer is packed.
+- The packing classes are the fibres of pack, one per packed member; the
+  head of a Frobenius minimizer's class is one as well.
+- A class son T of Q (`class_sons`) swaps a generator n_k > m for n_k + m,
+  above every generator and not represented by the others.  T lies in Q,
+  so the kept generators stay minimal, as does n_k + m, which only the
+  others could sum to: T is in Q's class, F(T) >= F(Q), and its one
+  parent lowers its largest generator by m.  A member S of P's class
+  other than P is unpacked; with n its largest generator, S is a son of
+  the semigroup Q of its other generators and n - m, which they do not
+  represent (n - m is a gap of S), and none of them is n - m plus a
+  member >= m, being below n.  So each member with F(P) is reached from
+  P through ancestors lying between it and P, all with F(P).
+
 Every value is made by `NumericalSemigroup(min_gens, tuple(table))`,
 and F and g are read off its table on demand.
 """
@@ -121,6 +140,7 @@ from typing import Iterator
 from ._backend import SENTINEL, relax, residue_table
 from .core import (
     NumericalSemigroup,
+    SearchOutcome,
     _least_levels,
     interval_apery,
     make_semigroup,
@@ -135,6 +155,10 @@ __all__ = [
     "is_packed",
     "class_sons",
     "class_min_frobenius",
+    "min_genus_packed",
+    "min_frobenius_packed",
+    "min_frobenius_value_packed",
+    "min_frobenius_full_set",
 ]
 
 
@@ -423,8 +447,7 @@ def enumerate_packed(m: int, e: int) -> PackedFamily:
     """Every packed semigroup with multiplicity m and embedding dimension e.
 
     The members of `_leaves`, sorted by minimal generators, each wrapped
-    into a value.  Searches that keep only a few members go through
-    `_minimizers` instead.
+    into a value; the routes wrap only their minimizers (`_minimizers`).
     """
     return PackedFamily(NumericalSemigroup(gens, tuple(w)) for gens, w, _ in _leaves(m, e))
 
@@ -432,11 +455,11 @@ def enumerate_packed(m: int, e: int) -> PackedFamily:
 def _minimizers(m: int, e: int, key) -> tuple[NumericalSemigroup, ...]:
     """Packed members at (m, e) with the least `key` of their table, in order.
 
-    `sum` ranks by genus and `max` by Frobenius number, since g and F are
-    increasing functions of them.  The branch-and-bound of `_leaves` hands
-    over its leaves with their keys, each no worse than the best before
-    it, and only the members attaining the minimum are wrapped into
-    values; a leaf that comes with its mask reads its table off it here.
+    `sum` ranks by genus and `max` by Frobenius number, increasing
+    functions of them; the family holds both minima (part 5).  The
+    branch-and-bound of `_leaves` hands over leaves with keys no worse
+    than the best before them, and only the members attaining the minimum
+    become values; a leaf that comes as a mask has its table read off it.
     """
     best, hits = None, []
     for gens, w, k in _leaves(m, e, key):
@@ -457,8 +480,9 @@ def is_packed(S: NumericalSemigroup) -> bool:
 def pack(S: NumericalSemigroup) -> NumericalSemigroup:
     """Packed representative of S: generators reduced mod m, shifted by m.
 
-    Identity on packed input.  The naturals are rejected: their single
-    generator has residue 0 and the map has nothing to act on.
+    It contains S, has its (m, e), and is the identity on packed input
+    (part 5).  The naturals are rejected: their single generator has
+    residue 0 and the map has nothing to act on.
     """
     if S.embedding_dim < 2:
         raise Degenerate("packing needs at least two minimal generators")
@@ -469,23 +493,19 @@ def pack(S: NumericalSemigroup) -> NumericalSemigroup:
 def class_sons(P: NumericalSemigroup, bound: int | None = None) -> tuple[NumericalSemigroup, ...]:
     """Sons of P in the tree of its packing class, in sorted order.
 
-    Replacing a non-multiplicity generator n_k by n_k + m stays in the
-    class; it is a son exactly when the new value exceeds the current
-    largest generator and the remaining generators do not represent it
-    (a residue they miss, when their gcd exceeds 1, stays at SENTINEL).
-    They stay minimal, as the son lies inside P.  A son past the kernel
-    range raises InvalidGenerator, as in `make_semigroup`.
+    The son lifting a generator n_k other than m to n_k + m, above the
+    largest generator, exists when the others do not represent n_k + m (a
+    residue they miss, when their gcd exceeds 1, stays at SENTINEL; part 5).
+    A son past the kernel range raises InvalidGenerator, as in `make_semigroup`.
 
     With `bound`, a son is kept when its F is at most bound, when its
-    table is within cap = bound + m; as the son misses n_k, n_k + m > cap
-    skips it before its table.  While masks run (`_masks`) the mask of
-    the remaining generators up to the cap decides both tests, each once:
-    n_k + m is redundant iff its bit is set, and the son is kept iff its
-    closed mask passes the `max` verdict at best = cap (the module
-    docstring, part 1).  Its table is read off that mask, and as
-    n_k + m <= cap it is within the kernel range.  Otherwise the table of
-    the remaining generators decides redundancy, then the range check
-    and the capped `relax`, which checks the cap as it sweeps.
+    table is within cap = bound + m, so n_k + m > cap skips it before its
+    table.  While masks run (`_masks`) the mask of the others up to the
+    cap decides both tests once: n_k + m is redundant iff its bit is set,
+    and the son is kept iff its closed mask passes the `max` verdict at
+    best = cap (part 1); its table, within the kernel range, is read off
+    that mask.  Otherwise the table of the others decides redundancy,
+    then the range check and the capped `relax`.
     """
     m = P.multiplicity
     gens = P.min_gens
@@ -524,15 +544,11 @@ def class_sons(P: NumericalSemigroup, bound: int | None = None) -> tuple[Numeric
 
 
 def class_min_frobenius(S: NumericalSemigroup) -> tuple[NumericalSemigroup, ...]:
-    """All semigroups in the packing class of S with the same Frobenius number.
+    """All semigroups in the packing class of S with F(S), sorted.
 
-    S must be packed (it is then the class root, realizing the minimal
-    Frobenius number of the class).  BFS over the class tree, keeping
-    only sons whose Frobenius number still equals F(S): a son lies inside
-    its parent, so it is those with F at most F(S), and `class_sons`
-    builds no other.  Generator sums grow strictly along class edges, so
-    the walk terminates.  Each member has one parent (lower its largest
-    generator by m), so no member is reached twice.
+    S must be packed, the class root.  A breadth-first walk down the class
+    tree through the sons with F at most F(S) reaches each such member
+    once (part 5), and ends, as finitely many semigroups have F <= F(S).
     """
     if not is_packed(S):
         raise NotPacked(f"not packed: {S!r} has a minimal generator >= 2*m")
@@ -543,3 +559,27 @@ def class_min_frobenius(S: NumericalSemigroup) -> tuple[NumericalSemigroup, ...]
         frontier = [T for P in frontier for T in class_sons(P, target)]
         accepted += frontier
     return tuple(sorted(accepted))
+
+
+def min_genus_packed(m: int, e: int) -> SearchOutcome:
+    """The least genus at (m, e) and every minimizer, all packed (part 5), in family order."""
+    hits = _minimizers(m, e, sum)
+    return SearchOutcome(hits[0].genus, hits)
+
+
+def min_frobenius_packed(m: int, e: int) -> SearchOutcome:
+    """The least Frobenius number at (m, e) and its packed minimizers (part 5), in order."""
+    hits = _minimizers(m, e, max)
+    return SearchOutcome(hits[0].frobenius, hits)
+
+
+def min_frobenius_value_packed(m: int, e: int) -> int:
+    """The least Frobenius number at (m, e), the value of `min_frobenius_packed`."""
+    return min_frobenius_packed(m, e).value
+
+
+def min_frobenius_full_set(m: int, e: int) -> SearchOutcome:
+    """Every Frobenius minimizer at (m, e), sorted: the classes of the packed ones (part 5)."""
+    heads = min_frobenius_packed(m, e)
+    collected = [T for S in heads.minimizers for T in class_min_frobenius(S)]
+    return SearchOutcome(heads.value, tuple(sorted(collected)))

@@ -292,6 +292,30 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["result"]["value"] == -1
 
+    @pytest.mark.parametrize("verify", [(), ("--verify",)], ids=["plain", "verify"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("min-genus",),
+            ("min-frobenius", "--via", "tree"),
+            ("min-frobenius", "--via", "packed"),
+            ("min-frobenius", "--via", "packed", "--full-set"),
+        ],
+        ids=" ".join,
+    )
+    def test_naturals_on_every_minimum_route(self, capsys, command, verify):
+        code, out, _ = run_main(
+            capsys, command[0], "1", "1", *command[1:], *verify, "--format", "json"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        result = doc["result"]
+        assert result["value"] == (0 if command[0] == "min-genus" else -1)
+        assert result["minimizers"] == [{"min_gens": [1], "frobenius": -1, "genus": 0}]
+        assert result.get("complete", True) is True
+        assert doc["meta"]["nodes"] is None
+        assert doc["meta"]["verify"] == ("ok" if verify else None)
+
     def test_unpacked_class_input(self, capsys):
         code, _, err = run_main(capsys, "class-min-frob", "5,11,17")
         assert code == 2

@@ -1,6 +1,7 @@
 """Packed families, the packing map, and class-tree search."""
 import hashlib
 import random
+from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd
 
@@ -920,6 +921,30 @@ class TestPack:
             assert P.frobenius <= S.frobenius
             if not is_packed(S):
                 assert P.genus < S.genus
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.data())
+    def test_steps_of_the_packing_lemma(self, data):
+        # The steps the route's exactness rests on (the `packed` module
+        # docstring, part 5), on generators up to 4m, so most S are unpacked.
+        m = data.draw(st.integers(2, 12), label="m")
+        rest = data.draw(st.lists(st.integers(m + 1, 4 * m), min_size=1, max_size=8))
+        try:
+            S = make_semigroup([m, *rest])
+        except NotNumerical:
+            return
+        P = pack(S)
+        # S lies in P: a member past F(S) + m is one of these plus multiples of m.
+        assert all(x in P for x in range(S.frobenius + m + 1) if x in S)
+        for n in S.min_gens:
+            if n >= 2 * m:
+                assert n - m not in S and n - m in P, n
+        assert P in packed_family(m, S.embedding_dim)
+
+
+@lru_cache(maxsize=None)
+def packed_family(m, e):
+    return frozenset(enumerate_packed(m, e))
 
 
 def reference_class_sons(P):
