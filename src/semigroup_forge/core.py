@@ -9,7 +9,7 @@ is a plain tuple, entry i the least member congruent to i modulo its
 length.  Construction from generators goes through `make_semigroup`;
 the walks, which already hold each node's table, call the class
 directly.  All values are immutable and hashable, and so is
-`SearchOutcome`, the record a search returns.
+`SearchOutcome`, the named tuple a search returns.
 
 The closed formulas for interval-generated semigroups (generators
 m, m+1, ..., m+e-1) live here too, since they double as search bounds,
@@ -18,6 +18,7 @@ gate on (m, e) that every family-level routine uses.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum
 from functools import total_ordering
 from math import comb, gcd
@@ -48,49 +49,8 @@ __all__ = [
 ]
 
 
-class _Record:
-    """A frozen record of the fields named in `__slots__`, as a frozen dataclass is.
-
-    Equal to a record of its own class with equal fields, hashed by them,
-    shown as `Name(field=value, ...)`, copied and pickled by its fields,
-    and assigning or deleting a field raises AttributeError.  A plain class, since importing `dataclasses`
-    loads `inspect`, `ast` and `dis`, more than the whole package, and
-    every CLI run pays for it.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):  # pickle and copy rebuild through __init__, not setattr
-        return type(self), self._fields()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({shown})"
-
-
 @total_ordering
-class NumericalSemigroup(_Record):
+class NumericalSemigroup:
     """A numerical semigroup: minimal generators and least-element table.
 
     `entries[i]` is the least member congruent to i modulo the
@@ -109,6 +69,15 @@ class NumericalSemigroup(_Record):
         # they cost two thirds of `object.__setattr__`.
         _set_min_gens(self, min_gens)
         _set_entries(self, entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__, not setattr
+        return type(self), (self.min_gens, self.entries)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -159,17 +128,14 @@ _set_min_gens = NumericalSemigroup.min_gens.__set__
 _set_entries = NumericalSemigroup.entries.__set__
 
 
-class SearchOutcome(_Record):
+class SearchOutcome(namedtuple("SearchOutcome", "value minimizers")):
     """Result of one minimization: the value and everything attaining it.
 
     The caller knows what it asked for (genus or Frobenius number, at
     which m and e); a genus minimum sits at tree level value - (m-1).
     """
 
-    __slots__ = ("value", "minimizers")
-
-    def __init__(self, value: int, minimizers: tuple[NumericalSemigroup, ...]):
-        super().__init__(value, minimizers)
+    __slots__ = ()
 
 
 def _check_generators(generators) -> list[int]:

@@ -15,9 +15,10 @@ The enumerator is exhaustive and stays at desk scale; the sieve stops at
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from math import gcd
 
-from .core import NumericalSemigroup, _Record
+from .core import NumericalSemigroup
 from .errors import EmptyInput, InvalidGenerator, NotNumerical, Uncertified
 
 __all__ = ["SieveResult", "sieve", "enumerate_by_genus", "BOUND_CAP"]
@@ -26,7 +27,7 @@ __all__ = ["SieveResult", "sieve", "enumerate_by_genus", "BOUND_CAP"]
 BOUND_CAP = 1 << 20
 
 
-class SieveResult(_Record):
+class SieveResult(namedtuple("SieveResult", "bound reachable frobenius genus")):
     """Outcome of one reachability sieve.
 
     `reachable[i]` is 1 iff i is a member, exact for all i <= bound.
@@ -34,10 +35,7 @@ class SieveResult(_Record):
     down frobenius and genus.
     """
 
-    __slots__ = ("bound", "reachable", "frobenius", "genus")
-
-    def __init__(self, bound: int, reachable: bytes, frobenius: int, genus: int):
-        super().__init__(bound, reachable, frobenius, genus)
+    __slots__ = ()
 
 
 # The bytes 0 and 1 for the ASCII digits of a binary string.

@@ -7,7 +7,9 @@ rather than a `SearchOutcome`.  The routes cross-check each other in tests.
 """
 from __future__ import annotations
 
-from .core import NumericalSemigroup, SearchOutcome, _Record
+from collections import namedtuple
+
+from .core import SearchOutcome
 # `sons` is bound only because the benchmark's tracer self-test checks it.
 from .multiplicity_tree import min_frobenius, min_genus, sons  # noqa: F401
 from .packed import min_frobenius_full_set, min_frobenius_packed
@@ -26,13 +28,10 @@ __all__ = [
 ]
 
 
-class WilfViolation(_Record):
+class WilfViolation(namedtuple("WilfViolation", "semigroup lhs rhs")):
     """A semigroup breaking e(S)*g(S) <= (e(S)-1)*(F(S)+1)."""
 
-    __slots__ = ("semigroup", "lhs", "rhs")
-
-    def __init__(self, semigroup: NumericalSemigroup, lhs: int, rhs: int):
-        super().__init__(semigroup, lhs, rhs)
+    __slots__ = ()
 
 
 def wilf_audit(semigroups) -> tuple[WilfViolation, ...]:

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from semigroup_forge.core import (
     NumericalSemigroup,
+    SearchOutcome,
+    _least_levels,
     apery_set,
     interval_apery,
     interval_frobenius,
@@ -27,7 +29,8 @@ from semigroup_forge.errors import (
     NotNumerical,
 )
 from semigroup_forge.multiplicity_tree import sons
-from semigroup_forge.oracle import enumerate_by_genus, sieve
+from semigroup_forge.oracle import SieveResult, enumerate_by_genus, sieve
+from semigroup_forge.search import WilfViolation
 
 
 def mk(*gens):
@@ -137,6 +140,10 @@ class TestMakeSemigroup:
             a.min_gens = (4, 5, 6)
         with pytest.raises(AttributeError):
             a.genus = 0
+        with pytest.raises(AttributeError):
+            del a.min_gens
+        with pytest.raises(AttributeError):
+            del a.entries
         # One value whichever constructor built it: the kernels, the son
         # rule or the brute-force oracle.
         by_oracle = {T.min_gens: T for T in enumerate_by_genus(4, 5)}
@@ -298,6 +305,19 @@ class TestIntervalFormulas:
                 assert interval_frobenius(m, e) == S.frobenius
                 assert interval_apery(m, e) == S.entries
 
+    def test_least_levels_bound_every_sorted_level(self):
+        # Entry t of _least_levels(m, e) bounds the t-th smallest nonzero
+        # Apery level of every semigroup in L(m, e), not only their sum.
+        checked = 0
+        for m in range(2, 9):
+            for S in enumerate_by_genus(m, 2 * m):
+                levels = sorted(w // m for w in S.entries[1:])
+                least = _least_levels(m, S.embedding_dim)
+                assert len(least) == m - 1
+                assert all(k >= b for k, b in zip(levels, least, strict=True)), S
+                checked += 1
+        assert checked == 2273
+
     def test_bad_dimension(self):
         with pytest.raises(BadDimension):
             interval_genus(3, 4)
@@ -325,6 +345,34 @@ class TestMonoidContains:
         S = mk(5, 7, 9)
         for n in range(0, 40):
             assert monoid_contains(S.min_gens, n) == (n in S)
+
+
+@pytest.mark.parametrize("cls, fields, values", [
+    (SearchOutcome, ("value", "minimizers"), (6, (mk(5, 6, 7), mk(5, 6, 8)))),
+    (WilfViolation, ("semigroup", "lhs", "rhs"), (mk(4, 5, 7), 15, 14)),
+    (SieveResult, ("bound", "reachable", "frobenius", "genus"), (9, bytes([1, 0, 1, 1, 1, 1, 1, 1, 1, 1]), 1, 1)),
+])
+def test_record_contract(cls, fields, values):
+    # Field names and order, equality and hash by fields, the
+    # `Name(field=value, ...)` repr, frozen fields, copy, pickle, unpacking.
+    record = cls(*values)
+    assert cls._fields == fields
+    twin = cls(**dict(zip(fields, values)))
+    assert twin == record and hash(twin) == hash(record) == hash(values)
+    assert record != record._replace(**{fields[-1]: None})
+    shown = ", ".join(f"{name}={value!r}" for name, value in zip(fields, values))
+    assert repr(record) == f"{cls.__name__}({shown})"
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.other = 0
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is cls and twin == record and repr(twin) == repr(record)
+    *unpacked, last = record
+    assert (*unpacked, last) == values
 
 
 @pytest.mark.parametrize("name", [

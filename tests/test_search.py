@@ -473,5 +473,5 @@ class TestWilfAudit:
         out = min_genus(5, 3)
         assert isinstance(out, SearchOutcome)
         assert isinstance(min_frobenius(5, 3), SearchOutcome)
-        assert SearchOutcome.__slots__ == ("value", "minimizers")
+        assert SearchOutcome._fields == ("value", "minimizers")
         assert not hasattr(out, "__dict__")
