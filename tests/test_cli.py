@@ -1,4 +1,5 @@
 """Command-line surface: outputs, exit codes, determinism, round-trips."""
+import argparse
 import json
 import os
 import subprocess
@@ -846,3 +847,95 @@ class TestParser:
         assert list(parsers) == list(PARSER_STRUCTURE)
         for name, parser in parsers.items():
             assert action_fields(parser) == PARSER_STRUCTURE[name], name
+        for name in PARSER_STRUCTURE.keys() - {None}:
+            choices = _build_parser(name)._actions[-1].choices
+            assert list(choices) == [name]
+            assert action_fields(choices[name]) == PARSER_STRUCTURE[name], name
+
+    def test_one_invocation_builds_one_subparser(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(["info", "4,5,7"]) == 0
+        assert len(built) == 2
+        built.clear()
+        assert main(["--help"]) == 0
+        assert len(built) == 8  # the top parser and all seven subparsers
+
+
+# Argument lists that parse, fail to parse or ask for help, per command and
+# before any command.  `info 4,5,7 --bogus` and `min-genus 5 3 4` parse on
+# the one-command parser with an argument left over.
+VALID_ARGS = {
+    "min-genus": ["5", "3"],
+    "min-frobenius": ["7", "4"],
+    "packed": ["6", "3"],
+    "tree": ["4", "--levels", "2"],
+    "class-min-frob": ["6,7,8,9,11"],
+    "info": ["4,5,7"],
+    "audit-wilf": ["5", "3", "--levels", "2"],
+}
+PARITY_ARGV = [
+    argv
+    for name, args in VALID_ARGS.items()
+    for argv in (
+        [name, *args],
+        [name, *args, "--format", "json", "--verify"],
+        [name, *args, "--form", "json"],
+        [name, "-h"],
+        [name, "--help"],
+        [name, *args, "-h"],
+        [name],
+        [name, *args[:-1]],
+        [name, *args, "4"],
+        [name, *args, "--bogus"],
+        [name, "x" if args[0].isdigit() else "3,x", *args[1:]],
+        [name, *args, "--format", "yaml"],
+        [name, *args, "--format"],
+        [name, "--", *args],
+        [name, "-3,5", *args[1:]],
+        ["--format", "json", name, *args],
+    )
+] + [
+    [],
+    ["-h"],
+    ["--help"],
+    ["bogus"],
+    ["bogus", "4,5,7"],
+    ["Info", "4,5,7"],
+    ["min", "5", "3"],
+    ["--bogus", "info", "4,5,7"],
+    ["--"],
+    ["--", "info", "4,5,7"],
+    ["-3,5"],
+    ["min-frobenius", "7", "4", "--via", "packed", "--full-set"],
+    ["min-frobenius", "7", "4", "--via", "bogus"],
+    ["packed", "6", "3", "--show", "g"],
+    ["packed", "6", "3", "--show", "x"],
+    ["tree", "4", "--levels", "x"],
+    ["audit-wilf", "5", "3"],
+]
+
+
+def without_elapsed(text: str) -> str:
+    return "".join(s for s in text.splitlines(True) if not s.startswith("elapsed:"))
+
+
+@pytest.mark.parametrize(
+    "argv", PARITY_ARGV, ids=lambda argv: " ".join(argv) or "(none)"
+)
+def test_one_command_parser_matches_the_full_parser(argv, monkeypatch, capsys):
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    full = _build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full())
+    want_code = main(list(argv))
+    want_out, want_err = capsys.readouterr()
+    assert (code, out, without_elapsed(err)) == (
+        want_code, want_out, without_elapsed(want_err)
+    )
