@@ -23,6 +23,7 @@ import json
 import os
 import sys
 import time
+from collections import namedtuple
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 
@@ -128,14 +129,19 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     One invocation runs one subcommand, so it builds only that subparser.
     Building all seven took 1.49 ms of a 1.90 ms `info ... --verify
     --format json` call, and building one takes about 0.23 ms (2-vCPU VM,
-    Python 3.11; 0.8 and 0.18 ms on a quieter run).
+    Python 3.11; 0.8 and 0.18 ms on a quieter run).  A one-command parser
+    still names every command in its usage line, so one parse serves every
+    call: a leftover argument is refused in 0.31 ms, where parsing again
+    with all seven took 1.25 ms.
     """
     p = argparse.ArgumentParser(
         prog="semigroup-forge",
         description="Minimal genus and minimal Frobenius number over numerical "
         "semigroups with fixed multiplicity and embedding dimension.",
     )
-    sub = p.add_subparsers(dest="command", required=True)
+    # The full parser keeps None: its refusals of a missing or unknown command name `command`.
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (text, add_arguments, _) in _COMMANDS.items():
         if command in (None, name):
             add_arguments(sub.add_parser(name, help=text))
@@ -189,7 +195,7 @@ def _json(x, pad: str = "") -> str:
     return json.dumps(x)
 
 
-class _Report:
+class _Report(namedtuple("_Report", "result lines members nodes route alarm", defaults=(None,) * 3)):
     """What one subcommand computed; `main` verifies and renders it.
 
     `result` is the JSON form, holding the semigroups themselves; `lines`
@@ -202,19 +208,7 @@ class _Report:
     the report and makes the exit code 4.
     """
 
-    # A plain class: a dataclass or NamedTuple here adds about 0.5 ms to
-    # the import of this module, which every CLI run pays.
-    def __init__(
-        self,
-        result: dict,
-        lines,
-        members: list[NumericalSemigroup],
-        nodes: int | None = None,
-        route=None,
-        alarm: str | None = None,
-    ):
-        self.result, self.lines, self.members = result, lines, members
-        self.nodes, self.route, self.alarm = nodes, route, alarm
+    __slots__ = ()
 
 
 class _Exit(Exception):
@@ -489,10 +483,7 @@ def main(argv=None) -> int:
     argv = [" " + a if a[:1] == "-" and a[1:2].isdigit() and "," in a else a for a in argv]
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        ns, extra = _build_parser(command).parse_known_args(argv)
-        if extra:
-            # The full parser refuses it: its usage line names every command.
-            ns = _build_parser().parse_args(argv)
+        ns = _build_parser(command).parse_args(argv)
     except SystemExit as ex:
         return int(ex.code or 0)
     started = time.perf_counter()

@@ -753,9 +753,9 @@ class TestRenderOnce:
 
     def test_json_builds_no_table(self, capsys, monkeypatch):
         class JsonOnly(_Report):
-            def __init__(self, result, lines, *rest, **kw):
+            def __new__(cls, result, lines, *rest, **kw):
                 assert callable(lines)
-                super().__init__(result, self.no_table, *rest, **kw)
+                return super().__new__(cls, result, cls.no_table, *rest, **kw)
 
             @staticmethod
             def no_table():
@@ -770,6 +770,14 @@ class TestRenderOnce:
             code, out, _ = run_main(capsys, *args, "--format", "json")
             assert code == 0, args
             json.loads(out)
+
+    def test_report_is_a_plain_record(self):
+        assert _Report._fields == ("result", "lines", "members", "nodes", "route", "alarm")
+        assert _Report._field_defaults == {"nodes": None, "route": None, "alarm": None}
+        report = _Report({}, list, [])
+        with pytest.raises(AttributeError):
+            report.nodes = 1
+        assert not hasattr(report, "__dict__")
 
     def test_table_renders_no_json(self, capsys, monkeypatch):
         def no_json(x, pad=""):
@@ -866,6 +874,34 @@ class TestParser:
         built.clear()
         assert main(["--help"]) == 0
         assert len(built) == 8  # the top parser and all seven subparsers
+        # A leftover argument is refused by the one-command parser alone; a
+        # missing or unknown command, by the full parser.
+        for argv, count in (
+            (["info", "4,5,7", "--bogus"], 2),
+            (["min-genus", "5", "3", "4"], 2),
+            ([], 8),
+            (["bogus"], 8),
+        ):
+            built.clear()
+            assert main(argv) == 2, argv
+            assert len(built) == count, argv
+
+    def test_one_command_usage_names_every_command(self):
+        usage = _build_parser().format_usage()
+        for name in PARSER_STRUCTURE.keys() - {None}:
+            assert _build_parser(name).format_usage() == usage, name
+
+    # The one-command parsers are checked against the full parser below; these
+    # refusals only the full parser makes, so they are pinned as text.
+    def test_full_parser_names_the_command_argument(self, capsys):
+        assert main([]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "semigroup-forge: error: the following arguments are required: command"
+        )
+        assert main(["bogus"]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            "semigroup-forge: error: argument command: invalid choice: "
+        )
 
 
 # Argument lists that parse, fail to parse or ask for help, per command and
