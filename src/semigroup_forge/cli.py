@@ -11,6 +11,11 @@ sorted keys and a two-space indent: any indent makes `json` fall back to
 its pure-Python encoder.  Semigroups are written straight from their
 generators, F and g.
 
+One table, `_COMMANDS`, declares every command's arguments.  `_parse`
+reads a well-formed call off it; help, abbreviations and every refusal
+go to argparse, whose parser `_build_parser` builds from the same table
+and which is imported only then.
+
 Exit codes: 0 success, 2 invalid arguments, 3 empty family,
 4 verification failure (including a Wilf violation).  Output cut short
 by its reader (`| head -1`, also with `2>&1`) keeps that code and prints
@@ -18,7 +23,6 @@ no traceback.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -26,6 +30,7 @@ import time
 from collections import namedtuple
 from itertools import islice
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from ._backend import backend_name
 from .core import Existence, NumericalSemigroup, SearchOutcome, existence, make_semigroup
@@ -59,81 +64,28 @@ def _gen_list(text: str) -> list[int]:
         try:
             items.append(int(tok))
         except ValueError:
+            import argparse
+
             raise argparse.ArgumentTypeError(f"invalid generator token: {tok!r}")
     if not items:
+        import argparse
+
         raise argparse.ArgumentTypeError("expected a comma-separated generator list")
     return items
 
 
-def _common(q) -> None:
-    q.add_argument(
-        "--format", choices=("table", "json"), default="table", help="output format"
-    )
-    q.add_argument(
-        "--verify",
-        action="store_true",
-        help="cross-check the result against the brute-force oracle",
-    )
-
-
-def _family(q) -> None:
-    """The arguments the four family commands share: the common ones, then (m, e)."""
-    _common(q)
-    q.add_argument("m", type=int)
-    q.add_argument("e", type=int)
-
-
-def _generators(q) -> None:
-    _common(q)
-    q.add_argument("generators", type=_gen_list, metavar="G1,G2,...")
-
-
-def _args_min_frobenius(q) -> None:
-    _family(q)
-    q.add_argument(
-        "--via",
-        choices=("tree", "packed"),
-        default="tree",
-        help="pruned tree search, or minimum over the packed family",
-    )
-    q.add_argument(
-        "--full-set",
-        action="store_true",
-        help="with --via packed: expand the minimizing classes to the full set",
-    )
-
-
-def _args_packed(q) -> None:
-    _family(q)
-    q.add_argument(
-        "--show",
-        choices=("g", "f"),
-        help="append the per-member genus (g) or Frobenius (f) value list",
-    )
-
-
-def _args_tree(q) -> None:
-    _common(q)
-    q.add_argument("m", type=int)
-    q.add_argument("--levels", type=int, required=True, metavar="K")
-
-
-def _args_audit_wilf(q) -> None:
-    _family(q)
-    q.add_argument("--levels", type=int, required=True, metavar="K")
-
-
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None):
     """The top parser, with the subparser of `command` only, or of all seven.
 
-    One invocation runs one subcommand, so it builds only that subparser.
-    Building all seven took 1.49 ms of a 1.90 ms `info ... --verify
-    --format json` call, and building one takes about 0.23 ms (2-vCPU VM,
-    Python 3.11; 0.8 and 0.18 ms on a quieter run).  A one-command parser
-    still names every command in its usage line, so one parse serves every
-    call: a leftover argument is refused in 0.31 ms, where parsing again
-    with all seven took 1.25 ms.
+    Only what `_parse` declines reaches it: help, abbreviations and
+    refusals.  Building a one-command parser and parsing a call with it
+    takes 0.28-0.36 ms, where `_parse` takes 3.4-4.8 us, and building the
+    full parser takes 1.0 ms (timeit, 2-vCPU VM, Python 3.11.7).  A
+    one-command parser still names every command in its usage line, so it
+    refuses a leftover argument alone.
     """
+    import argparse
+
     p = argparse.ArgumentParser(
         prog="semigroup-forge",
         description="Minimal genus and minimal Frobenius number over numerical "
@@ -142,10 +94,54 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     # The full parser keeps None: its refusals of a missing or unknown command name `command`.
     metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
     sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, (text, add_arguments, _) in _COMMANDS.items():
+    for name, (text, arguments, _) in _COMMANDS.items():
         if command in (None, name):
-            add_arguments(sub.add_parser(name, help=text))
+            q = sub.add_parser(name, help=text)
+            for flag, kwargs in arguments:
+                q.add_argument(flag, **kwargs)
     return p
+
+
+def _value(token: str, kwargs: dict):
+    """`token` as argparse converts it; raises where `_parse` leaves it to argparse."""
+    if token[:1] == "-" or token not in kwargs.get("choices", (token,)):
+        raise ValueError(token)
+    return kwargs.get("type", str)(token)
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse makes of a well-formed call, else None.
+
+    Well-formed is a command, then exactly its positionals, then full
+    option strings, each value-taking one followed by a value that passes
+    its `choices` or `type`, with every required option given; no
+    positional or value starts with `-`.  Anything else (help, an
+    abbreviation, `--opt=value`, `--`, a leftover or a bad value) is
+    None, and argparse parses it, so its help and refusals stay the only ones.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    ns, options, tokens = {"command": argv[0]}, {}, iter(argv[1:])
+    try:
+        for flag, kwargs in _COMMANDS[argv[0]][1]:
+            dest = flag.lstrip("-").replace("-", "_")
+            if flag[0] == "-":
+                options[flag] = dest, kwargs
+                ns[dest] = kwargs.get("default")
+            else:
+                ns[dest] = _value(next(tokens), kwargs)
+        for token in tokens:
+            dest, kwargs = options[token]
+            store_true = kwargs.get("action") == "store_true"
+            ns[dest] = True if store_true else _value(next(tokens), kwargs)
+    # A missing token (StopIteration), an unknown one (KeyError) or a refused
+    # value (ValueError, or `_gen_list`'s ArgumentTypeError, which names no
+    # class here without importing argparse): argparse parses it and says which.
+    except Exception:
+        return None
+    if any(kwargs.get("required") and ns[dest] is None for dest, kwargs in options.values()):
+        return None
+    return SimpleNamespace(**ns)
 
 
 def _member_lines(semigroups) -> list[str]:
@@ -442,24 +438,51 @@ def _cmd_audit_wilf(ns) -> _Report:
     return _Report(result, lines, audited, alarm=alarm)
 
 
-# Each command, in help order: its help line, what adds its arguments, and
-# its handler.
-_COMMANDS = {
-    "min-genus": ("least genus at (m, e)", _family, _cmd_min_genus),
-    "min-frobenius": (
-        "least Frobenius number at (m, e)", _args_min_frobenius, _cmd_min_frobenius
+# Each command's arguments in declaration order, as (flag, `add_argument` keywords).
+_COMMON = (
+    ("--format", dict(choices=("table", "json"), default="table", help="output format")),
+    (
+        "--verify",
+        dict(action="store_true", default=False,
+             help="cross-check the result against the brute-force oracle"),
     ),
-    "packed": ("the packed family C(m, e)", _args_packed, _cmd_packed),
-    "tree": ("levels of the multiplicity-m tree", _args_tree, _cmd_tree),
+)
+_M = ("m", dict(type=int))
+_FAMILY = (*_COMMON, _M, ("e", dict(type=int)))
+_GENERATORS = (*_COMMON, ("generators", dict(type=_gen_list, metavar="G1,G2,...")))
+_LEVELS = ("--levels", dict(type=int, required=True, metavar="K"))
+_VIA = (
+    "--via",
+    dict(choices=("tree", "packed"), default="tree",
+         help="pruned tree search, or minimum over the packed family"),
+)
+_FULL_SET = (
+    "--full-set",
+    dict(action="store_true", default=False,
+         help="with --via packed: expand the minimizing classes to the full set"),
+)
+_SHOW = (
+    "--show",
+    dict(choices=("g", "f"), help="append the per-member genus (g) or Frobenius (f) value list"),
+)
+
+# Each command, in help order: its help line, its arguments and its handler.
+_COMMANDS = {
+    "min-genus": ("least genus at (m, e)", _FAMILY, _cmd_min_genus),
+    "min-frobenius": (
+        "least Frobenius number at (m, e)", (*_FAMILY, _VIA, _FULL_SET), _cmd_min_frobenius
+    ),
+    "packed": ("the packed family C(m, e)", (*_FAMILY, _SHOW), _cmd_packed),
+    "tree": ("levels of the multiplicity-m tree", (*_COMMON, _M, _LEVELS), _cmd_tree),
     "class-min-frob": (
         "all semigroups in the packing class with the root's Frobenius number",
-        _generators,
+        _GENERATORS,
         _cmd_class_min_frob,
     ),
-    "info": ("invariants of one semigroup", _generators, _cmd_info),
+    "info": ("invariants of one semigroup", _GENERATORS, _cmd_info),
     "audit-wilf": (
         "Wilf inequality over dimension-e members of tree levels 0..K",
-        _args_audit_wilf,
+        (*_FAMILY, _LEVELS),
         _cmd_audit_wilf,
     ),
 }
@@ -476,16 +499,19 @@ def _emit(text: str, stream) -> None:
 
 
 def main(argv=None) -> int:
-    # argparse takes `-3,5` for an option: only a bare negative number passes
-    # as a value.  A leading blank makes such a generator list a value, and
-    # `_gen_list` strips it, so `make_semigroup` names the bad generator.
+    # argparse takes `-3,5` for an option, and `_parse` refuses it: only a bare
+    # negative number passes as a value.  A leading blank makes such a generator
+    # list a value, and `_gen_list` strips it, so `make_semigroup` names the bad
+    # generator.
     argv = sys.argv[1:] if argv is None else argv
     argv = [" " + a if a[:1] == "-" and a[1:2].isdigit() and "," in a else a for a in argv]
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    try:
-        ns = _build_parser(command).parse_args(argv)
-    except SystemExit as ex:
-        return int(ex.code or 0)
+    ns = _parse(argv)
+    if ns is None:
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        try:
+            ns = _build_parser(command).parse_args(argv)
+        except SystemExit as ex:
+            return int(ex.code or 0)
     started = time.perf_counter()
     try:
         report = _COMMANDS[ns.command][2](ns)
