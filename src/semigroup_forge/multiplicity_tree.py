@@ -51,8 +51,9 @@ these parts:
    - deficit: the dimension falls by at most one per edge, so D lies at
      level k + dim(T) - e or deeper.
 4. Exact searches.  `min_genus` walks levels from the root; the first
-   level holding dimension-e nodes holds exactly the minimizers, and the
-   interval semigroup, of dimension e at level L, bounds the walk.  Every
+   level holding dimension-e nodes holds exactly the minimizers, and a
+   seed, a member of L(m, e) at level L, bounds the walk: the diagonal
+   member of part 6 where it exists, else the interval semigroup.  Every
    node above the first hit has dimension above e, as the root has m, so
    (part 1) the hits are sons of dimension-(e+1) nodes.  Each level builds
    those near sons first, each family at its parent's place; if one has
@@ -62,8 +63,9 @@ these parts:
    and the deficit cut against L; every ancestor of a minimizer passes
    both, and every level and the hits come out sorted (part 2).
    `min_frobenius` walks levels under a bound alpha: it starts at the
-   interval semigroup's F, and once a level is read falls to the least F
-   of its dimension-e nodes.  It builds only the sons that pass the
+   seed's F, the lesser of the interval semigroup's and the diagonal
+   member's, and once a level is read falls to the least F of its
+   dimension-e nodes.  It builds only the sons that pass the
    permanent-generator and reach cuts with F(D) <= alpha.  A dimension-e
    node D that the walk without the cuts (every son with F <= alpha)
    finds has F(D) <= alpha at every level above it, as alpha only falls,
@@ -71,7 +73,9 @@ these parts:
    the same level.  So alpha moves level by level as in that walk, with
    the same value and minimizers.  No son of dimension below e is built:
    a node of dimension e has F >= alpha once its level is read, and its
-   sons have larger F.
+   sons have larger F.  Any seed at or above the minimum gives the same
+   answer; one below it leaves the walk with no hit, which raises rather
+   than returning an empty answer.
 5. Node counts.  With `stats`, a search stores in `stats["nodes"]` the
    count `_count_nodes` makes of its walk without the cuts; it runs only
    then.  For `min_genus` that is every node of genus up to the minimum;
@@ -79,6 +83,27 @@ these parts:
    level, and below the last level under alpha's final value: no node
    there has dimension e, or the walk would reach it.  A node with F <=
    alpha has genus at most F, so levels 0..alpha - (m-1) hold them all.
+   The recorded alphas depend on where alpha starts, so with `stats`
+   `min_frobenius` starts at the interval semigroup's F whatever the
+   seed, and its count stays the pinned one.  `min_genus`'s count depends
+   on the minimum alone, so it seeds either way.
+6. The diagonal member.  Let d = m - e >= 1, and B a 2-basis of [1, t]
+   with t - d elements, all in [1, t-1]: B and B + B cover [1, t].  When
+   t <= m - 1, the diagonal member D, made of 0, m, the m + b for b in B
+   and every number from m + t + 1 on, lies in L(m, e), with F = m + t
+   and genus 2m - e - 1.  Every sum of two nonzero elements of D is at
+   least 2m > m + t, so D is closed under addition and its minimal
+   generators are m, the m + b for b in B, and m + t + 1, ..., 2m - 1:
+   1 + (t - d) + (m - 1 - t) = e of them.  No 2m + j is one: for j <= t,
+   j lies in B or B + B, and for j > t, 2m + j = m + (m + j).  Its gaps
+   are 1..m-1 and the d numbers of m + [1, t] outside m + B.  No member
+   of L(m, e) has a smaller genus: the Apery entry of each of its m - e
+   nonzero residues that hold no minimal generator sums at least two
+   generators, each above m, so its level is at least 2, and the other
+   e - 1 levels are at least 1.  So `min_genus` stops at level d.
+   `_TWO_BASES` pins, for d <= 16, the least such t with one B, matching
+   ROADMAP item 3's T(d); above, B = [1, d] with t = 2d.  A wrong entry
+   cannot give a wrong answer (part 4).
 """
 from __future__ import annotations
 
@@ -93,6 +118,24 @@ from .core import make_semigroup  # noqa: F401
 from .errors import InvalidGenerator
 
 __all__ = ["root", "sons", "bfs_levels", "min_genus", "min_frobenius"]
+
+
+# d: (t, B) for part 6, the least t with a 2-basis B of [1, t] of t - d
+# numbers in [1, t-1]; each B was found by exhaustive search.
+_TWO_BASES = {
+    1: (2, (1,)), 2: (4, (1, 2)), 3: (6, (1, 2, 3)), 4: (7, (1, 2, 5)),
+    5: (8, (1, 3, 4)), 6: (10, (1, 2, 3, 7)), 7: (11, (1, 3, 5, 6)),
+    8: (12, (1, 3, 5, 6)), 9: (14, (1, 2, 3, 7, 10)),
+    10: (15, (1, 3, 4, 9, 11)), 11: (16, (1, 3, 5, 7, 8)),
+    12: (18, (1, 2, 3, 4, 9, 13)), 13: (19, (1, 2, 5, 8, 9, 10)),
+    14: (20, (1, 2, 5, 8, 9, 10)), 15: (22, (1, 2, 3, 4, 5, 11, 16)),
+    16: (23, (1, 2, 3, 4, 9, 13, 19)),
+}
+
+
+def _two_basis(d: int) -> tuple:
+    """(t, B) of the diagonal member for d = m - e (part 6)."""
+    return _TWO_BASES.get(d) or (2 * d, tuple(range(1, d + 1)))
 
 
 def _root_node(m: int) -> tuple:
@@ -219,13 +262,15 @@ def min_genus(m: int, e: int, stats: dict | None = None) -> SearchOutcome:
     breadth-first walk of part 4; `stats["nodes"]` is set as part 5 says.
     """
     last_level = interval_genus(m, e) - (m - 1)
+    if _two_basis(m - e)[0] < m:
+        last_level = m - e  # the diagonal member's level (part 6)
     top = last_level + e
     level = [_root_node(m)]
     hits = level if e == m else []  # the root has dimension m
     k = 0
     while not hits:
         if k == last_level:
-            raise AssertionError("unreachable: the interval semigroup bounds the walk")
+            raise AssertionError(f"no dimension-{e} node by level {last_level}, the seed's")
         k += 1
         near = [_sons(m, S, None, e) if len(S[0]) == e + 1 else None for S in level]
         hits = [T for fam in near if fam for T in fam if len(T[0]) == e]
@@ -248,6 +293,10 @@ def min_frobenius(m: int, e: int, stats: dict | None = None) -> SearchOutcome:
     falling bound of part 4; `stats["nodes"]` is set as part 5 says.
     """
     alpha = interval_frobenius(m, e)
+    t = _two_basis(m - e)[0]
+    if t < m and stats is None:
+        alpha = min(alpha, m + t)  # the diagonal member's F (part 6)
+    seed = alpha
     best: list = []  # bare minimizers so far
     alphas = []
     level = [_root_node(m)]
@@ -261,5 +310,6 @@ def min_frobenius(m: int, e: int, stats: dict | None = None) -> SearchOutcome:
     if stats is not None:
         k = alpha - (m - 1)
         stats["nodes"] = _count_nodes(m, k, alphas + [alpha] * k)
-    assert best, "a minimizer always survives the pruning"
+    if not best:
+        raise AssertionError(f"no dimension-{e} node with F <= {seed}, the seed's")
     return SearchOutcome(alpha, _values(sorted(best)))

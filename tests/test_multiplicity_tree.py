@@ -1,14 +1,29 @@
-"""Root, son rule, and level walks of the fixed-multiplicity tree."""
+"""Root, son rule, level walks and search seeds of the fixed-multiplicity tree."""
 import json
-from itertools import islice
+import subprocess
+import sys
+from itertools import combinations, islice
+from math import inf
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semigroup_forge import cli, core
+from semigroup_forge import multiplicity_tree as tree_module
 from semigroup_forge.core import make_semigroup
 from semigroup_forge.errors import InvalidGenerator
-from semigroup_forge.multiplicity_tree import _count_nodes, bfs_levels, root, sons
-from semigroup_forge.oracle import enumerate_by_genus
+from semigroup_forge.multiplicity_tree import (
+    _TWO_BASES,
+    _count_nodes,
+    _two_basis,
+    bfs_levels,
+    min_frobenius,
+    min_genus,
+    root,
+    sons,
+)
+from semigroup_forge.oracle import enumerate_by_genus, sieve
 
 
 def mk(*gens):
@@ -210,3 +225,100 @@ class TestExhaustiveness:
             for lv in islice(bfs_levels(m), bound - (m - 1) + 1):
                 collected |= set(lv)
             assert collected == enumerate_by_genus(m, bound)
+
+
+def covers(B, t):
+    """Whether B and B + B together cover 1..t."""
+    return set(range(1, t + 1)) <= set(B) | {a + b for a in B for b in B}
+
+
+def assert_diagonal_member(m, d):
+    """The diagonal member for m and d has the generators, e, F and g of part 6."""
+    t, B = _two_basis(d)
+    gens = (m, *(m + b for b in B), *range(m + t + 1, 2 * m))
+    S = make_semigroup(gens)
+    e = m - d
+    assert (S.min_gens, S.embedding_dim) == (gens, e), (m, d)
+    assert (S.frobenius, S.genus) == (m + t, 2 * m - e - 1), (m, d)
+    return gens
+
+
+class TestDiagonalSeed:
+    """The diagonal member of part 6, from which both searches start."""
+
+    def test_each_pinned_basis_is_a_witness(self):
+        assert sorted(_TWO_BASES) == list(range(1, 17))
+        for d, (t, B) in _TWO_BASES.items():
+            assert list(B) == sorted(set(B)), d
+            assert 1 <= B[0] and B[-1] <= t - 1, d
+            assert len(B) == t - d, d
+            assert covers(B, t), d
+
+    def test_each_pinned_basis_gives_its_member(self):
+        for d, (t, _) in _TWO_BASES.items():
+            for m in range(t + 1, 41):
+                gens = assert_diagonal_member(m, d)
+                if m in (t + 1, 40):
+                    e = m - d
+                    assert sieve(gens)[2:] == (m + t, 2 * m - e - 1), (m, d)
+
+    def test_each_pinned_t_is_least(self):
+        # No set of t' - d numbers in [1, t'-1] covers [1, t'] for t' < t.
+        for d, (t, _) in _TWO_BASES.items():
+            if d > 12:
+                break
+            for low in range(d + 1, t):
+                assert not any(
+                    covers(B, low) for B in combinations(range(1, low), low - d)
+                ), (d, low)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.integers(17, 60), st.integers(1, 30))
+    def test_the_fallback_is_the_interval_basis(self, d, above):
+        t, B = _two_basis(d)
+        assert (t, B) == (2 * d, tuple(range(1, d + 1)))
+        assert covers(B, t) and len(B) == t - d
+        assert_diagonal_member(t + above, d)
+
+    def test_seeded_searches_match_the_interval_start(self, monkeypatch):
+        cells = [(m, e) for m in range(3, 17) for e in range(2, m + 1)]
+        seeded = {c: (min_frobenius(*c), min_genus(*c)) for c in cells}
+        # Where the diagonal member exists, it attains both minima.
+        for (m, e), (frob, genus) in seeded.items():
+            t = _two_basis(m - e)[0]
+            if e < m and t < m:
+                assert (frob.value, genus.value) == (m + t, 2 * m - e - 1), (m, e)
+        # With `stats`, min_frobenius starts from the interval semigroup;
+        # the count it then makes is not under test here.
+        monkeypatch.setattr(tree_module, "_count_nodes", lambda *args: 0)
+        monkeypatch.setattr(tree_module, "_two_basis", lambda d: (inf, ()))
+        for cell, outs in seeded.items():
+            refs = min_frobenius(*cell, stats={}), min_genus(*cell)
+            for out, ref in zip(outs, refs):
+                assert out == ref, cell
+                assert [T.entries for T in out.minimizers] == [
+                    T.entries for T in ref.minimizers], cell
+
+    def test_a_seed_below_the_minimum_raises_under_dash_o(self):
+        # T(4) = 7 = m at (7, 3), so no diagonal member exists there; an
+        # entry one below would seed both searches below their minima.
+        # Under -O an `assert` would not stop an empty answer.
+        code = """
+import semigroup_forge.multiplicity_tree as tree
+assert False, "-O strips this"
+t, B = tree._TWO_BASES[4]
+tree._TWO_BASES[4] = (t - 1, B)
+for search in (tree.min_frobenius, tree.min_genus):
+    try:
+        print("returned", search(7, 3))
+    except AssertionError as exc:
+        print(exc)
+"""
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "no dimension-3 node with F <= 13, the seed's",
+            "no dimension-3 node by level 4, the seed's",
+        ]

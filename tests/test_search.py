@@ -194,9 +194,11 @@ class TestMinGenus:
     # Sons the walk builds without `stats`, pinned exactly.  The deficit and
     # permanent-generator cuts took them from 33,957 and 521,647 to 7,270
     # and 120,783; the son rule then stopped building the sons the
-    # permanent-generator cut drops.
+    # permanent-generator cut drops.  The diagonal member's level, 10 where
+    # the interval semigroup's is 11, took (20, 10) from 62,582 to 41,109;
+    # (14, 5) has no diagonal member, as T(9) = 14.
     @pytest.mark.parametrize(
-        "cell, pinned", [((14, 5), 1759), ((20, 10), 62582)], ids=["14-5", "20-10"]
+        "cell, pinned", [((14, 5), 1759), ((20, 10), 41109)], ids=["14-5", "20-10"]
     )
     def test_sons_built_are_pinned(self, cell, pinned, monkeypatch):
         built = count_sons(monkeypatch)
@@ -283,9 +285,14 @@ class TestMinFrobenius:
 
     # Sons the walk builds without `stats`, pinned exactly: it builds only
     # the sons that can still reach dimension e within the bound, where it
-    # built 1,260 and 1,923, every son within the bound.
+    # built 1,260 and 1,923, every son within the bound.  Starting alpha at
+    # the diagonal member's F took (11, 5) from 462 to 142; (8, 3) has no
+    # diagonal member, as T(5) = 8.  From the interval semigroup's F the
+    # walk built 628 sons at (13, 9) and 2,704,157 at (24, 12).
     @pytest.mark.parametrize(
-        "cell, pinned", [((8, 3), 144), ((11, 5), 462)], ids=["8-3", "11-5"]
+        "cell, pinned",
+        [((8, 3), 144), ((11, 5), 142), ((13, 9), 40), ((24, 12), 3065)],
+        ids=["8-3", "11-5", "13-9", "24-12"],
     )
     def test_sons_built_are_pinned(self, cell, pinned, monkeypatch):
         built = count_sons(monkeypatch)
